@@ -107,12 +107,14 @@ def huber_objective(residual: np.ndarray, zeta: float) -> float:
     )
 
 
-def _admm_huber_batch(
-    x_rows: np.ndarray,
-    ks: np.ndarray,
-    cfg: AdmmConfig,
-    collect_objective: bool = False,
-):
+# Rows solved together. Each chunk holds six (chunk, n) float64 work arrays,
+# 3 MiB at n = 2000. On the 500-bin level-1 band at n = 2000, 32 rows ran
+# fastest on an x86-64 core with 2 MiB of L2; 8 and 128 rows were about 30%
+# slower, from per-call overhead and from cache misses respectively.
+_ADMM_CHUNK = 32
+
+
+def _admm_huber_batch(x_rows: np.ndarray, ks: np.ndarray, cfg: AdmmConfig):
     """Solve the Huber harmonic regression for each (row, frequency) pair.
 
     Rows of ``x_rows`` (B, n) are fit at frequency indices ``ks`` (B,) with
@@ -130,8 +132,12 @@ def _admm_huber_batch(
     flagged unconverged). The 2x2 Gram matrix is formed and inverted
     exactly per frequency.
 
-    Returns (beta (B, 2), iterations (B,), converged (B,)) and, when
-    ``collect_objective`` is set, a list of per-iteration objective arrays.
+    Rows are independent, so they are solved in chunks of ``_ADMM_CHUNK``
+    that reuse one set of (chunk, n) work arrays: memory is O(chunk * n)
+    whatever B is, and each row's result is bit-identical to solving it
+    alone.
+
+    Returns (beta (B, 2), iterations (B,), converged (B,)).
     """
     x_rows = np.atleast_2d(np.asarray(x_rows, dtype=np.float64))
     ks = np.atleast_1d(np.asarray(ks))
@@ -141,46 +147,58 @@ def _admm_huber_batch(
     if np.any(ks < 1) or np.any(2 * ks >= n):
         raise InvalidInputError("frequency indices must satisfy 1 <= k < n/2")
 
-    t = np.arange(n)
-    ang = (2.0 * np.pi / n) * ks[:, None].astype(np.float64) * t[None, :]
-    cos_kt = np.cos(ang)
-    sin_kt = np.sin(ang)
-
-    gram_cc = np.einsum("ij,ij->i", cos_kt, cos_kt)
-    gram_cs = np.einsum("ij,ij->i", cos_kt, sin_kt)
-    gram_ss = np.einsum("ij,ij->i", sin_kt, sin_kt)
-    det = gram_cc * gram_ss - gram_cs * gram_cs
-    if np.any(det <= 0):
-        raise InternalError("degenerate harmonic regressor")
-
-    rho = cfg.rho
-    shrink = rho / (1.0 + rho)
-    thr = cfg.zeta * (1.0 + rho) / rho
-    eps_pri_abs = math.sqrt(n) * cfg.eps_abs
-    eps_dual_abs = math.sqrt(2.0) * cfg.eps_abs
-    x_norm = np.linalg.norm(x_rows, axis=1)
-
     beta = np.zeros((nrows, 2))
     iterations = np.full(nrows, cfg.max_iter, dtype=np.int64)
     converged = np.zeros(nrows, dtype=bool)
-    objective_trace: list[np.ndarray] = []
+    work = np.empty((6, min(nrows, _ADMM_CHUNK), n))
+    for lo in range(0, nrows, _ADMM_CHUNK):
+        hi = min(lo + _ADMM_CHUNK, nrows)
+        _admm_huber_chunk(
+            x_rows[lo:hi], ks[lo:hi], cfg, work,
+            beta[lo:hi], iterations[lo:hi], converged[lo:hi],
+        )
+    return beta, iterations, converged
 
-    live = np.arange(nrows)
-    x = x_rows
-    cos_l, sin_l = cos_kt, sin_kt
-    cc, cs, ss, dt = gram_cc, gram_cs, gram_ss, det
-    xn = x_norm
-    z = np.zeros_like(x)
-    u = np.zeros_like(x)
+
+def _admm_huber_chunk(x_rows, ks, cfg, work, beta, iterations, converged):
+    """Run the ADMM of ``_admm_huber_batch`` on one chunk of rows.
+
+    ``work`` holds the (chunk, n) arrays; results go to the ``beta``,
+    ``iterations`` and ``converged`` views of the chunk's rows. Converged
+    rows are compacted out of the work arrays in place.
+    """
+    m, n = x_rows.shape
+    cos_l, sin_l, x, z, u, v = (w[:m] for w in work)
+    t = np.arange(n, dtype=np.float64)
+    np.multiply(((2.0 * np.pi / n) * ks.astype(np.float64))[:, None], t, out=cos_l)
+    np.sin(cos_l, out=sin_l)
+    np.cos(cos_l, out=cos_l)
+
+    cc = np.einsum("ij,ij->i", cos_l, cos_l)
+    cs = np.einsum("ij,ij->i", cos_l, sin_l)
+    ss = np.einsum("ij,ij->i", sin_l, sin_l)
+    dt = cc * ss - cs * cs
+    if np.any(dt <= 0):
+        raise InternalError("degenerate harmonic regressor")
+
+    rho = cfg.rho
+    thr = cfg.zeta * (1.0 + rho) / rho
+    eps_pri_abs = math.sqrt(n) * cfg.eps_abs
+    eps_dual_abs = math.sqrt(2.0) * cfg.eps_abs
+    np.copyto(x, x_rows)
+    xn = np.linalg.norm(x, axis=1)
+    u.fill(0.0)
+
+    live = np.arange(m)
     # Running 2-vectors phi'x, phi'z, phi'u: with phi'(phi beta) available
     # exactly from the Gram entries, every stopping-rule quantity except
     # ||du||, ||z|| and phi'z_new reduces to O(1) per row.
     sx_c = np.einsum("ij,ij->i", cos_l, x)
     sx_s = np.einsum("ij,ij->i", sin_l, x)
-    sz_c = np.zeros(nrows)
-    sz_s = np.zeros(nrows)
-    su_c = np.zeros(nrows)
-    su_s = np.zeros(nrows)
+    sz_c = np.zeros(m)
+    sz_s = np.zeros(m)
+    su_c = np.zeros(m)
+    su_s = np.zeros(m)
 
     for it in range(1, cfg.max_iter + 1):
         tc = sz_c + sx_c - su_c
@@ -189,15 +207,10 @@ def _admm_huber_batch(
         b1 = (cc * ts - cs * tc) / dt
         beta[live, 0] = b0
         beta[live, 1] = b1
-        v = cos_l * b0[:, None]
-        v += sin_l * b1[:, None]
-
-        if collect_objective:
-            full = np.full(nrows, np.nan)
-            resid = v - x
-            for i, row in enumerate(live):
-                full[row] = huber_objective(resid[i], cfg.zeta)
-            objective_trace.append(full)
+        # z is not read again before the prox overwrites it, so it holds sin*b1
+        np.multiply(cos_l, b0[:, None], out=v)
+        np.multiply(sin_l, b1[:, None], out=z)
+        v += z
 
         # phi'(phi beta) from the Gram matrix, before v picks up u - x
         sfit_c = cc * b0 + cs * b1
@@ -206,13 +219,12 @@ def _admm_huber_batch(
         v -= x
         # Huber prox: shrink inside the dead zone, shift outside;
         # rho/(1+rho)*v + S_thr(v)/(1+rho) == v - clip(v)/(1+rho).
-        z_new = np.clip(v, -thr, thr)
-        z_new /= -(1.0 + rho)
-        z_new += v
-        u_new = v - z_new
-        du = u_new - u  # equals the primal residual phi*beta - z - x
-        z = z_new
-        u = u_new
+        np.clip(v, -thr, thr, out=z)
+        z /= -(1.0 + rho)
+        z += v
+        v -= z  # the new u
+        np.subtract(v, u, out=u)  # du, the primal residual phi*beta - z - x
+        u, v = v, u
 
         sz_c_new = np.einsum("ij,ij->i", cos_l, z)
         sz_s_new = np.einsum("ij,ij->i", sin_l, z)
@@ -223,7 +235,7 @@ def _admm_huber_batch(
         su_s = sv_s - sz_s_new
         sz_c, sz_s = sz_c_new, sz_s_new
 
-        pri = np.sqrt(np.einsum("ij,ij->i", du, du))
+        pri = np.sqrt(np.einsum("ij,ij->i", v, v))
         fit_norm = np.sqrt(
             np.maximum(cc * b0 * b0 + 2.0 * cs * b0 * b1 + ss * b1 * b1, 0.0)
         )
@@ -235,52 +247,32 @@ def _admm_huber_batch(
 
         done = (pri <= eps_pri) & (dual <= eps_dual)
         if np.any(done):
-            rows = live[done]
-            iterations[rows] = it
-            converged[rows] = True
+            iterations[live[done]] = it
+            converged[live[done]] = True
             keep = ~done
-            if not np.any(keep):
-                live = live[:0]
-                break
             live = live[keep]
-            x = x[keep]
-            cos_l = cos_l[keep]
-            sin_l = sin_l[keep]
+            m = live.size
+            if m == 0:
+                break
+            for w in (cos_l, sin_l, x, u):
+                w[:m] = w[keep]
+            cos_l, sin_l, x, z, u, v = (w[:m] for w in (cos_l, sin_l, x, z, u, v))
             cc, cs, ss, dt = cc[keep], cs[keep], ss[keep], dt[keep]
             xn = xn[keep]
-            z = z[keep]
-            u = u[keep]
             sx_c, sx_s = sx_c[keep], sx_s[keep]
             sz_c, sz_s = sz_c[keep], sz_s[keep]
             su_c, su_s = su_c[keep], su_s[keep]
 
-    if collect_objective:
-        return beta, iterations, converged, objective_trace
-    return beta, iterations, converged
 
-
-def admm_huber_fit(
-    x: np.ndarray,
-    k: int,
-    cfg: AdmmConfig | None = None,
-    collect_objective: bool = False,
-):
+def admm_huber_fit(x: np.ndarray, k: int, cfg: AdmmConfig | None = None):
     """Robust harmonic amplitude fit at a single frequency index.
 
     Returns (beta, iterations, converged); beta is the (cos, sin) pair.
-    With ``collect_objective`` a fourth element holds the Huber objective
-    evaluated at each iterate.
     """
     if cfg is None:
         cfg = AdmmConfig()
     x = np.asarray(x, dtype=np.float64)
-    out = _admm_huber_batch(
-        x[None, :], np.array([k]), cfg, collect_objective=collect_objective
-    )
-    if collect_objective:
-        beta, iters, conv, trace = out
-        return beta[0], int(iters[0]), bool(conv[0]), [float(o[0]) for o in trace]
-    beta, iters, conv = out
+    beta, iters, conv = _admm_huber_batch(x[None, :], np.array([k]), cfg)
     return beta[0], int(iters[0]), bool(conv[0])
 
 

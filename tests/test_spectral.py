@@ -1,5 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from multiperiod import (
     AdmmConfig,
@@ -13,7 +18,12 @@ from multiperiod import (
     vanilla_periodogram,
     zero_pad,
 )
-from multiperiod.spectral import _admm_huber_batch, huber_objective, robust_band
+from multiperiod.spectral import (
+    _ADMM_CHUNK,
+    _admm_huber_batch,
+    huber_objective,
+    robust_band,
+)
 
 
 def harmonic_regressors(n, k):
@@ -21,6 +31,16 @@ def harmonic_regressors(n, k):
     return np.column_stack(
         [np.cos(2 * np.pi * k * t / n), np.sin(2 * np.pi * k * t / n)]
     )
+
+
+def assert_batch_matches_single_fits(rows, ks, cfg):
+    """Each batch row is bit-identical to fitting that row on its own."""
+    beta, iterations, converged = _admm_huber_batch(rows, ks, cfg)
+    for i, k in enumerate(ks):
+        single = admm_huber_fit(rows[i], int(k), cfg)
+        np.testing.assert_array_equal(beta[i], single[0])
+        assert iterations[i] == single[1]
+        assert converged[i] == single[2]
 
 
 def huber_gradient_descent(x, k, zeta, iters=150000):
@@ -131,13 +151,19 @@ class TestAdmmHuberFit:
         # The solver is not a strict descent method: spiky instances show a
         # ~1e-3 objective uptick right after the first step. Monitored
         # guarantees: descent (to 1e-8 of scale) after that transient, and
-        # the last iterate attains the best objective seen.
+        # the last iterate attains the best objective seen. Iterate m is the
+        # result of a run capped at m iterations.
         rng = np.random.default_rng(5)
+        phi = harmonic_regressors(80, 9)
         for trial in range(10):
             x = rng.normal(size=80)
             spikes = rng.choice(80, size=4, replace=False)
             x[spikes] += rng.choice([-8.0, 8.0], size=4)
-            _, _, _, trace = admm_huber_fit(x, 9, collect_objective=True)
+            _, iterations, _ = admm_huber_fit(x, 9)
+            trace = []
+            for m in range(1, iterations + 1):
+                beta, _, _ = admm_huber_fit(x, 9, AdmmConfig(max_iter=m))
+                trace.append(huber_objective(phi @ beta - x, 1.0))
             trace = np.asarray(trace)
             tol = 1e-8 * np.maximum(1.0, trace[2:-1])
             assert np.all(np.diff(trace)[2:] <= tol)
@@ -156,10 +182,28 @@ class TestAdmmHuberFit:
         x = rng.normal(size=128)
         ks = np.array([3, 17, 40, 63])
         rows = np.broadcast_to(x, (ks.size, x.size))
-        batch_beta, _, _ = _admm_huber_batch(rows, ks, AdmmConfig())
-        for i, k in enumerate(ks):
-            single, _, _ = admm_huber_fit(x, int(k))
-            np.testing.assert_allclose(batch_beta[i], single, atol=1e-12)
+        assert_batch_matches_single_fits(rows, ks, AdmmConfig())
+
+    @pytest.mark.parametrize(
+        "size", [1, _ADMM_CHUNK - 1, _ADMM_CHUNK, _ADMM_CHUNK + 1, 2 * _ADMM_CHUNK + 1]
+    )
+    def test_batch_agrees_with_single_across_chunk_edges(self, size):
+        # rows converge at different iterations, so chunks compact unevenly
+        rng = np.random.default_rng(size)
+        x = zero_pad(rng.standard_t(2, size=150))
+        ks = np.arange(3, 3 + size)
+        rows = np.broadcast_to(x, (size, x.size))
+        assert_batch_matches_single_fits(rows, ks, AdmmConfig())
+        assert_batch_matches_single_fits(rows, ks, AdmmConfig(max_iter=7))
+
+    def test_distinct_rows_agree_with_single(self):
+        # criterion 11's shape: many zero-padded noise rows at one frequency
+        rng = np.random.default_rng(12)
+        samples, n_series, k = 2 * _ADMM_CHUNK + 5, 64, 20
+        rows = np.empty((samples, 2 * n_series))
+        for i in range(samples):
+            rows[i] = zero_pad(rng.normal(size=n_series))
+        assert_batch_matches_single_fits(rows, np.full(samples, k), AdmmConfig())
 
     def test_objective_helper(self):
         r = np.array([0.5, -2.0])
@@ -249,6 +293,36 @@ class TestHuberPeriodogram:
         assert hybrid.robust_mask[1:].all()
         with pytest.raises(InvalidInputError):
             huber_periodogram(x, 3, band=(0, 10))
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_band_power_equals_per_bin_power(self, data):
+        n = 2 * data.draw(st.integers(2, 90), label="half")
+        x = data.draw(
+            arrays(np.float64, n, elements=st.floats(-1e6, 1e6, allow_nan=False)),
+            label="x",
+        )
+        lo = data.draw(st.integers(1, n // 2 - 1), label="lo")
+        hi = data.draw(st.integers(lo, n // 2 - 1), label="hi")
+        whole = huber_periodogram(x, 1, band=(lo, hi)).power
+        for k in range(lo, hi + 1):
+            assert whole[k] == huber_periodogram(x, 1, band=(k, k)).power[k]
+
+    def test_level_one_memory_is_linear_in_length(self):
+        # the level-1 band has N/2 bins: solving all of them at once would
+        # need O(N^2) memory, the chunked solve O(N)
+        rng = np.random.default_rng(13)
+        peaks = {}
+        for n_series in (1000, 2000):
+            x = zero_pad(rng.normal(size=n_series))
+            tracemalloc.start()
+            try:
+                huber_periodogram(x, 1)
+                peaks[n_series] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[1000] < 16 * 2**20
+        assert peaks[2000] < 2.5 * peaks[1000]
 
 
 class TestFisher:
