@@ -1,75 +1,18 @@
 """Multi-periodicity detection for noisy, trended, outlier-laden series."""
 
-from .acf import (
-    AcfSeries,
-    ValidationRange,
-    find_peaks,
-    full_range_periodogram,
-    huber_acf,
-    period_from_peaks,
-)
-from .detector import (
-    DetectorConfig,
-    PeriodRecord,
-    PeriodReport,
-    detect_level,
-    merge_periods,
-    robust_period,
-)
-from .modwt import (
-    WaveletDecomposition,
-    WaveletFilterPair,
-    WaveletLevel,
-    biweight_midvariance,
-    daubechies_filters,
-    max_level,
-    modwt_decompose,
-    rank_levels,
-)
-from .preprocess import (
-    PreprocessConfig,
-    clip_extremes,
-    hp_trend,
-    preprocess,
-    standardize,
-)
+from .detector import DetectorConfig, PeriodRecord, PeriodReport, robust_period
+from .preprocess import PreprocessConfig
 from .series import InternalError, InvalidInputError, TimeSeries
-from .spectral import (
-    AdmmConfig,
-    FisherOutcome,
-    HybridPeriodogram,
-    admm_huber_fit,
-    fisher_g,
-    fisher_pvalue,
-    fisher_test,
-    huber_periodogram,
-    soft_threshold,
-    vanilla_periodogram,
-    zero_pad,
-)
-from .synthbench import (
-    SCENARIOS,
-    BenchmarkResult,
-    Metrics,
-    SplitMix64,
-    SyntheticSpec,
-    generate,
-    run_benchmark,
-    score,
-)
+from .spectral import AdmmConfig
+from .synthbench import SCENARIOS, SplitMix64, SyntheticSpec, generate, score
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AcfSeries",
     "AdmmConfig",
-    "BenchmarkResult",
     "DetectorConfig",
-    "FisherOutcome",
-    "HybridPeriodogram",
     "InternalError",
     "InvalidInputError",
-    "Metrics",
     "PeriodRecord",
     "PeriodReport",
     "PreprocessConfig",
@@ -77,35 +20,7 @@ __all__ = [
     "SplitMix64",
     "SyntheticSpec",
     "TimeSeries",
-    "ValidationRange",
-    "WaveletDecomposition",
-    "WaveletFilterPair",
-    "WaveletLevel",
-    "admm_huber_fit",
-    "biweight_midvariance",
-    "clip_extremes",
-    "daubechies_filters",
-    "detect_level",
-    "find_peaks",
-    "fisher_g",
-    "fisher_pvalue",
-    "fisher_test",
-    "full_range_periodogram",
     "generate",
-    "hp_trend",
-    "huber_acf",
-    "huber_periodogram",
-    "max_level",
-    "merge_periods",
-    "modwt_decompose",
-    "period_from_peaks",
-    "preprocess",
-    "rank_levels",
     "robust_period",
-    "run_benchmark",
     "score",
-    "soft_threshold",
-    "standardize",
-    "vanilla_periodogram",
-    "zero_pad",
 ]

@@ -26,16 +26,14 @@ class AcfSeries:
     """Normalized autocorrelation by lag, values[0] == 1.
 
     ``autocovariance`` is the raw inverse-transform output (for the vanilla
-    spectrum it equals the linear autocorrelation sum_n w_n w_{n+t});
-    ``raw`` keeps the per-lag overlap-corrected values before the final
-    lag-0 rescale. Lags beyond ``usable_lags`` (half the series) are kept
-    but not searched for peaks: the 1/(N-t) correction blows up there.
+    spectrum it equals the linear autocorrelation sum_n w_n w_{n+t}).
+    Lags beyond ``usable_lags`` (half the series) are kept but not searched
+    for peaks: the 1/(N-t) correction blows up there.
     """
 
     values: np.ndarray
     usable_lags: int
     autocovariance: np.ndarray
-    raw: np.ndarray
     degenerate: bool = False
 
 
@@ -103,21 +101,17 @@ def huber_acf(p_bar: np.ndarray, n_series: int) -> AcfSeries:
     p = p.real
     lags = np.arange(n_series)
     if p[0] <= 0:
-        zeros = np.zeros(n_series)
         return AcfSeries(
-            values=zeros,
+            values=np.zeros(n_series),
             usable_lags=n_series // 2,
             autocovariance=p[:n_series].copy(),
-            raw=zeros.copy(),
             degenerate=True,
         )
     raw = p[:n_series] / ((n_series - lags) * p[0])
-    values = raw / raw[0]
     return AcfSeries(
-        values=values,
+        values=raw / raw[0],
         usable_lags=n_series // 2,
         autocovariance=p[:n_series].copy(),
-        raw=raw,
     )
 
 

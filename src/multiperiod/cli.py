@@ -18,11 +18,10 @@ import tempfile
 import numpy as np
 
 from .acf import find_peaks, full_range_periodogram, huber_acf
-from .detector import DetectorConfig, PeriodReport, robust_period
-from .modwt import daubechies_filters, max_level, modwt_decompose, rank_levels
-from .preprocess import PreprocessConfig, preprocess
+from .detector import DetectorConfig, PeriodReport, _ranked_levels, robust_period
+from .preprocess import PreprocessConfig
 from .series import InvalidInputError, TimeSeries
-from .spectral import fisher_test, huber_periodogram, zero_pad
+from .spectral import huber_periodogram, zero_pad
 from .synthbench import SCENARIOS, SyntheticSpec, generate, run_benchmark
 
 EXIT_OK = 0
@@ -84,7 +83,7 @@ def read_csv(path: str, column: str | int | None = None) -> TimeSeries:
         values.append(float(cell))
     if not values:
         raise InvalidInputError(f"{path}: no numeric rows found")
-    return TimeSeries(np.asarray(values), label=os.path.basename(path))
+    return TimeSeries(np.asarray(values))
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -117,7 +116,7 @@ def report_to_dict(report: PeriodReport) -> dict:
                 "level": rec.level,
                 "p_value": rec.p_value,
                 "variance_share": rec.variance_share,
-                "acf_median_distance": round(rec.acf_median_distance, 3),
+                "acf_median_distance": round(rec.length, 3),
             }
             for rec in report.periods
         ],
@@ -141,22 +140,15 @@ def _detector_config(args: argparse.Namespace) -> DetectorConfig:
 def _dump_diagnostics(series: TimeSeries, cfg: DetectorConfig, directory: str) -> None:
     """Per-level periodogram and autocorrelation CSVs for external plotting."""
     os.makedirs(directory, exist_ok=True)
-    cleaned = preprocess(series, cfg.preprocess)
-    if not np.any(cleaned.values):
-        return
-    filters = daubechies_filters(cfg.wavelet_order)
-    j0 = max_level(series.length, filters.L1)
-    decomp = modwt_decompose(cleaned, filters, j0, robust=cfg.robust_mode)
-    for j in rank_levels(decomp, cfg.share_threshold):
-        lev = decomp.level(j)
+    for lev in _ranked_levels(series, cfg) or ():
         x = zero_pad(lev.w)
         if not np.any(x):
             continue
-        hybrid = huber_periodogram(x, j, cfg.admm, robust=cfg.robust_mode)
+        hybrid = huber_periodogram(x, lev.j, cfg.admm, robust=cfg.robust_mode)
         spectrum = full_range_periodogram(hybrid, x)
         acf = huber_acf(spectrum, x.size // 2)
         peaks = set(find_peaks(acf, height=cfg.acf_height))
-        path = os.path.join(directory, f"level{j:02d}.csv")
+        path = os.path.join(directory, f"level{lev.j:02d}.csv")
         with open(path, "w", newline="") as handle:
             writer = csv.writer(handle)
             writer.writerow(["index", "power", "robust", "acf", "acf_peak"])

@@ -21,7 +21,13 @@ from .acf import (
     huber_acf,
     period_from_peaks,
 )
-from .modwt import daubechies_filters, max_level, modwt_decompose, rank_levels
+from .modwt import (
+    WaveletLevel,
+    daubechies_filters,
+    max_level,
+    modwt_decompose,
+    rank_levels,
+)
 from .preprocess import PreprocessConfig, preprocess
 from .series import InvalidInputError, TimeSeries
 from .spectral import AdmmConfig, fisher_test, huber_periodogram, zero_pad
@@ -65,7 +71,6 @@ class PeriodRecord:
     level: int
     p_value: float
     variance_share: float
-    acf_median_distance: float
 
 
 @dataclass(frozen=True)
@@ -115,7 +120,6 @@ def detect_level(
         level=level,
         p_value=outcome.p_value,
         variance_share=variance_share,
-        acf_median_distance=period,
     )
 
 
@@ -155,30 +159,39 @@ def robust_period(series: TimeSeries, cfg: DetectorConfig | None = None) -> Peri
     """
     if cfg is None:
         cfg = DetectorConfig()
-    if series.length < MIN_DETECTION_LENGTH:
-        raise InvalidInputError(
-            f"detection requires at least {MIN_DETECTION_LENGTH} samples, got {series.length}"
-        )
-    cleaned = preprocess(series, cfg.preprocess)
-    if not np.any(cleaned.values):
+    levels = _ranked_levels(series, cfg)
+    if levels is None:
         return PeriodReport(periods=(), levels_examined=0, degenerate=True, config=cfg)
 
-    filters = daubechies_filters(cfg.wavelet_order)
-    j0 = max_level(series.length, filters.L1)
-    decomp = modwt_decompose(cleaned, filters, j0, robust=cfg.robust_mode)
-    ranked = rank_levels(decomp, cfg.share_threshold)
-
     found: list[PeriodRecord] = []
-    for j in ranked:
-        lev = decomp.level(j)
-        record = detect_level(lev.w, j, cfg, variance_share=lev.share)
+    for lev in levels:
+        record = detect_level(lev.w, lev.j, cfg, variance_share=lev.share)
         if record is not None:
             found.append(record)
 
     merged = merge_periods(found, cfg.merge_tolerance)
     return PeriodReport(
         periods=tuple(merged),
-        levels_examined=len(ranked),
+        levels_examined=len(levels),
         degenerate=False,
         config=cfg,
     )
+
+
+def _ranked_levels(series: TimeSeries, cfg: DetectorConfig) -> list[WaveletLevel] | None:
+    """The wavelet levels to examine, largest variance first.
+
+    Checks the length, preprocesses, decomposes and ranks; None means the
+    preprocessed series is all zeros (degenerate input).
+    """
+    if series.length < MIN_DETECTION_LENGTH:
+        raise InvalidInputError(
+            f"detection requires at least {MIN_DETECTION_LENGTH} samples, got {series.length}"
+        )
+    cleaned = preprocess(series, cfg.preprocess)
+    if not np.any(cleaned.values):
+        return None
+    filters = daubechies_filters(cfg.wavelet_order)
+    j0 = max_level(series.length, filters.L1)
+    decomp = modwt_decompose(cleaned, filters, j0, robust=cfg.robust_mode)
+    return [decomp.level(j) for j in rank_levels(decomp, cfg.share_threshold)]

@@ -41,7 +41,6 @@ class WaveletLevel:
 
     j: int
     w: np.ndarray
-    width: int
     variance: float | None
     share: float
 
@@ -50,8 +49,6 @@ class WaveletLevel:
 class WaveletDecomposition:
     levels: tuple[WaveletLevel, ...]
     scaling: np.ndarray
-    j0: int
-    n: int
 
     def level(self, j: int) -> WaveletLevel:
         return self.levels[j - 1]
@@ -218,13 +215,12 @@ def modwt_decompose(
         WaveletLevel(
             j=j,
             w=w,
-            width=level_width(j, filters.L1),
             variance=var,
             share=(var / total) if (var is not None and total > 0) else 0.0,
         )
         for j, (w, var) in enumerate(zip(coeffs, variances), start=1)
     )
-    return WaveletDecomposition(levels=levels, scaling=v, j0=j0, n=n)
+    return WaveletDecomposition(levels=levels, scaling=v)
 
 
 def rank_levels(decomp: WaveletDecomposition, share_threshold: float) -> list[int]:

@@ -8,10 +8,10 @@ handles everything this coarse stage leaves behind.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 from scipy.linalg import solveh_banded
 
 from .series import InvalidInputError, TimeSeries
@@ -44,14 +44,28 @@ def standardize(series: TimeSeries) -> tuple[TimeSeries, float, float]:
 
     Returns ``(standardized, mean, std)`` so the affine map can be inverted.
     A constant input is degenerate: the output is all zeros and the reported
-    std is 0.0, which callers use as the degeneracy flag.
+    std is 0.0, which callers use as the degeneracy flag. A varying input
+    whose moments under- or overflow is scaled by 1/max|x| first, so
+    magnitudes from subnormal to near the float maximum standardize alike.
     """
     x = series.values
-    mean = float(np.mean(x))
-    std = float(np.std(x, ddof=1)) if x.size > 1 else 0.0
-    if std == 0.0:
-        return TimeSeries(np.zeros_like(x), series.label), mean, 0.0
-    return TimeSeries((x - mean) / std, series.label), mean, std
+    if not np.max(x) > np.min(x):
+        return TimeSeries(np.zeros_like(x)), float(x[0]), 0.0
+    mean, std = _moments(x)
+    scale = 1.0
+    if not 0.0 < std < math.inf:
+        # At extreme magnitudes the sample variance underflows or overflows
+        # though the series varies; x / max|x| has representable moments.
+        scale = float(np.max(np.abs(x)))
+        x = x / scale
+        mean, std = _moments(x)
+    return TimeSeries((x - mean) / std), mean * scale, std * scale
+
+
+def _moments(x: np.ndarray) -> tuple[float, float]:
+    """Mean and sample (ddof=1) standard deviation; inf or nan on overflow."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(np.mean(x)), float(np.std(x, ddof=1))
 
 
 def hp_trend(series: TimeSeries, hp_lambda: float) -> TimeSeries:
@@ -70,19 +84,18 @@ def hp_trend(series: TimeSeries, hp_lambda: float) -> TimeSeries:
     if hp_lambda < 0:
         raise InvalidInputError("hp_lambda must be nonnegative")
     if hp_lambda == 0:
-        return TimeSeries(x.copy(), series.label)
+        return TimeSeries(x.copy())
 
-    stencil = np.repeat([[1.0], [-2.0], [1.0]], n, axis=1)
-    d2 = sparse.dia_matrix((stencil, [0, 1, 2]), shape=(n - 2, n))
-    penalty = (d2.T @ d2).todia()
-
+    # Each of D's n-2 rows (1, -2, 1) adds its outer product to D'D, so the
+    # diagonals are sums of (1, 4, 1), (-2, -2) and (1) over the rows.
+    rows = np.ones(n - 2)
     # LAPACK upper-banded layout for solveh_banded: row 0 = 2nd superdiagonal.
     ab = np.zeros((3, n))
-    ab[0, 2:] = 2.0 * hp_lambda * penalty.diagonal(2)
-    ab[1, 1:] = 2.0 * hp_lambda * penalty.diagonal(1)
-    ab[2, :] = 1.0 + 2.0 * hp_lambda * penalty.diagonal(0)
+    ab[0, 2:] = 2.0 * hp_lambda * rows
+    ab[1, 1:] = 2.0 * hp_lambda * np.convolve(rows, [-2.0, -2.0])
+    ab[2, :] = 1.0 + 2.0 * hp_lambda * np.convolve(rows, [1.0, 4.0, 1.0])
     trend = solveh_banded(ab, x, lower=False)
-    return TimeSeries(trend, series.label)
+    return TimeSeries(trend)
 
 
 def clip_extremes(series: TimeSeries, clip_c: float) -> TimeSeries:
@@ -98,9 +111,9 @@ def clip_extremes(series: TimeSeries, clip_c: float) -> TimeSeries:
     med = float(np.median(x))
     mad = float(np.median(np.abs(x - med)))
     if mad == 0.0:
-        return TimeSeries(np.zeros_like(x), series.label)
+        return TimeSeries(np.zeros_like(x))
     u = (x - med) / mad
-    return TimeSeries(np.clip(u, -clip_c, clip_c), series.label)
+    return TimeSeries(np.clip(u, -clip_c, clip_c))
 
 
 def preprocess(series: TimeSeries, cfg: PreprocessConfig | None = None) -> TimeSeries:
@@ -119,5 +132,5 @@ def preprocess(series: TimeSeries, cfg: PreprocessConfig | None = None) -> TimeS
     if std == 0.0:
         return standardized
     trend = hp_trend(standardized, cfg.hp_lambda)
-    detrended = TimeSeries(standardized.values - trend.values, series.label)
+    detrended = TimeSeries(standardized.values - trend.values)
     return clip_extremes(detrended, cfg.clip_c)

@@ -17,14 +17,13 @@ class InternalError(RuntimeError):
 
 @dataclass(frozen=True)
 class TimeSeries:
-    """Ordered real-valued samples with an optional provenance label.
+    """Ordered real-valued samples.
 
     Values are coerced to a 1-d float64 array on construction and must be
     finite; NaN/Inf are rejected at ingestion rather than propagated.
     """
 
     values: np.ndarray
-    label: str | None = None
 
     def __post_init__(self) -> None:
         values = np.asarray(self.values, dtype=np.float64)

@@ -60,7 +60,6 @@ class FisherOutcome:
     k_star: int
     p_value: float
     significant: bool
-    alpha: float
 
 
 def zero_pad(w: np.ndarray) -> np.ndarray:
@@ -87,15 +86,6 @@ def vanilla_periodogram(x: np.ndarray) -> np.ndarray:
         raise InvalidInputError("periodogram requires at least 2 samples")
     spec = np.fft.fft(x)
     return (spec.real**2 + spec.imag**2) / x.size
-
-
-def soft_threshold(v, threshold):
-    """0 inside the dead zone |v| <= threshold, else shrink toward 0."""
-    if threshold <= 0:
-        raise InvalidInputError("threshold must be positive")
-    v = np.asarray(v, dtype=np.float64)
-    out = np.sign(v) * np.maximum(np.abs(v) - threshold, 0.0)
-    return out if out.ndim else float(out)
 
 
 def huber_objective(residual: np.ndarray, zeta: float) -> float:
@@ -421,7 +411,7 @@ def fisher_test(
     """Run the g-test over the given bins at significance level alpha."""
     picked = fisher_g(power, test_range)
     if picked is None:
-        return FisherOutcome(g=0.0, k_star=-1, p_value=1.0, significant=False, alpha=alpha)
+        return FisherOutcome(g=0.0, k_star=-1, p_value=1.0, significant=False)
     g, k_star = picked
     p = fisher_pvalue(g, len(test_range))
-    return FisherOutcome(g=g, k_star=k_star, p_value=p, significant=p < alpha, alpha=alpha)
+    return FisherOutcome(g=g, k_star=k_star, p_value=p, significant=p < alpha)

@@ -142,8 +142,7 @@ def generate(spec: SyntheticSpec) -> TimeSeries:
             sign = 1.0 if rng.next_uint64() & 1 else -1.0
             values[pos] += sign * spec.outlier_amplitude
 
-    label = f"synthetic-{spec.waveform}-seed{spec.seed}"
-    return TimeSeries(values, label=label)
+    return TimeSeries(values)
 
 
 @dataclass(frozen=True)

@@ -12,28 +12,22 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from multiperiod import (
+from multiperiod.acf import full_range_periodogram, huber_acf
+from multiperiod.detector import DetectorConfig, robust_period
+from multiperiod.modwt import daubechies_filters, level_width, max_level, modwt_decompose
+from multiperiod.preprocess import hp_trend
+from multiperiod.series import TimeSeries
+from multiperiod.spectral import (
     AdmmConfig,
-    DetectorConfig,
-    TimeSeries,
+    _admm_huber_batch,
     admm_huber_fit,
-    daubechies_filters,
     fisher_g,
     fisher_pvalue,
-    full_range_periodogram,
-    hp_trend,
-    huber_acf,
     huber_periodogram,
-    max_level,
-    modwt_decompose,
-    robust_period,
-    run_benchmark,
     vanilla_periodogram,
     zero_pad,
 )
-from multiperiod.modwt import level_width
-from multiperiod.spectral import _admm_huber_batch
-from multiperiod.synthbench import SCENARIOS, SyntheticSpec
+from multiperiod.synthbench import SCENARIOS, SyntheticSpec, run_benchmark
 
 
 def report(criterion, ok, detail):

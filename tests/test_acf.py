@@ -1,19 +1,21 @@
 import numpy as np
 import pytest
 
-from multiperiod import (
-    AdmmConfig,
-    InvalidInputError,
+from multiperiod.acf import (
+    AcfSeries,
     ValidationRange,
     find_peaks,
     full_range_periodogram,
     huber_acf,
-    huber_periodogram,
     period_from_peaks,
+)
+from multiperiod.series import InvalidInputError
+from multiperiod.spectral import (
+    AdmmConfig,
+    huber_periodogram,
     vanilla_periodogram,
     zero_pad,
 )
-from multiperiod.acf import AcfSeries
 
 
 def vanilla_pipeline_acf(w):
@@ -122,7 +124,6 @@ class TestFindPeaks:
             values=values,
             usable_lags=values.size - 2,
             autocovariance=values.copy(),
-            raw=values.copy(),
         )
 
     def test_decreasing_has_no_peaks(self):

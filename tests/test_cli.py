@@ -4,8 +4,8 @@ import os
 import numpy as np
 import pytest
 
-from multiperiod import InvalidInputError
 from multiperiod.cli import main, read_csv
+from multiperiod.series import InvalidInputError
 
 
 def run_cli(capsys, *argv):

@@ -1,20 +1,18 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from multiperiod import (
+from multiperiod.detector import (
     DetectorConfig,
-    InvalidInputError,
     PeriodRecord,
-    TimeSeries,
-    daubechies_filters,
     detect_level,
     merge_periods,
-    modwt_decompose,
-    preprocess,
     robust_period,
 )
-from dataclasses import replace
-
+from multiperiod.modwt import daubechies_filters, modwt_decompose
+from multiperiod.preprocess import preprocess
+from multiperiod.series import InvalidInputError, TimeSeries
 from multiperiod.synthbench import SCENARIOS, generate
 
 
@@ -64,7 +62,6 @@ class TestMergePeriods:
             level=level,
             p_value=1e-20,
             variance_share=share,
-            acf_median_distance=length,
         )
 
     def test_near_duplicates_keep_larger_share(self):
@@ -141,6 +138,15 @@ class TestRobustPeriod:
             k_star = n_padded / record.length
             assert k_star >= 1.0
             assert abs(k_star - round(k_star)) < 1.5
+
+    @pytest.mark.parametrize("factor", [1e-300, 1e-320, 1e300])
+    def test_extreme_magnitudes_detected(self, factor):
+        # the sample variance underflows or overflows at these magnitudes
+        t = np.arange(1000)
+        y = np.sin(2 * np.pi * t / 20) + np.sin(2 * np.pi * t / 50)
+        report = robust_period(TimeSeries(factor * y))
+        assert not report.degenerate
+        assert report.period_lengths == [20.0, 50.0]
 
     def test_short_series_rejected(self):
         with pytest.raises(InvalidInputError):

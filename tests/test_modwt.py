@@ -3,16 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from multiperiod import (
-    InvalidInputError,
-    TimeSeries,
+from multiperiod.modwt import (
     biweight_midvariance,
     daubechies_filters,
+    level_width,
     max_level,
     modwt_decompose,
     rank_levels,
 )
-from multiperiod.modwt import level_width
+from multiperiod.series import InvalidInputError, TimeSeries
 
 
 def upsampled_level_filters(pair, j):

@@ -1,15 +1,14 @@
 import numpy as np
 import pytest
 
-from multiperiod import (
-    InvalidInputError,
+from multiperiod.preprocess import (
     PreprocessConfig,
-    TimeSeries,
     clip_extremes,
     hp_trend,
     preprocess,
     standardize,
 )
+from multiperiod.series import InvalidInputError, TimeSeries
 
 
 class TestStandardize:
@@ -24,6 +23,17 @@ class TestStandardize:
         assert std == 0.0
         assert mean == 5.0
         np.testing.assert_array_equal(out.values, np.zeros(3))
+
+    @pytest.mark.parametrize("factor", [1e-300, 1e-320, 1e300])
+    def test_extreme_magnitudes_are_not_degenerate(self, factor):
+        out, _, std = standardize(TimeSeries(factor * np.sin(np.arange(100.0))))
+        assert std > 0.0
+        assert np.std(out.values, ddof=1) == pytest.approx(1.0)
+
+    def test_constant_near_float_max_is_degenerate(self):
+        out, mean, std = standardize(TimeSeries(np.full(300, 1.7e308)))
+        assert (mean, std) == (1.7e308, 0.0)
+        np.testing.assert_array_equal(out.values, np.zeros(300))
 
     def test_idempotent(self):
         rng = np.random.default_rng(0)

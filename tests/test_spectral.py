@@ -6,23 +6,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from multiperiod import (
+from multiperiod.series import InvalidInputError
+from multiperiod.spectral import (
+    _ADMM_CHUNK,
     AdmmConfig,
-    InvalidInputError,
+    _admm_huber_batch,
     admm_huber_fit,
     fisher_g,
     fisher_pvalue,
     fisher_test,
+    huber_objective,
     huber_periodogram,
-    soft_threshold,
+    robust_band,
     vanilla_periodogram,
     zero_pad,
-)
-from multiperiod.spectral import (
-    _ADMM_CHUNK,
-    _admm_huber_batch,
-    huber_objective,
-    robust_band,
 )
 
 
@@ -91,23 +88,6 @@ class TestVanillaPeriodogram:
         x = rng.normal(size=250)
         p = vanilla_periodogram(x)
         assert p.sum() == pytest.approx(np.dot(x, x), rel=1e-8)
-
-
-class TestSoftThreshold:
-    def test_dead_zone(self):
-        assert soft_threshold(0.5, 1.0) == 0.0
-
-    def test_positive_shift(self):
-        assert soft_threshold(5.0, 1.0) == 4.0
-
-    def test_negative_shift(self):
-        assert soft_threshold(-5.0, 2.0) == -3.0
-
-    def test_vectorized(self):
-        np.testing.assert_allclose(
-            soft_threshold(np.array([-3.0, -0.5, 0.0, 2.0]), 1.0),
-            [-2.0, 0.0, 0.0, 1.0],
-        )
 
 
 class TestAdmmHuberFit:

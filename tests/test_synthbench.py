@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from multiperiod import (
-    DetectorConfig,
-    InvalidInputError,
+from multiperiod.detector import DetectorConfig
+from multiperiod.series import InvalidInputError
+from multiperiod.synthbench import (
     SplitMix64,
     SyntheticSpec,
     generate,
