@@ -30,11 +30,6 @@ class TestStandardize:
         assert std > 0.0
         assert np.std(out.values, ddof=1) == pytest.approx(1.0)
 
-    def test_constant_near_float_max_is_degenerate(self):
-        out, mean, std = standardize(TimeSeries(np.full(300, 1.7e308)))
-        assert (mean, std) == (1.7e308, 0.0)
-        np.testing.assert_array_equal(out.values, np.zeros(300))
-
     def test_idempotent(self):
         rng = np.random.default_rng(0)
         series = TimeSeries(rng.normal(3.0, 2.5, size=100))
