@@ -18,10 +18,9 @@ import tempfile
 import numpy as np
 
 from .acf import find_peaks, full_range_periodogram, huber_acf
-from .detector import DetectorConfig, PeriodReport, _ranked_levels, robust_period
+from .detector import DetectorConfig, LevelSpectrum, PeriodReport, _detect
 from .preprocess import PreprocessConfig
 from .series import InvalidInputError, TimeSeries
-from .spectral import huber_periodogram, zero_pad
 from .synthbench import SCENARIOS, SyntheticSpec, generate, run_benchmark
 
 EXIT_OK = 0
@@ -137,18 +136,20 @@ def _detector_config(args: argparse.Namespace) -> DetectorConfig:
     )
 
 
-def _dump_diagnostics(series: TimeSeries, cfg: DetectorConfig, directory: str) -> None:
-    """Per-level periodogram and autocorrelation CSVs for external plotting."""
+def _dump_diagnostics(
+    spectra: list[LevelSpectrum], cfg: DetectorConfig, directory: str
+) -> None:
+    """Per-level periodogram and autocorrelation CSVs for external plotting.
+
+    The periodograms are the detection's own; the ACF is recomputed because
+    the detection skips it on levels whose g-test failed.
+    """
     os.makedirs(directory, exist_ok=True)
-    for lev in _ranked_levels(series, cfg) or ():
-        x = zero_pad(lev.w)
-        if not np.any(x):
-            continue
-        hybrid = huber_periodogram(x, lev.j, cfg.admm, robust=cfg.robust_mode)
+    for level, x, hybrid in spectra:
         spectrum = full_range_periodogram(hybrid, x)
         acf = huber_acf(spectrum, x.size // 2)
         peaks = set(find_peaks(acf, height=cfg.acf_height))
-        path = os.path.join(directory, f"level{lev.j:02d}.csv")
+        path = os.path.join(directory, f"level{level:02d}.csv")
         with open(path, "w", newline="") as handle:
             writer = csv.writer(handle)
             writer.writerow(["index", "power", "robust", "acf", "acf_peak"])
@@ -167,9 +168,9 @@ def _dump_diagnostics(series: TimeSeries, cfg: DetectorConfig, directory: str) -
 def _cmd_detect(args: argparse.Namespace) -> int:
     series = read_csv(args.input, args.column)
     cfg = _detector_config(args)
-    report = robust_period(series, cfg)
+    report, spectra = _detect(series, cfg)
     if args.dump_diagnostics:
-        _dump_diagnostics(series, cfg, args.dump_diagnostics)
+        _dump_diagnostics(spectra, cfg, args.dump_diagnostics)
     _emit(json.dumps(report_to_dict(report), indent=2), args.output)
     return EXIT_OK
 

@@ -14,23 +14,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .acf import (
-    DEFAULT_MIN_DISTANCE,
     DEFAULT_PEAK_HEIGHT,
     find_peaks,
     full_range_periodogram,
     huber_acf,
     period_from_peaks,
 )
-from .modwt import (
-    WaveletLevel,
-    daubechies_filters,
-    max_level,
-    modwt_decompose,
-    rank_levels,
-)
+from .modwt import daubechies_filters, max_level, modwt_decompose, rank_levels
 from .preprocess import PreprocessConfig, preprocess
 from .series import InvalidInputError, TimeSeries
-from .spectral import AdmmConfig, fisher_test, huber_periodogram, zero_pad
+from .spectral import AdmmConfig, HybridPeriodogram, fisher_test, huber_periodogram, zero_pad
 
 MIN_DETECTION_LENGTH = 64
 
@@ -59,7 +52,7 @@ class DetectorConfig:
             raise InvalidInputError("share_threshold must lie in [0, 1]")
         if not (0.0 < self.acf_height < 1.0):
             raise InvalidInputError("acf_height must lie in (0, 1)")
-        if self.merge_tolerance < 0:
+        if not self.merge_tolerance >= 0:
             raise InvalidInputError("merge_tolerance must be nonnegative")
 
 
@@ -86,24 +79,22 @@ class PeriodReport:
 
 
 def detect_level(
-    w: np.ndarray,
+    x: np.ndarray,
+    hybrid: HybridPeriodogram,
     level: int,
     cfg: DetectorConfig,
     variance_share: float = 0.0,
 ) -> PeriodRecord | None:
-    """Single-period detection on one level's coefficient series.
+    """Validate one level's dominant period from its padded series and spectrum.
 
-    Pipeline: pad -> hybrid periodogram -> g-test (bins 1..N-1 of the half
+    ``x`` is the level's zero-padded coefficient series and ``hybrid`` its
+    hybrid periodogram. Pipeline: g-test (bins 1..N-1 of the half
     spectrum); insignificant levels return None. Otherwise the dominant bin
     must be corroborated: the autocorrelation's qualifying-peak median
     spacing has to land inside the bin's resolution window, and that median
     is the reported period length.
     """
-    x = zero_pad(w)
-    if not np.any(x):
-        return None
     half = x.size // 2
-    hybrid = huber_periodogram(x, level, cfg.admm, robust=cfg.robust_mode)
     outcome = fisher_test(hybrid.power, np.arange(1, half), cfg.fisher_alpha)
     if not outcome.significant:
         return None
@@ -111,7 +102,7 @@ def detect_level(
     acf = huber_acf(spectrum, half)
     if acf.degenerate:
         return None
-    peaks = find_peaks(acf, height=cfg.acf_height, min_distance=DEFAULT_MIN_DISTANCE)
+    peaks = find_peaks(acf, height=cfg.acf_height)
     period = period_from_peaks(peaks, outcome.k_star, x.size)
     if period is None:
         return None
@@ -157,32 +148,21 @@ def robust_period(series: TimeSeries, cfg: DetectorConfig | None = None) -> Peri
     swaps in the plain periodogram everywhere and plain sample variance for
     level ranking, keeping the rest of the procedure identical.
     """
-    if cfg is None:
-        cfg = DetectorConfig()
-    levels = _ranked_levels(series, cfg)
-    if levels is None:
-        return PeriodReport(periods=(), levels_examined=0, degenerate=True, config=cfg)
-
-    found: list[PeriodRecord] = []
-    for lev in levels:
-        record = detect_level(lev.w, lev.j, cfg, variance_share=lev.share)
-        if record is not None:
-            found.append(record)
-
-    merged = merge_periods(found, cfg.merge_tolerance)
-    return PeriodReport(
-        periods=tuple(merged),
-        levels_examined=len(levels),
-        degenerate=False,
-        config=cfg,
-    )
+    return _detect(series, cfg or DetectorConfig())[0]
 
 
-def _ranked_levels(series: TimeSeries, cfg: DetectorConfig) -> list[WaveletLevel] | None:
-    """The wavelet levels to examine, largest variance first.
+# One examined level: its index, zero-padded series and hybrid periodogram.
+LevelSpectrum = tuple[int, np.ndarray, HybridPeriodogram]
 
-    Checks the length, preprocesses, decomposes and ranks; None means the
-    preprocessed series is all zeros (degenerate input).
+
+def _detect(
+    series: TimeSeries, cfg: DetectorConfig
+) -> tuple[PeriodReport, list[LevelSpectrum]]:
+    """The whole pipeline, walked once; also returns each examined level's spectrum.
+
+    Levels are examined largest variance first, so the spectra come in
+    ranking order. A series that preprocesses to all zeros (degenerate
+    input) gives an empty degenerate report and no spectra.
     """
     if series.length < MIN_DETECTION_LENGTH:
         raise InvalidInputError(
@@ -190,8 +170,21 @@ def _ranked_levels(series: TimeSeries, cfg: DetectorConfig) -> list[WaveletLevel
         )
     cleaned = preprocess(series, cfg.preprocess)
     if not np.any(cleaned.values):
-        return None
+        return PeriodReport(periods=(), levels_examined=0, degenerate=True, config=cfg), []
     filters = daubechies_filters(cfg.wavelet_order)
     j0 = max_level(series.length, filters.L1)
     decomp = modwt_decompose(cleaned, filters, j0, robust=cfg.robust_mode)
-    return [decomp.level(j) for j in rank_levels(decomp, cfg.share_threshold)]
+    spectra: list[LevelSpectrum] = []
+    found: list[PeriodRecord] = []
+    for j in rank_levels(decomp, cfg.share_threshold):
+        lev = decomp.level(j)
+        # Ranked levels have positive variance, so x is never all zeros.
+        x = zero_pad(lev.w)
+        hybrid = huber_periodogram(x, j, cfg.admm, robust=cfg.robust_mode)
+        spectra.append((j, x, hybrid))
+        record = detect_level(x, hybrid, j, cfg, variance_share=lev.share)
+        if record is not None:
+            found.append(record)
+    merged = tuple(merge_periods(found, cfg.merge_tolerance))
+    report = PeriodReport(merged, levels_examined=len(spectra), degenerate=False, config=cfg)
+    return report, spectra

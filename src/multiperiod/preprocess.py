@@ -33,10 +33,10 @@ class PreprocessConfig:
     clip_c: float = DEFAULT_CLIP_C
 
     def __post_init__(self) -> None:
-        if self.hp_lambda < 0:
-            raise InvalidInputError("hp_lambda must be nonnegative")
-        if self.clip_c <= 0:
-            raise InvalidInputError("clip_c must be positive")
+        if not 0 <= self.hp_lambda < math.inf:
+            raise InvalidInputError("hp_lambda must be finite and nonnegative")
+        if not 0 < self.clip_c < math.inf:
+            raise InvalidInputError("clip_c must be finite and positive")
 
 
 def standardize(series: TimeSeries) -> tuple[TimeSeries, float, float]:
@@ -107,10 +107,14 @@ def clip_extremes(series: TimeSeries, clip_c: float) -> TimeSeries:
     """
     if clip_c <= 0:
         raise InvalidInputError("clip_c must be positive")
-    x = series.values
+    return _clip_mad_units(series.values, clip_c, 0.0)
+
+
+def _clip_mad_units(x: np.ndarray, clip_c: float, mad_floor: float) -> TimeSeries:
+    """clip_extremes on an array; a MAD at or below ``mad_floor`` gives zeros."""
     med = float(np.median(x))
     mad = float(np.median(np.abs(x - med)))
-    if mad == 0.0:
+    if mad <= mad_floor:
         return TimeSeries(np.zeros_like(x))
     u = (x - med) / mad
     return TimeSeries(np.clip(u, -clip_c, clip_c))
@@ -120,7 +124,8 @@ def preprocess(series: TimeSeries, cfg: PreprocessConfig | None = None) -> TimeS
     """Standardize, subtract the smooth trend, then clip extremes.
 
     The output is bounded in [-clip_c, clip_c] and is all zeros exactly when
-    the input is degenerate (constant, or zero spread after detrending).
+    the input is degenerate (constant, or zero spread after detrending, as
+    for an exact line, up to the trend solve's round-off).
     """
     if cfg is None:
         cfg = PreprocessConfig()
@@ -132,5 +137,9 @@ def preprocess(series: TimeSeries, cfg: PreprocessConfig | None = None) -> TimeS
     if std == 0.0:
         return standardized
     trend = hp_trend(standardized, cfg.hp_lambda)
-    detrended = TimeSeries(standardized.values - trend.values)
-    return clip_extremes(detrended, cfg.clip_c)
+    detrended = standardized.values - trend.values
+    # The banded solve's error on a unit-std series is at most about
+    # cond(I + 2*lambda*D'D) * eps <= (1 + 32*lambda) * eps. A MAD below that
+    # is round-off, not spread: an exact line leaves nothing else.
+    mad_floor = (1.0 + 32.0 * cfg.hp_lambda) * np.finfo(np.float64).eps
+    return _clip_mad_units(detrended, cfg.clip_c, mad_floor)

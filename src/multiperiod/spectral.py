@@ -29,7 +29,7 @@ class AdmmConfig:
     max_iter: int = 50
 
     def __post_init__(self) -> None:
-        if min(self.zeta, self.rho, self.eps_abs, self.eps_rel) <= 0:
+        if not all(v > 0 for v in (self.zeta, self.rho, self.eps_abs, self.eps_rel)):
             raise InvalidInputError("zeta, rho and tolerances must be positive")
         if self.max_iter < 1:
             raise InvalidInputError("max_iter must be at least 1")

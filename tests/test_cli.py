@@ -1,9 +1,11 @@
 import json
 import os
+import sys
 
 import numpy as np
 import pytest
 
+from multiperiod import spectral
 from multiperiod.cli import main, read_csv
 from multiperiod.series import InvalidInputError
 
@@ -135,7 +137,7 @@ class TestDetectCommand:
         def boom(*args, **kwargs):
             raise RuntimeError("induced failure")
 
-        monkeypatch.setattr(cli_module, "robust_period", boom)
+        monkeypatch.setattr(cli_module, "_detect", boom)
         code, _, err = run_cli(capsys, "detect", "--input", str(three_period_csv))
         assert code == 2
         assert "internal error" in err
@@ -152,6 +154,38 @@ class TestDetectCommand:
         assert files, "expected per-level diagnostic CSVs"
         header = (diag / files[0]).read_text().splitlines()[0]
         assert header == "index,power,robust,acf,acf_peak"
+
+    @pytest.mark.parametrize("robust", [True, False])
+    def test_dump_fits_each_level_once(self, three_period_csv, tmp_path, capsys,
+                                       monkeypatch, robust):
+        fits = []
+        fit = spectral.huber_periodogram
+
+        def counted(*args, **kwargs):
+            fits.append(args[1])
+            return fit(*args, **kwargs)
+
+        # Count the fits through every module that holds the function.
+        for name, module in list(sys.modules.items()):
+            held = getattr(module, "huber_periodogram", None)
+            if name.startswith("multiperiod") and held is fit:
+                monkeypatch.setattr(module, "huber_periodogram", counted)
+        diag = tmp_path / "diag"
+        argv = ["detect", "--input", str(three_period_csv), "--dump-diagnostics", str(diag)]
+        code, out, _ = run_cli(capsys, *argv, *([] if robust else ["--no-robust"]))
+        assert code == 0
+        examined = json.loads(out)["levels_examined"]
+        assert examined > 0
+        assert len(fits) == examined
+        assert sorted(os.listdir(diag)) == sorted(f"level{j:02d}.csv" for j in fits)
+
+    @pytest.mark.parametrize(
+        "flag, value", [("--lambda", "nan"), ("--lambda", "inf"), ("--zeta", "nan")]
+    )
+    def test_non_finite_setting_exits_1(self, three_period_csv, capsys, flag, value):
+        code, _, err = run_cli(capsys, "detect", "--input", str(three_period_csv), flag, value)
+        assert code == 1
+        assert "internal error" not in err
 
     def test_no_robust_flag(self, three_period_csv, capsys):
         code, out, _ = run_cli(

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -11,8 +12,9 @@ from multiperiod.detector import (
     robust_period,
 )
 from multiperiod.modwt import daubechies_filters, modwt_decompose
-from multiperiod.preprocess import preprocess
+from multiperiod.preprocess import PreprocessConfig, preprocess
 from multiperiod.series import InvalidInputError, TimeSeries
+from multiperiod.spectral import AdmmConfig, huber_periodogram, zero_pad
 from multiperiod.synthbench import SCENARIOS, generate
 
 
@@ -24,23 +26,30 @@ def three_period_level(level, seed=0):
     return decomp.level(level)
 
 
+def validate_level(w, level, cfg=DetectorConfig(), variance_share=0.0):
+    """detect_level on the padded series and periodogram the pipeline builds."""
+    x = zero_pad(w)
+    hybrid = huber_periodogram(x, level, cfg.admm, robust=cfg.robust_mode)
+    return detect_level(x, hybrid, level, cfg, variance_share)
+
+
 class TestDetectLevel:
     def test_level6_finds_period_100(self):
         lev = three_period_level(6)
-        record = detect_level(lev.w, 6, DetectorConfig(), lev.share)
+        record = validate_level(lev.w, 6, DetectorConfig(), lev.share)
         assert record is not None
         assert abs(record.length - 100.0) <= 2.0
         assert record.p_value < 1e-10
 
     def test_level5_finds_period_50(self):
         lev = three_period_level(5)
-        record = detect_level(lev.w, 5, DetectorConfig(), lev.share)
+        record = validate_level(lev.w, 5, DetectorConfig(), lev.share)
         assert record is not None
         assert abs(record.length - 50.0) <= 1.0
 
     def test_level4_finds_period_20(self):
         lev = three_period_level(4)
-        record = detect_level(lev.w, 4, DetectorConfig(), lev.share)
+        record = validate_level(lev.w, 4, DetectorConfig(), lev.share)
         assert record is not None
         assert abs(record.length - 20.0) <= 0.4
 
@@ -48,10 +57,10 @@ class TestDetectLevel:
     def test_white_noise_level_rejected(self, seed):
         rng = np.random.default_rng(seed)
         w = rng.normal(size=1000)
-        assert detect_level(w, 4, DetectorConfig()) is None
+        assert validate_level(w, 4) is None
 
     def test_zero_coefficients_rejected(self):
-        assert detect_level(np.zeros(512), 4, DetectorConfig()) is None
+        assert validate_level(np.zeros(512), 4) is None
 
 
 class TestMergePeriods:
@@ -152,6 +161,21 @@ class TestRobustPeriod:
         with pytest.raises(InvalidInputError):
             robust_period(TimeSeries(np.sin(np.arange(32))))
 
+    @pytest.mark.parametrize("n", [64, 200, 1000, 5000])
+    @pytest.mark.parametrize("slope, offset", [(1.0, 0.0), (3.0, 7.0), (-2.5, 1e6), (1e-9, 0.0)])
+    def test_linear_ramp_is_degenerate(self, n, slope, offset):
+        report = robust_period(TimeSeries(slope * np.arange(n, dtype=float) + offset))
+        assert report.degenerate
+        assert report.periods == ()
+        assert report.levels_examined == 0
+
+    @pytest.mark.parametrize("slope", [0.01, 1.0])
+    def test_ramp_plus_sine_detects_the_sine(self, slope):
+        t = np.arange(1000.0)
+        report = robust_period(TimeSeries(slope * t + np.sin(2 * np.pi * t / 25)))
+        assert not report.degenerate
+        assert report.period_lengths == pytest.approx([25.0], rel=0.02)
+
     def test_constant_series_degenerate_report(self):
         report = robust_period(TimeSeries(np.full(256, 3.0)))
         assert report.degenerate
@@ -173,3 +197,26 @@ class TestRobustPeriod:
             DetectorConfig(acf_height=0.0)
         with pytest.raises(InvalidInputError):
             DetectorConfig(merge_tolerance=-0.1)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda v: DetectorConfig(preprocess=PreprocessConfig(hp_lambda=v)),
+            lambda v: DetectorConfig(preprocess=PreprocessConfig(clip_c=v)),
+            lambda v: DetectorConfig(admm=AdmmConfig(zeta=v)),
+            lambda v: DetectorConfig(admm=AdmmConfig(rho=v)),
+            lambda v: DetectorConfig(admm=AdmmConfig(eps_abs=v)),
+            lambda v: DetectorConfig(admm=AdmmConfig(eps_rel=v)),
+            lambda v: DetectorConfig(merge_tolerance=v),
+        ],
+        ids=["hp_lambda", "clip_c", "zeta", "rho", "eps_abs", "eps_rel", "merge_tolerance"],
+    )
+    def test_config_rejects_nan(self, make):
+        with pytest.raises(InvalidInputError):
+            make(math.nan)
+
+    @pytest.mark.parametrize("field", ["hp_lambda", "clip_c"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf])
+    def test_preprocess_config_rejects_infinities(self, field, value):
+        with pytest.raises(InvalidInputError):
+            PreprocessConfig(**{field: value})

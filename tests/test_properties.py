@@ -1,9 +1,10 @@
 """Invariants of ``robust_period`` checked over many inputs.
 
 Positive rescaling and a constant offset leave the detected levels and
-lengths unchanged on the named scenarios; the 64-sample minimum, degenerate
-constant input and clean completion on awkward finite inputs are checked as
-hypothesis properties on series of at most 256 samples.
+lengths unchanged on the named scenarios; determinism, the 64-sample
+minimum, degenerate constant input and clean completion on awkward finite
+inputs are checked as hypothesis properties on series of at most 256
+samples.
 """
 
 from dataclasses import replace
@@ -43,6 +44,19 @@ def test_scale_and_offset_keep_levels_and_lengths(scenario, seed):
         report = robust_period(TimeSeries(transform(values)))
         assert [r.level for r in report.periods] == [r.level for r in base.periods], name
         assert report.period_lengths == pytest.approx(base.period_lengths, rel=1e-9), name
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    values=arrays(np.float64, lengths, elements=st.floats(-1e6, 1e6)),
+    robust=st.booleans(),
+)
+def test_detection_is_deterministic_and_leaves_input_alone(values, robust):
+    original = values.copy()
+    cfg = DetectorConfig(robust_mode=robust)
+    first = robust_period(TimeSeries(values), cfg)
+    assert robust_period(TimeSeries(values), cfg) == first
+    np.testing.assert_array_equal(values, original)
 
 
 @settings(max_examples=50, deadline=None)
