@@ -18,7 +18,6 @@ from .series import InternalError, InvalidInputError
 from .spectral import HybridPeriodogram
 
 DEFAULT_PEAK_HEIGHT = 0.5
-DEFAULT_MIN_DISTANCE = 2
 
 
 @dataclass(frozen=True)
@@ -115,39 +114,23 @@ def huber_acf(p_bar: np.ndarray, n_series: int) -> AcfSeries:
     )
 
 
-def find_peaks(
-    acf: AcfSeries,
-    height: float = DEFAULT_PEAK_HEIGHT,
-    min_distance: int = DEFAULT_MIN_DISTANCE,
-) -> list[int]:
+def find_peaks(acf: AcfSeries, height: float = DEFAULT_PEAK_HEIGHT) -> list[int]:
     """Lags of local maxima at or above ``height`` within the usable range.
 
     A lag t qualifies when values[t] > values[t-1], values[t] >= values[t+1]
-    and values[t] >= height, so a flat plateau reports its first lag. Peaks
-    closer than ``min_distance`` are thinned keeping the higher one (ties:
-    the smaller lag). Lag 0 is never a peak.
+    and values[t] >= height, so a flat plateau reports its first lag. No two
+    peaks are adjacent: lag t + 1 cannot rise strictly above a peak at t.
+    Lag 0 is never a peak.
     """
     if not (0.0 < height < 1.0):
         raise InvalidInputError("height must lie in (0, 1)")
-    if min_distance < 1:
-        raise InvalidInputError("min_distance must be >= 1")
     v = acf.values
     last = min(acf.usable_lags, v.size - 2)
     if last < 1:
         return []
     t = np.arange(1, last + 1)
     is_peak = (v[t] > v[t - 1]) & (v[t] >= v[t + 1]) & (v[t] >= height)
-    cand = t[is_peak]
-    if cand.size == 0:
-        return []
-    order = np.lexsort((cand, -v[cand]))
-    kept: list[int] = []
-    for i in order:
-        lag = int(cand[i])
-        if all(abs(lag - other) >= min_distance for other in kept):
-            kept.append(lag)
-    kept.sort()
-    return kept
+    return t[is_peak].tolist()
 
 
 def period_from_peaks(peaks: list[int], k_star: int, n: int) -> float | None:

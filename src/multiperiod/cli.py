@@ -149,6 +149,7 @@ def _dump_diagnostics(
         spectrum = full_range_periodogram(hybrid, x)
         acf = huber_acf(spectrum, x.size // 2)
         peaks = set(find_peaks(acf, height=cfg.acf_height))
+        lo, hi = hybrid.band or (0, -1)
         path = os.path.join(directory, f"level{level:02d}.csv")
         with open(path, "w", newline="") as handle:
             writer = csv.writer(handle)
@@ -158,7 +159,7 @@ def _dump_diagnostics(
                     [
                         k,
                         f"{hybrid.power[k]:.10g}",
-                        int(hybrid.robust_mask[k]),
+                        int(lo <= k <= hi),
                         f"{acf.values[k]:.10g}",
                         int(k in peaks),
                     ]

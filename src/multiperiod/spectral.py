@@ -11,6 +11,7 @@ yields the dominant-frequency candidate and its tail p-value.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,23 +32,22 @@ class AdmmConfig:
     def __post_init__(self) -> None:
         if not all(v > 0 for v in (self.zeta, self.rho, self.eps_abs, self.eps_rel)):
             raise InvalidInputError("zeta, rho and tolerances must be positive")
-        if self.max_iter < 1:
-            raise InvalidInputError("max_iter must be at least 1")
+        if not isinstance(self.max_iter, numbers.Integral) or self.max_iter < 1:
+            raise InvalidInputError("max_iter must be an integer of at least 1")
 
 
 @dataclass
 class HybridPeriodogram:
-    """Half-spectrum power with a mask of robustly estimated bins.
+    """Half-spectrum power with the band of robustly estimated bins.
 
     ``power[k]`` covers k = 0..N-1 of the padded length ``n_padded`` = 2N
-    spectrum (DC forced to 0, Nyquist excluded). ``robust_mask`` is True
-    exactly on the band ``[band[0], band[1]]`` where the Huber fit was used;
-    ``band`` is None when no bin was fit robustly. ``iterations`` and
-    ``converged`` hold per-band solver diagnostics.
+    spectrum (DC forced to 0, Nyquist excluded). The Huber fit was used
+    exactly on the bins ``band[0]..band[1]``; ``band`` is None when no bin
+    was fit robustly. ``iterations`` and ``converged`` hold per-band solver
+    diagnostics.
     """
 
     power: np.ndarray
-    robust_mask: np.ndarray
     band: tuple[int, int] | None
     n_padded: int
     iterations: np.ndarray | None = None
@@ -97,18 +97,18 @@ def huber_objective(residual: np.ndarray, zeta: float) -> float:
     )
 
 
-# Rows solved together. Each chunk holds six (chunk, n) float64 work arrays,
-# 3 MiB at n = 2000. On the 500-bin level-1 band at n = 2000, 32 rows ran
-# fastest on an x86-64 core with 2 MiB of L2; 8 and 128 rows were about 30%
+# Bins solved together. Each chunk holds five (chunk, n) float64 work arrays,
+# 2.5 MiB at n = 2000. On the 500-bin level-1 band at n = 2000, 32 bins ran
+# fastest on an x86-64 core with 2 MiB of L2; 8 and 128 bins were about 30%
 # slower, from per-call overhead and from cache misses respectively.
 _ADMM_CHUNK = 32
 
 
-def _admm_huber_batch(x_rows: np.ndarray, ks: np.ndarray, cfg: AdmmConfig):
-    """Solve the Huber harmonic regression for each (row, frequency) pair.
+def admm_huber_fit(x: np.ndarray, ks, cfg: AdmmConfig | None = None):
+    """Solve the Huber harmonic regression of one series at each frequency.
 
-    Rows of ``x_rows`` (B, n) are fit at frequency indices ``ks`` (B,) with
-    regressor columns cos(2*pi*k*t/n), sin(2*pi*k*t/n). Updates per
+    The series ``x`` (n,) is fit at every frequency index in ``ks`` (B,)
+    with regressor columns cos(2*pi*k*t/n), sin(2*pi*k*t/n). Updates per
     iteration, with u the scaled dual and S the soft threshold at
     zeta*(1+rho)/rho:
 
@@ -122,43 +122,45 @@ def _admm_huber_batch(x_rows: np.ndarray, ks: np.ndarray, cfg: AdmmConfig):
     flagged unconverged). The 2x2 Gram matrix is formed and inverted
     exactly per frequency.
 
-    Rows are independent, so they are solved in chunks of ``_ADMM_CHUNK``
-    that reuse one set of (chunk, n) work arrays: memory is O(chunk * n)
-    whatever B is, and each row's result is bit-identical to solving it
-    alone.
+    Frequencies are independent, so they are solved in chunks of
+    ``_ADMM_CHUNK`` that reuse one set of (chunk, n) work arrays: memory is
+    O(chunk * n) whatever B is, and each frequency's result is
+    bit-identical to fitting it alone.
 
     Returns (beta (B, 2), iterations (B,), converged (B,)).
     """
-    x_rows = np.atleast_2d(np.asarray(x_rows, dtype=np.float64))
+    if cfg is None:
+        cfg = AdmmConfig()
+    x = np.asarray(x, dtype=np.float64)
     ks = np.atleast_1d(np.asarray(ks))
-    nrows, n = x_rows.shape
-    if ks.size != nrows:
-        raise InvalidInputError("one frequency index per row is required")
+    if x.ndim != 1:
+        raise InvalidInputError("expected a 1-d series")
+    n = x.size
     if np.any(ks < 1) or np.any(2 * ks >= n):
         raise InvalidInputError("frequency indices must satisfy 1 <= k < n/2")
 
-    beta = np.zeros((nrows, 2))
-    iterations = np.full(nrows, cfg.max_iter, dtype=np.int64)
-    converged = np.zeros(nrows, dtype=bool)
-    work = np.empty((6, min(nrows, _ADMM_CHUNK), n))
-    for lo in range(0, nrows, _ADMM_CHUNK):
-        hi = min(lo + _ADMM_CHUNK, nrows)
+    nbins = ks.size
+    beta = np.zeros((nbins, 2))
+    iterations = np.full(nbins, cfg.max_iter, dtype=np.int64)
+    converged = np.zeros(nbins, dtype=bool)
+    work = np.empty((5, min(nbins, _ADMM_CHUNK), n))
+    for lo in range(0, nbins, _ADMM_CHUNK):
+        hi = min(lo + _ADMM_CHUNK, nbins)
         _admm_huber_chunk(
-            x_rows[lo:hi], ks[lo:hi], cfg, work,
-            beta[lo:hi], iterations[lo:hi], converged[lo:hi],
+            x, ks[lo:hi], cfg, work, beta[lo:hi], iterations[lo:hi], converged[lo:hi]
         )
     return beta, iterations, converged
 
 
-def _admm_huber_chunk(x_rows, ks, cfg, work, beta, iterations, converged):
-    """Run the ADMM of ``_admm_huber_batch`` on one chunk of rows.
+def _admm_huber_chunk(x, ks, cfg, work, beta, iterations, converged):
+    """Run the ADMM of ``admm_huber_fit`` for one chunk of frequencies.
 
     ``work`` holds the (chunk, n) arrays; results go to the ``beta``,
-    ``iterations`` and ``converged`` views of the chunk's rows. Converged
-    rows are compacted out of the work arrays in place.
+    ``iterations`` and ``converged`` views of the chunk's bins. Converged
+    bins are compacted out of the work arrays in place.
     """
-    m, n = x_rows.shape
-    cos_l, sin_l, x, z, u, v = (w[:m] for w in work)
+    m, n = ks.size, x.size
+    cos_l, sin_l, z, u, v = (w[:m] for w in work)
     t = np.arange(n, dtype=np.float64)
     np.multiply(((2.0 * np.pi / n) * ks.astype(np.float64))[:, None], t, out=cos_l)
     np.sin(cos_l, out=sin_l)
@@ -175,16 +177,17 @@ def _admm_huber_chunk(x_rows, ks, cfg, work, beta, iterations, converged):
     thr = cfg.zeta * (1.0 + rho) / rho
     eps_pri_abs = math.sqrt(n) * cfg.eps_abs
     eps_dual_abs = math.sqrt(2.0) * cfg.eps_abs
-    np.copyto(x, x_rows)
-    xn = np.linalg.norm(x, axis=1)
+    # summed as np.linalg.norm sums; x @ x rounds differently and can flip
+    # a stopping test that sits at its threshold
+    xn = math.sqrt(np.add.reduce(x * x))
     u.fill(0.0)
 
     live = np.arange(m)
     # Running 2-vectors phi'x, phi'z, phi'u: with phi'(phi beta) available
     # exactly from the Gram entries, every stopping-rule quantity except
-    # ||du||, ||z|| and phi'z_new reduces to O(1) per row.
-    sx_c = np.einsum("ij,ij->i", cos_l, x)
-    sx_s = np.einsum("ij,ij->i", sin_l, x)
+    # ||du||, ||z|| and phi'z_new reduces to O(1) per bin.
+    sx_c = np.einsum("ij,j->i", cos_l, x)
+    sx_s = np.einsum("ij,j->i", sin_l, x)
     sz_c = np.zeros(m)
     sz_s = np.zeros(m)
     su_c = np.zeros(m)
@@ -244,26 +247,13 @@ def _admm_huber_chunk(x_rows, ks, cfg, work, beta, iterations, converged):
             m = live.size
             if m == 0:
                 break
-            for w in (cos_l, sin_l, x, u):
+            for w in (cos_l, sin_l, u):
                 w[:m] = w[keep]
-            cos_l, sin_l, x, z, u, v = (w[:m] for w in (cos_l, sin_l, x, z, u, v))
+            cos_l, sin_l, z, u, v = (w[:m] for w in (cos_l, sin_l, z, u, v))
             cc, cs, ss, dt = cc[keep], cs[keep], ss[keep], dt[keep]
-            xn = xn[keep]
             sx_c, sx_s = sx_c[keep], sx_s[keep]
             sz_c, sz_s = sz_c[keep], sz_s[keep]
             su_c, su_s = su_c[keep], su_s[keep]
-
-
-def admm_huber_fit(x: np.ndarray, k: int, cfg: AdmmConfig | None = None):
-    """Robust harmonic amplitude fit at a single frequency index.
-
-    Returns (beta, iterations, converged); beta is the (cos, sin) pair.
-    """
-    if cfg is None:
-        cfg = AdmmConfig()
-    x = np.asarray(x, dtype=np.float64)
-    beta, iters, conv = _admm_huber_batch(x[None, :], np.array([k]), cfg)
-    return beta[0], int(iters[0]), bool(conv[0])
 
 
 def robust_band(n_padded: int, level: int) -> tuple[int, int] | None:
@@ -280,60 +270,30 @@ def huber_periodogram(
     level: int,
     cfg: AdmmConfig | None = None,
     robust: bool = True,
-    band: tuple[int, int] | None = None,
 ) -> HybridPeriodogram:
     """Hybrid half-spectrum of a padded series for one wavelet level.
 
     Bins inside the level's nominal band get the robust power
     (n/4)*||beta||^2 from the ADMM fit; all other bins reuse the plain
     periodogram. DC is forced to zero. ``robust=False`` (or a degenerate
-    all-zero input) skips the robust fits entirely. Passing ``band``
-    overrides the level-derived bin range, e.g. (1, n//2 - 1) fits the
-    whole half spectrum robustly for diagnostics.
+    all-zero input) skips the robust fits entirely.
     """
-    if cfg is None:
-        cfg = AdmmConfig()
     x = np.asarray(x, dtype=np.float64)
     n = x.size
     if n < 4 or n % 2:
         raise InvalidInputError("expected an even-length padded series of >= 4 samples")
     if level < 1:
         raise InvalidInputError("level must be >= 1")
-    half = n // 2
 
-    power = vanilla_periodogram(x)[:half].copy()
+    power = vanilla_periodogram(x)[: n // 2].copy()
     power[0] = 0.0
-    mask = np.zeros(half, dtype=bool)
-    if not robust:
-        band = None
-    elif band is None:
-        band = robust_band(n, level)
-    else:
-        lo, hi = int(band[0]), int(band[1])
-        if not 1 <= lo <= hi <= half - 1:
-            raise InvalidInputError("band must satisfy 1 <= lo <= hi <= n/2 - 1")
-        band = (lo, hi)
-    iterations = None
-    converged = None
-
-    if band is not None and np.any(x):
-        k_lo, k_hi = band
-        ks = np.arange(k_lo, k_hi + 1)
-        rows = np.broadcast_to(x, (ks.size, n))
-        beta, iterations, converged = _admm_huber_batch(rows, ks, cfg)
+    band = robust_band(n, level) if robust and np.any(x) else None
+    iterations = converged = None
+    if band is not None:
+        ks = np.arange(band[0], band[1] + 1)
+        beta, iterations, converged = admm_huber_fit(x, ks, cfg)
         power[ks] = (n / 4.0) * np.einsum("ij,ij->i", beta, beta)
-        mask[ks] = True
-    elif band is not None:
-        band = None
-
-    return HybridPeriodogram(
-        power=power,
-        robust_mask=mask,
-        band=band,
-        n_padded=n,
-        iterations=iterations,
-        converged=converged,
-    )
+    return HybridPeriodogram(power, band, n, iterations, converged)
 
 
 def fisher_g(power: np.ndarray, test_range: np.ndarray) -> tuple[float, int] | None:

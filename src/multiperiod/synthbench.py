@@ -97,6 +97,9 @@ class SyntheticSpec:
             amplitudes = tuple(float(a) for a in amplitudes)
         if len(amplitudes) != len(periods):
             raise InvalidInputError("amplitudes must match periods one-to-one")
+        magnitudes = (self.noise_variance, self.trend_amplitude, self.outlier_amplitude)
+        if not all(math.isfinite(a) for a in magnitudes + amplitudes):
+            raise InvalidInputError("amplitudes and noise variance must be finite")
         if self.noise_variance < 0:
             raise InvalidInputError("noise_variance must be nonnegative")
         if not (0.0 <= self.outlier_ratio < 1.0):
@@ -167,8 +170,8 @@ def score(detected: list[float], truth: list[float], tolerance: float) -> Metric
     value with |d - t| <= tolerance * t. Precision and recall are vacuously
     1 when their denominator sets are empty.
     """
-    if tolerance < 0:
-        raise InvalidInputError("tolerance must be nonnegative")
+    if not 0 <= tolerance < math.inf:
+        raise InvalidInputError("tolerance must be finite and nonnegative")
     remaining = list(truth)
     matched: list[tuple[float, float]] = []
     for d in sorted(detected):

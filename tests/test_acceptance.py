@@ -19,7 +19,6 @@ from multiperiod.preprocess import hp_trend
 from multiperiod.series import TimeSeries
 from multiperiod.spectral import (
     AdmmConfig,
-    _admm_huber_batch,
     admm_huber_fit,
     fisher_g,
     fisher_pvalue,
@@ -147,8 +146,8 @@ def test_criterion_07_least_squares_limit():
             [np.cos(2 * np.pi * k * t / n), np.sin(2 * np.pi * k * t / n)]
         )
         ols = np.linalg.lstsq(phi, w, rcond=None)[0]
-        beta, _, _ = admm_huber_fit(w, k, cfg)
-        worst = max(worst, float(np.linalg.norm(beta - ols) / np.linalg.norm(ols)))
+        beta, _, _ = admm_huber_fit(w, [k], cfg)
+        worst = max(worst, float(np.linalg.norm(beta[0] - ols) / np.linalg.norm(ols)))
     report(
         "criterion 07: least-squares limit",
         worst < 1e-5,
@@ -262,10 +261,10 @@ def test_criterion_11_chi_square_shape():
     # two-degree chi-square shape on Gaussian noise.
     rng = np.random.default_rng(7)
     samples, n_series, k = 1000, 256, 80
-    rows = np.empty((samples, 2 * n_series))
+    beta = np.empty((samples, 2))
     for i in range(samples):
-        rows[i] = zero_pad(rng.normal(size=n_series))
-    beta, _, _ = _admm_huber_batch(rows, np.full(samples, k), AdmmConfig())
+        row = zero_pad(rng.normal(size=n_series))
+        beta[i] = admm_huber_fit(row, [k], AdmmConfig())[0][0]
     power = (2 * n_series / 4.0) * np.einsum("ij,ij->i", beta, beta)
     normalized = 2.0 * power / power.mean()
     ks = stats.kstest(normalized, "chi2", args=(2,))

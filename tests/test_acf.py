@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from multiperiod.acf import (
     AcfSeries,
@@ -12,6 +15,7 @@ from multiperiod.acf import (
 from multiperiod.series import InvalidInputError
 from multiperiod.spectral import (
     AdmmConfig,
+    admm_huber_fit,
     huber_periodogram,
     vanilla_periodogram,
     zero_pad,
@@ -138,10 +142,6 @@ class TestFindPeaks:
         acf = self._acf([1.0, 0.0, 0.9, 0.9, 0.0])
         assert find_peaks(acf, 0.5) == [2]
 
-    def test_min_distance_keeps_higher(self):
-        acf = self._acf([1.0, 0.0, 0.6, 0.0, 0.9, 0.0, 0.0])
-        assert find_peaks(acf, 0.5, min_distance=3) == [4]
-
     def test_height_filter(self):
         acf = self._acf([1.0, 0.0, 0.4, 0.0, 0.8, 0.0])
         assert find_peaks(acf, 0.5) == [4]
@@ -151,7 +151,37 @@ class TestFindPeaks:
         with pytest.raises(InvalidInputError):
             find_peaks(acf, 0.0)
         with pytest.raises(InvalidInputError):
-            find_peaks(acf, 0.5, min_distance=0)
+            find_peaks(acf, 1.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        values=arrays(
+            np.float64,
+            st.integers(0, 40),
+            # a few repeated values, so plateaus and ties occur
+            elements=st.one_of(
+                st.sampled_from([0.0, 0.5, 0.9]),
+                st.floats(allow_nan=False, allow_infinity=False),
+            ),
+        ),
+        usable_lags=st.integers(0, 40),
+        height=st.floats(0.01, 0.99),
+    )
+    def test_peaks_follow_the_rule_and_are_never_adjacent(
+        self, values, usable_lags, height
+    ):
+        acf = AcfSeries(
+            values=values, usable_lags=usable_lags, autocovariance=values.copy()
+        )
+        peaks = find_peaks(acf, height)
+        v = values
+        expected = [
+            t
+            for t in range(1, min(usable_lags, v.size - 2) + 1)
+            if v[t] > v[t - 1] and v[t] >= v[t + 1] and v[t] >= height
+        ]
+        assert peaks == expected
+        assert all(b - a >= 2 for a, b in zip(peaks, peaks[1:]))
 
 
 class TestPeriodFromPeaks:
@@ -203,10 +233,21 @@ class TestRobustnessToOutlierBursts:
         contaminated[200 + 12 * np.arange(8)] += 6.0
         return clean, contaminated
 
+    @staticmethod
+    def _robust_half_spectrum(x):
+        """Periodogram with every bin 1..N-1 fit robustly by ADMM."""
+        hybrid = huber_periodogram(x, 7, robust=False)
+        ks = np.arange(1, x.size // 2)
+        beta, _, _ = admm_huber_fit(x, ks, AdmmConfig())
+        hybrid.power[ks] = (x.size / 4.0) * np.einsum("ij,ij->i", beta, beta)
+        return hybrid
+
     def _acf_peaks(self, w, robust):
         x = zero_pad(w)
-        band = (1, x.size // 2 - 1) if robust else None
-        hybrid = huber_periodogram(x, 7, AdmmConfig(), robust=robust, band=band)
+        if robust:
+            hybrid = self._robust_half_spectrum(x)
+        else:
+            hybrid = huber_periodogram(x, 7, robust=False)
         p_bar = full_range_periodogram(hybrid, x)
         return find_peaks(huber_acf(p_bar, x.size // 2), 0.5)
 
@@ -227,9 +268,8 @@ class TestRobustnessToOutlierBursts:
     def test_robust_spectrum_strips_contamination(self):
         _, contaminated = self._setup()
         x = zero_pad(contaminated)
-        half = x.size // 2
         plain = huber_periodogram(x, 7, robust=False).power
-        fitted = huber_periodogram(x, 7, AdmmConfig(), band=(1, half - 1)).power
+        fitted = self._robust_half_spectrum(x).power
         comb_line = x.size // 12  # burst spacing of 12 samples
         assert fitted[comb_line] < plain[comb_line] / 5.0
         assert 0.8 * plain[8] < fitted[8] < 1.3 * plain[8]

@@ -87,6 +87,16 @@ class TestSynthCommand:
         assert code == 1
         assert "error" in err
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--noise-var", "nan"), ("--noise-var", "inf"), ("--trend-amplitude", "nan")],
+    )
+    def test_non_finite_spec_exits_1(self, capsys, flag, value):
+        code, out, err = run_cli(capsys, "synth", flag, value)
+        assert code == 1
+        assert out == ""
+        assert "must be finite" in err
+
 
 @pytest.fixture(scope="module")
 def three_period_csv(tmp_path_factory):
@@ -225,6 +235,15 @@ class TestBenchCommand:
         assert {"scenario", "runs", "tolerance", "precision", "recall", "f1",
                 "mean_seconds_per_series"} <= payload.keys()
         assert payload["runs"] == 2
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_tolerance_exits_1(self, capsys, value):
+        code, out, err = run_cli(
+            capsys, "bench", "--scenario", "mild", "--runs", "1", "--tolerance", value,
+        )
+        assert code == 1
+        assert out == ""
+        assert "tolerance" in err
 
     def test_unknown_scenario_exits_1(self, capsys):
         code, _, err = run_cli(capsys, "bench", "--scenario", "nope", "--runs", "1")

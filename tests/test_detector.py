@@ -215,6 +215,11 @@ class TestRobustPeriod:
         with pytest.raises(InvalidInputError):
             make(math.nan)
 
+    @pytest.mark.parametrize("value", [2.5, math.nan, 1e9, "50"])
+    def test_config_rejects_non_integer_max_iter(self, value):
+        with pytest.raises(InvalidInputError):
+            DetectorConfig(admm=AdmmConfig(max_iter=value))
+
     @pytest.mark.parametrize("field", ["hp_lambda", "clip_c"])
     @pytest.mark.parametrize("value", [math.inf, -math.inf])
     def test_preprocess_config_rejects_infinities(self, field, value):

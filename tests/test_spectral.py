@@ -10,7 +10,6 @@ from multiperiod.series import InvalidInputError
 from multiperiod.spectral import (
     _ADMM_CHUNK,
     AdmmConfig,
-    _admm_huber_batch,
     admm_huber_fit,
     fisher_g,
     fisher_pvalue,
@@ -30,14 +29,14 @@ def harmonic_regressors(n, k):
     )
 
 
-def assert_batch_matches_single_fits(rows, ks, cfg):
-    """Each batch row is bit-identical to fitting that row on its own."""
-    beta, iterations, converged = _admm_huber_batch(rows, ks, cfg)
+def assert_band_matches_single_fits(x, ks, cfg):
+    """Fitting x over a band is bit-identical to fitting each k on its own."""
+    beta, iterations, converged = admm_huber_fit(x, ks, cfg)
     for i, k in enumerate(ks):
-        single = admm_huber_fit(rows[i], int(k), cfg)
-        np.testing.assert_array_equal(beta[i], single[0])
-        assert iterations[i] == single[1]
-        assert converged[i] == single[2]
+        single = admm_huber_fit(x, [k], cfg)
+        np.testing.assert_array_equal(beta[i], single[0][0])
+        assert iterations[i] == single[1][0]
+        assert converged[i] == single[2][0]
 
 
 def huber_gradient_descent(x, k, zeta, iters=150000):
@@ -96,9 +95,9 @@ class TestAdmmHuberFit:
         phi = harmonic_regressors(n, k)
         beta_true = np.array([0.8, -1.4])
         for zeta in (0.1, 1.0, 100.0):
-            beta, _, converged = admm_huber_fit(phi @ beta_true, k, AdmmConfig(zeta=zeta))
-            assert converged
-            assert np.max(np.abs(beta - beta_true)) < 1e-6
+            beta, _, converged = admm_huber_fit(phi @ beta_true, [k], AdmmConfig(zeta=zeta))
+            assert converged[0]
+            assert np.max(np.abs(beta[0] - beta_true)) < 1e-6
 
     def test_huge_zeta_matches_least_squares(self):
         rng = np.random.default_rng(3)
@@ -108,8 +107,8 @@ class TestAdmmHuberFit:
             x = rng.normal(size=n)
             phi = harmonic_regressors(n, k)
             ols = np.linalg.lstsq(phi, x, rcond=None)[0]
-            beta, _, _ = admm_huber_fit(x, k, AdmmConfig(zeta=1e9))
-            assert np.linalg.norm(beta - ols) < 1e-5 * max(np.linalg.norm(ols), 1e-12)
+            beta, _, _ = admm_huber_fit(x, [k], AdmmConfig(zeta=1e9))
+            assert np.linalg.norm(beta[0] - ols) < 1e-5 * max(np.linalg.norm(ols), 1e-12)
 
     def test_matches_gradient_descent_oracle(self):
         rng = np.random.default_rng(4)
@@ -117,15 +116,17 @@ class TestAdmmHuberFit:
         x[3] += 10.0
         x[40] -= 7.0
         oracle = huber_gradient_descent(x, 7, 1.0)
-        beta, _, _ = admm_huber_fit(x, 7)
-        assert np.max(np.abs(beta - oracle)) < 1e-3
+        beta, _, _ = admm_huber_fit(x, [7])
+        assert np.max(np.abs(beta[0] - oracle)) < 1e-3
 
     def test_degenerate_frequencies_rejected(self):
         x = np.ones(32)
         with pytest.raises(InvalidInputError):
-            admm_huber_fit(x, 0)
+            admm_huber_fit(x, [0])
         with pytest.raises(InvalidInputError):
-            admm_huber_fit(x, 16)
+            admm_huber_fit(x, [16])
+        with pytest.raises(InvalidInputError):
+            admm_huber_fit(np.ones((2, 32)), [3])  # one series, not rows
 
     def test_objective_descends_to_its_minimum(self):
         # The solver is not a strict descent method: spiky instances show a
@@ -139,11 +140,11 @@ class TestAdmmHuberFit:
             x = rng.normal(size=80)
             spikes = rng.choice(80, size=4, replace=False)
             x[spikes] += rng.choice([-8.0, 8.0], size=4)
-            _, iterations, _ = admm_huber_fit(x, 9)
+            _, iterations, _ = admm_huber_fit(x, [9])
             trace = []
-            for m in range(1, iterations + 1):
-                beta, _, _ = admm_huber_fit(x, 9, AdmmConfig(max_iter=m))
-                trace.append(huber_objective(phi @ beta - x, 1.0))
+            for m in range(1, int(iterations[0]) + 1):
+                beta, _, _ = admm_huber_fit(x, [9], AdmmConfig(max_iter=m))
+                trace.append(huber_objective(phi @ beta[0] - x, 1.0))
             trace = np.asarray(trace)
             tol = 1e-8 * np.maximum(1.0, trace[2:-1])
             assert np.all(np.diff(trace)[2:] <= tol)
@@ -153,37 +154,25 @@ class TestAdmmHuberFit:
     def test_unconverged_returns_flag_not_error(self):
         rng = np.random.default_rng(6)
         x = rng.normal(size=256)
-        beta, iters, converged = admm_huber_fit(x, 31, AdmmConfig(eps_abs=1e-14, eps_rel=1e-14, max_iter=3))
-        assert iters == 3 and not converged
+        beta, iters, converged = admm_huber_fit(x, [31], AdmmConfig(eps_abs=1e-14, eps_rel=1e-14, max_iter=3))
+        assert iters[0] == 3 and not converged[0]
         assert np.all(np.isfinite(beta))
 
     def test_batch_agrees_with_single(self):
         rng = np.random.default_rng(7)
         x = rng.normal(size=128)
-        ks = np.array([3, 17, 40, 63])
-        rows = np.broadcast_to(x, (ks.size, x.size))
-        assert_batch_matches_single_fits(rows, ks, AdmmConfig())
+        assert_band_matches_single_fits(x, [3, 17, 40, 63], AdmmConfig())
 
     @pytest.mark.parametrize(
         "size", [1, _ADMM_CHUNK - 1, _ADMM_CHUNK, _ADMM_CHUNK + 1, 2 * _ADMM_CHUNK + 1]
     )
     def test_batch_agrees_with_single_across_chunk_edges(self, size):
-        # rows converge at different iterations, so chunks compact unevenly
+        # bins converge at different iterations, so chunks compact unevenly
         rng = np.random.default_rng(size)
         x = zero_pad(rng.standard_t(2, size=150))
         ks = np.arange(3, 3 + size)
-        rows = np.broadcast_to(x, (size, x.size))
-        assert_batch_matches_single_fits(rows, ks, AdmmConfig())
-        assert_batch_matches_single_fits(rows, ks, AdmmConfig(max_iter=7))
-
-    def test_distinct_rows_agree_with_single(self):
-        # criterion 11's shape: many zero-padded noise rows at one frequency
-        rng = np.random.default_rng(12)
-        samples, n_series, k = 2 * _ADMM_CHUNK + 5, 64, 20
-        rows = np.empty((samples, 2 * n_series))
-        for i in range(samples):
-            rows[i] = zero_pad(rng.normal(size=n_series))
-        assert_batch_matches_single_fits(rows, np.full(samples, k), AdmmConfig())
+        assert_band_matches_single_fits(x, ks, AdmmConfig())
+        assert_band_matches_single_fits(x, ks, AdmmConfig(max_iter=7))
 
     def test_objective_helper(self):
         r = np.array([0.5, -2.0])
@@ -203,7 +192,6 @@ class TestHuberPeriodogram:
         lo, hi = hybrid.band
         assert lo <= 8 <= hi
         assert np.argmax(hybrid.power) == 8
-        assert hybrid.robust_mask[8]
 
     def test_band_formula(self):
         assert robust_band(1152, 7) == (5, 9)
@@ -215,10 +203,15 @@ class TestHuberPeriodogram:
         rng = np.random.default_rng(8)
         x = zero_pad(rng.normal(size=256))
         hybrid = huber_periodogram(x, 3)
+        assert hybrid.band == robust_band(512, 3)
         lo, hi = hybrid.band
-        expected = np.zeros(256, dtype=bool)
-        expected[lo : hi + 1] = True
-        np.testing.assert_array_equal(hybrid.robust_mask, expected)
+        assert hybrid.iterations.size == hybrid.converged.size == hi - lo + 1
+        # every bin outside the band keeps the plain periodogram
+        plain = huber_periodogram(x, 3, robust=False).power
+        outside = np.ones(256, dtype=bool)
+        outside[lo : hi + 1] = False
+        np.testing.assert_array_equal(hybrid.power[outside], plain[outside])
+        assert np.all(hybrid.power[lo : hi + 1] != plain[lo : hi + 1])
         assert np.all(hybrid.power >= 0)
         assert hybrid.power[0] == 0.0
 
@@ -233,7 +226,7 @@ class TestHuberPeriodogram:
         hybrid = huber_periodogram(x, 2, AdmmConfig(zeta=1e9))
         vanilla = vanilla_periodogram(x)[:200]
         vanilla[0] = 0.0
-        band = hybrid.robust_mask
+        band = slice(hybrid.band[0], hybrid.band[1] + 1)
         denom = np.maximum(vanilla[band], 1e-300)
         assert np.max(np.abs(hybrid.power[band] - vanilla[band]) / denom) < 1e-5
 
@@ -246,7 +239,7 @@ class TestHuberPeriodogram:
             x = zero_pad(rng.normal(size=256))
             hybrid = huber_periodogram(x, 2)
             vanilla = vanilla_periodogram(x)[:256]
-            band = hybrid.robust_mask
+            band = slice(hybrid.band[0], hybrid.band[1] + 1)
             rels.append(np.abs(hybrid.power[band] - vanilla[band]) / vanilla[band])
         mean_rel = float(np.concatenate(rels).mean())
         assert 0.2 < mean_rel < 0.8
@@ -265,15 +258,6 @@ class TestHuberPeriodogram:
             assert np.argmax(rolled) == k_tone
             assert abs(rolled[k_tone] - base[k_tone]) / base[k_tone] < 1e-3
 
-    def test_band_override(self):
-        rng = np.random.default_rng(11)
-        x = zero_pad(rng.normal(size=64))
-        hybrid = huber_periodogram(x, 3, band=(1, 63))
-        assert hybrid.band == (1, 63)
-        assert hybrid.robust_mask[1:].all()
-        with pytest.raises(InvalidInputError):
-            huber_periodogram(x, 3, band=(0, 10))
-
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
     def test_band_power_equals_per_bin_power(self, data):
@@ -284,9 +268,7 @@ class TestHuberPeriodogram:
         )
         lo = data.draw(st.integers(1, n // 2 - 1), label="lo")
         hi = data.draw(st.integers(lo, n // 2 - 1), label="hi")
-        whole = huber_periodogram(x, 1, band=(lo, hi)).power
-        for k in range(lo, hi + 1):
-            assert whole[k] == huber_periodogram(x, 1, band=(k, k)).power[k]
+        assert_band_matches_single_fits(x, np.arange(lo, hi + 1), AdmmConfig())
 
     def test_level_one_memory_is_linear_in_length(self):
         # the level-1 band has N/2 bins: solving all of them at once would

@@ -134,6 +134,20 @@ class TestGenerate:
         with pytest.raises(InvalidInputError):
             SyntheticSpec(noise_variance=-1.0)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("noise_variance", math.nan),
+            ("noise_variance", math.inf),
+            ("trend_amplitude", math.nan),
+            ("outlier_amplitude", -math.inf),
+            ("amplitudes", (1.0, math.nan, 1.0)),
+        ],
+    )
+    def test_spec_rejects_non_finite(self, field, value):
+        with pytest.raises(InvalidInputError):
+            SyntheticSpec(**{field: value})
+
 
 class TestScore:
     def test_perfect_match(self):
@@ -160,6 +174,11 @@ class TestScore:
         m = score([100.0, 101.0], [100.0], 0.02)
         assert m.precision == 0.5
         assert m.recall == 1.0
+
+    @pytest.mark.parametrize("tolerance", [math.nan, math.inf, -0.01])
+    def test_rejects_bad_tolerance(self, tolerance):
+        with pytest.raises(InvalidInputError):
+            score([40.0], [20.0], tolerance)
 
     def test_empty_detected_vs_truth(self):
         m = score([], [20.0], 0.02)
