@@ -2,9 +2,10 @@
 
 Per wavelet level the power spectrum is hybrid: inside the level's nominal
 passband each bin's harmonic amplitude pair is fit by minimizing a Huber
-loss (solved per frequency by ADMM with an exact 2x2 normal-equations
-step and a soft-threshold proximal step), while bins outside the band fall
-back to the plain FFT periodogram. Fisher's g-test on the hybrid spectrum
+loss (solved per frequency by iteratively reweighted least squares, which
+reads only the unpadded samples while the fit stays small enough that the
+zero padding is unweighted), while bins outside the band fall back to the
+plain FFT periodogram. Fisher's g-test on the hybrid spectrum
 yields the dominant-frequency candidate and its tail p-value.
 """
 
@@ -16,22 +17,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .series import InternalError, InvalidInputError
+from .series import InvalidInputError
 
 
 @dataclass(frozen=True)
 class AdmmConfig:
-    """Solver settings for the per-frequency robust harmonic fit."""
+    """Solver settings for the per-frequency robust harmonic fit.
+
+    ``zeta`` is the Huber threshold on standardized residuals and
+    ``max_iter`` caps the IRLS steps per frequency.
+    """
 
     zeta: float = 1.0
-    rho: float = 1.0
-    eps_abs: float = 1e-4
-    eps_rel: float = 1e-4
     max_iter: int = 50
 
     def __post_init__(self) -> None:
-        if not all(v > 0 for v in (self.zeta, self.rho, self.eps_abs, self.eps_rel)):
-            raise InvalidInputError("zeta, rho and tolerances must be positive")
+        if not self.zeta > 0:
+            raise InvalidInputError("zeta must be positive")
         if not isinstance(self.max_iter, numbers.Integral) or self.max_iter < 1:
             raise InvalidInputError("max_iter must be an integer of at least 1")
 
@@ -97,35 +99,40 @@ def huber_objective(residual: np.ndarray, zeta: float) -> float:
     )
 
 
-# Bins solved together. Each chunk holds five (chunk, n) float64 work arrays,
-# 2.5 MiB at n = 2000. On the 500-bin level-1 band at n = 2000, 32 bins ran
-# fastest on an x86-64 core with 2 MiB of L2; 8 and 128 bins were about 30%
-# slower, from per-call overhead and from cache misses respectively.
-_ADMM_CHUNK = 32
+# Bins solved together. The work arrays hold eight float64 rows of the real
+# samples per bin, 2 MiB for a chunk at 1000 real samples, so a level's
+# memory is O(chunk * n) whatever its band size.
+_FIT_CHUNK = 32
+
+# A bin's IRLS has converged once ||beta_new - beta|| <= _IRLS_RTOL * ||beta_new||.
+_IRLS_RTOL = 1e-6
 
 
 def admm_huber_fit(x: np.ndarray, ks, cfg: AdmmConfig | None = None):
     """Solve the Huber harmonic regression of one series at each frequency.
 
     The series ``x`` (n,) is fit at every frequency index in ``ks`` (B,)
-    with regressor columns cos(2*pi*k*t/n), sin(2*pi*k*t/n). Updates per
-    iteration, with u the scaled dual and S the soft threshold at
-    zeta*(1+rho)/rho:
+    with regressor columns phi_t = (cos(2*pi*k*t/n), sin(2*pi*k*t/n)): beta
+    minimizes sum_t huber(x_t - phi_t beta) at threshold zeta. The solver
+    is iteratively reweighted least squares (Holland & Welsch 1977). It
+    starts from the least-squares beta; each step sets
+    w_t = min(1, zeta/|r_t|) at the current residual r and solves the
+    weighted 2x2 normal equations. Each step minimizes a quadratic that
+    majorizes the Huber loss, so the objective never increases. A bin has
+    converged once ||beta_new - beta|| <= 1e-6 * ||beta_new||; at max_iter
+    the last iterate is returned, flagged unconverged.
 
-        beta <- (phi'phi)^-1 phi' (z + x - u)
-        z    <- rho/(1+rho)*(phi beta + u - x) + 1/(1+rho)*S(phi beta + u - x)
-        u    <- u + phi beta - z - x
-
-    Terminates when the primal residual ||phi beta - z - x|| and the dual
-    residual rho*||phi'(z - z_prev)|| drop below their mixed
-    absolute/relative tolerances, or at max_iter (last iterate returned,
-    flagged unconverged). The 2x2 Gram matrix is formed and inverted
-    exactly per frequency.
+    Only the samples up to the last nonzero one are read on each step. On
+    the zeros after it (the padding) the residual is -phi_t beta, and
+    |phi_t beta| <= ||beta|| because cos^2 + sin^2 = 1, so while
+    ||beta|| <= zeta every padded sample has w = 1 and adds the fixed Gram
+    block of the padding. A bin with ||beta|| > zeta sums its padding
+    explicitly for that step.
 
     Frequencies are independent, so they are solved in chunks of
-    ``_ADMM_CHUNK`` that reuse one set of (chunk, n) work arrays: memory is
-    O(chunk * n) whatever B is, and each frequency's result is
-    bit-identical to fitting it alone.
+    ``_FIT_CHUNK`` that reuse one set of work arrays: memory is O(chunk * n)
+    whatever B is, and each frequency's result is bit-identical to fitting
+    it alone.
 
     Returns (beta (B, 2), iterations (B,), converged (B,)).
     """
@@ -139,121 +146,99 @@ def admm_huber_fit(x: np.ndarray, ks, cfg: AdmmConfig | None = None):
     if np.any(ks < 1) or np.any(2 * ks >= n):
         raise InvalidInputError("frequency indices must satisfy 1 <= k < n/2")
 
+    nonzero = np.flatnonzero(x)
+    m = int(nonzero[-1]) + 1 if nonzero.size else 0
+    # cos/sin of 2*pi*j/n, read at j = k*t mod n
+    angle = (2.0 * np.pi / n) * np.arange(n)
+    table = (np.cos(angle), np.sin(angle))
     nbins = ks.size
     beta = np.zeros((nbins, 2))
     iterations = np.full(nbins, cfg.max_iter, dtype=np.int64)
     converged = np.zeros(nbins, dtype=bool)
-    work = np.empty((5, min(nbins, _ADMM_CHUNK), n))
-    for lo in range(0, nbins, _ADMM_CHUNK):
-        hi = min(lo + _ADMM_CHUNK, nbins)
-        _admm_huber_chunk(
-            x, ks[lo:hi], cfg, work, beta[lo:hi], iterations[lo:hi], converged[lo:hi]
+    work = np.empty((min(nbins, _FIT_CHUNK), 7, m))
+    weights = np.empty((min(nbins, _FIT_CHUNK), 1, m))
+    for lo in range(0, nbins, _FIT_CHUNK):
+        hi = min(lo + _FIT_CHUNK, nbins)
+        _irls_huber_chunk(
+            x[:m], n, ks[lo:hi], table, cfg, work, weights,
+            beta[lo:hi], iterations[lo:hi], converged[lo:hi],
         )
     return beta, iterations, converged
 
 
-def _admm_huber_chunk(x, ks, cfg, work, beta, iterations, converged):
-    """Run the ADMM of ``admm_huber_fit`` for one chunk of frequencies.
+def _harmonics(ks, t, n, table, out):
+    """Write cos and sin of 2*pi*k*t/n, read from ``table``, to ``out[0]``, ``out[1]``."""
+    j = np.multiply(np.asarray(ks, dtype=np.int64)[:, None], t)
+    np.remainder(j, n, out=j)
+    np.take(table[0], j, out=out[0])
+    np.take(table[1], j, out=out[1])
+    return out
 
-    ``work`` holds the (chunk, n) arrays; results go to the ``beta``,
-    ``iterations`` and ``converged`` views of the chunk's bins. Converged
-    bins are compacted out of the work arrays in place.
+
+def _irls_huber_chunk(x, n, ks, table, cfg, work, weights, beta, iterations, converged):
+    """Run the IRLS of ``admm_huber_fit`` for one chunk of frequencies.
+
+    ``x`` holds the samples up to the last nonzero one of the length-n
+    series. ``work`` rows per bin: cos, sin, cos*cos, cos*sin, sin*sin,
+    cos*x and sin*x; ``weights`` holds each bin's weights. Results go to
+    the ``beta``, ``iterations`` and ``converged`` views of the chunk's
+    bins. A converged bin leaves the work arrays: a live bin from the end
+    moves into its slot.
     """
-    m, n = ks.size, x.size
-    cos_l, sin_l, z, u, v = (w[:m] for w in work)
-    t = np.arange(n, dtype=np.float64)
-    np.multiply(((2.0 * np.pi / n) * ks.astype(np.float64))[:, None], t, out=cos_l)
-    np.sin(cos_l, out=sin_l)
-    np.cos(cos_l, out=cos_l)
-
-    cc = np.einsum("ij,ij->i", cos_l, cos_l)
-    cs = np.einsum("ij,ij->i", cos_l, sin_l)
-    ss = np.einsum("ij,ij->i", sin_l, sin_l)
-    dt = cc * ss - cs * cs
-    if np.any(dt <= 0):
-        raise InternalError("degenerate harmonic regressor")
-
-    rho = cfg.rho
-    thr = cfg.zeta * (1.0 + rho) / rho
-    eps_pri_abs = math.sqrt(n) * cfg.eps_abs
-    eps_dual_abs = math.sqrt(2.0) * cfg.eps_abs
-    # summed as np.linalg.norm sums; x @ x rounds differently and can flip
-    # a stopping test that sits at its threshold
-    xn = math.sqrt(np.add.reduce(x * x))
-    u.fill(0.0)
-
-    live = np.arange(m)
-    # Running 2-vectors phi'x, phi'z, phi'u: with phi'(phi beta) available
-    # exactly from the Gram entries, every stopping-rule quantity except
-    # ||du||, ||z|| and phi'z_new reduces to O(1) per bin.
-    sx_c = np.einsum("ij,j->i", cos_l, x)
-    sx_s = np.einsum("ij,j->i", sin_l, x)
-    sz_c = np.zeros(m)
-    sz_s = np.zeros(m)
-    su_c = np.zeros(m)
-    su_s = np.zeros(m)
+    b, m = ks.size, x.size
+    zeta = cfg.zeta
+    q = work[:b]
+    _harmonics(ks, np.arange(m), n, table, q[:, 0:2].transpose(1, 0, 2))
+    np.multiply(q[:, 0], q[:, 0], out=q[:, 2])
+    np.multiply(q[:, 0], q[:, 1], out=q[:, 3])
+    np.multiply(q[:, 1], q[:, 1], out=q[:, 4])
+    np.multiply(q[:, 0:2], x, out=q[:, 5:7])
+    # Unit-weight sums (cc, cs, ss, cx, sx) over the real samples give the
+    # least-squares start and, as the Gram matrix of all n samples is
+    # (n/2) I, the Gram block (cc, cs, ss) of the padding.
+    sums = q[:, 2:7].sum(axis=2)
+    padding = np.zeros((b, 3)) if m == n else (0.5 * n, 0.0, 0.5 * n) - sums[:, :3]
+    b_cur = sums[:, 3:] / (0.5 * n)
+    live = np.arange(b)
 
     for it in range(1, cfg.max_iter + 1):
-        tc = sz_c + sx_c - su_c
-        ts = sz_s + sx_s - su_s
-        b0 = (ss * tc - cs * ts) / dt
-        b1 = (cc * ts - cs * tc) / dt
-        beta[live, 0] = b0
-        beta[live, 1] = b1
-        # z is not read again before the prox overwrites it, so it holds sin*b1
-        np.multiply(cos_l, b0[:, None], out=v)
-        np.multiply(sin_l, b1[:, None], out=z)
-        v += z
-
-        # phi'(phi beta) from the Gram matrix, before v picks up u - x
-        sfit_c = cc * b0 + cs * b1
-        sfit_s = cs * b0 + ss * b1
-        v += u
-        v -= x
-        # Huber prox: shrink inside the dead zone, shift outside;
-        # rho/(1+rho)*v + S_thr(v)/(1+rho) == v - clip(v)/(1+rho).
-        np.clip(v, -thr, thr, out=z)
-        z /= -(1.0 + rho)
-        z += v
-        v -= z  # the new u
-        np.subtract(v, u, out=u)  # du, the primal residual phi*beta - z - x
-        u, v = v, u
-
-        sz_c_new = np.einsum("ij,ij->i", cos_l, z)
-        sz_s_new = np.einsum("ij,ij->i", sin_l, z)
-        sv_c = sfit_c + su_c - sx_c
-        sv_s = sfit_s + su_s - sx_s
-        dual = rho * np.hypot(sz_c_new - sz_c, sz_s_new - sz_s)
-        su_c = sv_c - sz_c_new
-        su_s = sv_s - sz_s_new
-        sz_c, sz_s = sz_c_new, sz_s_new
-
-        pri = np.sqrt(np.einsum("ij,ij->i", v, v))
-        fit_norm = np.sqrt(
-            np.maximum(cc * b0 * b0 + 2.0 * cs * b0 * b1 + ss * b1 * b1, 0.0)
-        )
-        z_norm = np.sqrt(np.einsum("ij,ij->i", z, z))
-        eps_pri = eps_pri_abs + cfg.eps_rel * np.maximum(
-            fit_norm, np.maximum(z_norm, xn)
-        )
-        eps_dual = eps_dual_abs + cfg.eps_rel * rho * np.hypot(su_c, su_s)
-
-        done = (pri <= eps_pri) & (dual <= eps_dual)
+        w = weights[: live.size]
+        np.matmul(b_cur[:, None, :], q[:, 0:2], out=w)
+        np.subtract(x, w, out=w)
+        np.abs(w, out=w)
+        np.maximum(w, zeta, out=w)
+        np.divide(zeta, w, out=w)
+        sums = np.matmul(q[:, 2:7], w.transpose(0, 2, 1))[:, :, 0]
+        gram = sums[:, :3] + padding
+        if m < n:  # past the guard, padded samples may be downweighted
+            for i in np.flatnonzero(np.hypot(b_cur[:, 0], b_cur[:, 1]) > zeta):
+                gram[i] = sums[i, :3] + _padding_gram(ks[live[i]], m, n, table, b_cur[i], zeta)
+        cc, cs, ss = gram.T
+        det = cc * ss - cs * cs
+        b_new = np.column_stack(
+            [ss * sums[:, 3] - cs * sums[:, 4], cc * sums[:, 4] - cs * sums[:, 3]]
+        ) / det[:, None]
+        beta[live] = b_new
+        step = np.hypot(b_new[:, 0] - b_cur[:, 0], b_new[:, 1] - b_cur[:, 1])
+        done = step <= _IRLS_RTOL * np.hypot(b_new[:, 0], b_new[:, 1])
+        b_cur = b_new
         if np.any(done):
             iterations[live[done]] = it
             converged[live[done]] = True
-            keep = ~done
-            live = live[keep]
-            m = live.size
-            if m == 0:
+            keep = np.flatnonzero(~done)
+            if keep.size == 0:
                 break
-            for w in (cos_l, sin_l, u):
-                w[:m] = w[keep]
-            cos_l, sin_l, z, u, v = (w[:m] for w in (cos_l, sin_l, z, u, v))
-            cc, cs, ss, dt = cc[keep], cs[keep], ss[keep], dt[keep]
-            sx_c, sx_s = sx_c[keep], sx_s[keep]
-            sz_c, sz_s = sz_c[keep], sz_s[keep]
-            su_c, su_s = su_c[keep], su_s[keep]
+            slots, movers = np.flatnonzero(done[: keep.size]), keep[keep >= keep.size]
+            for a in (q, live, b_cur, padding):
+                a[slots] = a[movers]
+            q, live, b_cur, padding = (a[: keep.size] for a in (q, live, b_cur, padding))
+
+
+def _padding_gram(k, m, n, table, b_cur, zeta):
+    """Weighted Gram block (cc, cs, ss) of samples m..n-1, where x is zero."""
+    c, s = _harmonics([k], np.arange(m, n), n, table, np.empty((2, 1, n - m)))[:, 0]
+    w = zeta / np.maximum(np.abs(b_cur[0] * c + b_cur[1] * s), zeta)
+    return np.array([w @ (c * c), w @ (c * s), w @ (s * s)])
 
 
 def robust_band(n_padded: int, level: int) -> tuple[int, int] | None:
@@ -274,7 +259,7 @@ def huber_periodogram(
     """Hybrid half-spectrum of a padded series for one wavelet level.
 
     Bins inside the level's nominal band get the robust power
-    (n/4)*||beta||^2 from the ADMM fit; all other bins reuse the plain
+    (n/4)*||beta||^2 from the Huber fit; all other bins reuse the plain
     periodogram. DC is forced to zero. ``robust=False`` (or a degenerate
     all-zero input) skips the robust fits entirely.
     """

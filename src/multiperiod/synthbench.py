@@ -163,6 +163,11 @@ def _f1(precision: float, recall: float) -> float:
     return 2.0 * precision * recall / (precision + recall)
 
 
+def _check_tolerance(tolerance: float) -> None:
+    if not 0 <= tolerance < math.inf:
+        raise InvalidInputError("tolerance must be finite and nonnegative")
+
+
 def score(detected: list[float], truth: list[float], tolerance: float) -> Metrics:
     """Greedy one-to-one matching within a relative tolerance.
 
@@ -170,8 +175,7 @@ def score(detected: list[float], truth: list[float], tolerance: float) -> Metric
     value with |d - t| <= tolerance * t. Precision and recall are vacuously
     1 when their denominator sets are empty.
     """
-    if not 0 <= tolerance < math.inf:
-        raise InvalidInputError("tolerance must be finite and nonnegative")
+    _check_tolerance(tolerance)
     remaining = list(truth)
     matched: list[tuple[float, float]] = []
     for d in sorted(detected):
@@ -215,6 +219,7 @@ def run_benchmark(
     """
     if runs < 1:
         raise InvalidInputError("runs must be >= 1")
+    _check_tolerance(tolerance)
     if cfg is None:
         cfg = DetectorConfig()
     truth = [float(p) for p in spec.periods]

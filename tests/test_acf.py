@@ -235,7 +235,7 @@ class TestRobustnessToOutlierBursts:
 
     @staticmethod
     def _robust_half_spectrum(x):
-        """Periodogram with every bin 1..N-1 fit robustly by ADMM."""
+        """Periodogram with every bin 1..N-1 fit robustly by the Huber fit."""
         hybrid = huber_periodogram(x, 7, robust=False)
         ks = np.arange(1, x.size // 2)
         beta, _, _ = admm_huber_fit(x, ks, AdmmConfig())

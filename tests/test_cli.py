@@ -213,11 +213,7 @@ class TestDetectCommand:
         assert config["preprocess"]["hp_lambda"] == 1e6
         assert config["preprocess"]["clip_c"] == 3.0
         assert config["wavelet_order"] == 4
-        assert config["admm"]["zeta"] == 1.0
-        assert config["admm"]["rho"] == 1.0
-        assert config["admm"]["eps_abs"] == 1e-4
-        assert config["admm"]["eps_rel"] == 1e-4
-        assert config["admm"]["max_iter"] == 50
+        assert config["admm"] == {"zeta": 1.0, "max_iter": 50}
         assert config["fisher_alpha"] == 1e-10
         assert config["acf_height"] == 0.5
         assert config["share_threshold"] == 0.05

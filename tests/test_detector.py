@@ -204,12 +204,9 @@ class TestRobustPeriod:
             lambda v: DetectorConfig(preprocess=PreprocessConfig(hp_lambda=v)),
             lambda v: DetectorConfig(preprocess=PreprocessConfig(clip_c=v)),
             lambda v: DetectorConfig(admm=AdmmConfig(zeta=v)),
-            lambda v: DetectorConfig(admm=AdmmConfig(rho=v)),
-            lambda v: DetectorConfig(admm=AdmmConfig(eps_abs=v)),
-            lambda v: DetectorConfig(admm=AdmmConfig(eps_rel=v)),
             lambda v: DetectorConfig(merge_tolerance=v),
         ],
-        ids=["hp_lambda", "clip_c", "zeta", "rho", "eps_abs", "eps_rel", "merge_tolerance"],
+        ids=["hp_lambda", "clip_c", "zeta", "merge_tolerance"],
     )
     def test_config_rejects_nan(self, make):
         with pytest.raises(InvalidInputError):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from multiperiod.detector import DetectorConfig
+from multiperiod import synthbench
 from multiperiod.series import InvalidInputError
 from multiperiod.synthbench import (
     SplitMix64,
@@ -197,3 +198,12 @@ class TestRunBenchmark:
     def test_rejects_zero_runs(self):
         with pytest.raises(InvalidInputError):
             run_benchmark(SyntheticSpec(), runs=0)
+
+    @pytest.mark.parametrize("tolerance", [math.nan, math.inf, -0.01])
+    def test_rejects_bad_tolerance_before_detecting(self, tolerance, monkeypatch):
+        def no_detection(*args, **kwargs):
+            raise AssertionError("robust_period called before the tolerance check")
+
+        monkeypatch.setattr(synthbench, "robust_period", no_detection)
+        with pytest.raises(InvalidInputError):
+            run_benchmark(SyntheticSpec(), runs=1, tolerance=tolerance)
