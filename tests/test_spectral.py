@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from multiperiod.detector import DetectorConfig, _detect
 from multiperiod.series import InvalidInputError
 from multiperiod.spectral import (
     _FIT_CHUNK,
@@ -21,6 +23,12 @@ from multiperiod.spectral import (
     vanilla_periodogram,
     zero_pad,
 )
+from multiperiod.synthbench import SCENARIOS, generate
+
+
+# A chunk of the solver holds CHUNK_BINS bins of a series of CHUNK_SERIES samples.
+CHUNK_BINS = 32
+CHUNK_SERIES = _FIT_CHUNK // CHUNK_BINS
 
 
 def harmonic_regressors(n, k):
@@ -165,8 +173,10 @@ class TestAdmmHuberFit:
             x = rng.normal(size=n)
             phi = harmonic_regressors(n, k)
             ols = np.linalg.lstsq(phi, x, rcond=None)[0]
-            beta, _, _ = admm_huber_fit(x, [k], AdmmConfig(zeta=1e9))
+            beta, iterations, _ = admm_huber_fit(x, [k], AdmmConfig(zeta=1e9))
             assert np.linalg.norm(beta[0] - ols) < 1e-5 * max(np.linalg.norm(ols), 1e-12)
+            # the least-squares start is the minimizer: its step is round-off
+            assert iterations[0] == 1
 
     def test_matches_gradient_descent_oracle(self):
         rng = np.random.default_rng(4)
@@ -186,9 +196,20 @@ class TestAdmmHuberFit:
         with pytest.raises(InvalidInputError):
             admm_huber_fit(np.ones((2, 32)), [3])  # one series, not rows
 
+    def test_non_integer_frequencies_rejected(self):
+        x = np.ones(32)
+        for ks in ([3.5], [3, 4.25], [math.nan], [[3, 4]], np.array([[5]])):
+            with pytest.raises(InvalidInputError):
+                admm_huber_fit(x, ks)
+        # integral values of any dtype are indices
+        rng = np.random.default_rng(14)
+        x = rng.normal(size=32)
+        floats, ints = admm_huber_fit(x, [3.0, 5.0]), admm_huber_fit(x, [3, 5])
+        np.testing.assert_array_equal(floats[0], ints[0])
+
     def test_objective_descends_to_its_minimum(self):
-        # IRLS minimizes a majorizer of the Huber loss at each step, so the
-        # objective never increases from the least-squares start through
+        # A Newton step that would raise the Huber loss is halved back, so
+        # the objective never increases from the least-squares start through
         # the last step. Iterate m is the result of a run capped at m steps.
         rng = np.random.default_rng(5)
         phi = harmonic_regressors(80, 9)
@@ -206,11 +227,32 @@ class TestAdmmHuberFit:
             assert np.all(np.diff(trace) <= 1e-12 * trace[0])
             assert trace[-1] < trace[0]
 
+    def test_singular_active_gram_takes_the_irls_step(self):
+        # every residual of the least-squares start is clipped, so its active
+        # Gram is zero and the first step is the IRLS step; the objective
+        # still never increases, and each bin ends at the descent oracle
+        rng = np.random.default_rng(15)
+        x = 10.0 * rng.choice([-1.0, 1.0], size=64)
+        cfg = AdmmConfig(zeta=0.1)
+        for k in (3, 5, 7):
+            phi = harmonic_regressors(64, k)
+            least_squares = np.linalg.lstsq(phi, x, rcond=None)[0]
+            assert np.all(np.abs(x - phi @ least_squares) > 0.1)
+            beta, iterations, converged = admm_huber_fit(x, [k], cfg)
+            assert converged[0]
+            trace = [fit_objective(x, k, least_squares, 0.1)]
+            for m in range(1, int(iterations[0]) + 1):
+                capped = admm_huber_fit(x, [k], AdmmConfig(zeta=0.1, max_iter=m))[0][0]
+                trace.append(fit_objective(x, k, capped, 0.1))
+            assert np.all(np.diff(trace) <= 1e-12 * trace[0])
+            oracle = huber_gradient_descent(x, k, 0.1, iters=50000)
+            assert trace[-1] <= (1 + 1e-12) * fit_objective(x, k, oracle, 0.1)
+
     def test_unconverged_returns_flag_not_error(self):
         rng = np.random.default_rng(6)
         x = rng.normal(size=256)
-        beta, iters, converged = admm_huber_fit(x, [31], AdmmConfig(max_iter=3))
-        assert iters[0] == 3 and not converged[0]
+        beta, iters, converged = admm_huber_fit(x, [31], AdmmConfig(max_iter=1))
+        assert iters[0] == 1 and not converged[0]
         assert np.all(np.isfinite(beta))
 
     def test_batch_agrees_with_single(self):
@@ -219,15 +261,17 @@ class TestAdmmHuberFit:
         assert_band_matches_single_fits(x, [3, 17, 40, 63], AdmmConfig())
 
     @pytest.mark.parametrize(
-        "size", [1, _FIT_CHUNK - 1, _FIT_CHUNK, _FIT_CHUNK + 1, 2 * _FIT_CHUNK + 1]
+        "size", [1, CHUNK_BINS - 1, CHUNK_BINS, CHUNK_BINS + 1, 2 * CHUNK_BINS + 1]
     )
     def test_batch_agrees_with_single_across_chunk_edges(self, size):
-        # bins converge at different iterations, so chunks compact unevenly
+        # bins converge at different iterations, so chunks compact unevenly;
+        # at max_iter=2 most bins stop at the cap
         rng = np.random.default_rng(size)
-        x = zero_pad(rng.standard_t(2, size=150))
+        x = zero_pad(rng.standard_t(2, size=CHUNK_SERIES))
         ks = np.arange(3, 3 + size)
         assert_band_matches_single_fits(x, ks, AdmmConfig())
         assert_band_matches_single_fits(x, ks, AdmmConfig(max_iter=7))
+        assert_band_matches_single_fits(x, ks, AdmmConfig(max_iter=2))
 
     @pytest.mark.parametrize(
         "make, zeta",
@@ -255,6 +299,29 @@ class TestAdmmHuberFit:
             assert fit_objective(x, k, beta[i], zeta) <= (1 + 1e-12) * fit_objective(
                 x, k, oracle, zeta
             )
+
+    def test_guard_breaking_bin_checks_its_padding_pattern(self):
+        # a tone over the first 5/8 or 3/4 of the samples: the real residuals
+        # stay unclipped while the clipped padded samples change from step
+        # to step, so only the padding's pattern shows the fit is not done
+        t = np.arange(128)
+        for length, zeta, k in ((80, 0.45, 8), (96, 0.5, 9)):
+            x = np.where(t < length, np.cos(2 * np.pi * k * t / 128), 0.0)
+            beta, _, converged = admm_huber_fit(x, [k], AdmmConfig(zeta=zeta))
+            assert converged[0] and np.hypot(*beta[0]) > zeta
+            oracle = huber_gradient_descent(x, k, zeta, iters=20000)
+            assert np.max(np.abs(beta[0] - oracle)) < 1e-6
+
+    @pytest.mark.parametrize("scenario", ["mild", "severe"])
+    def test_workload_bins_converge_in_few_steps(self, scenario):
+        # every bin of every examined level converges, in at most 4 Newton
+        # steps per bin on average (IRLS took 7 to 8)
+        series = generate(replace(SCENARIOS[scenario], seed=0))
+        _, spectra = _detect(series, DetectorConfig())
+        assert spectra
+        for level, _, hybrid in spectra:
+            assert hybrid.converged.all(), level
+            assert hybrid.iterations.mean() <= 4, level
 
     @settings(max_examples=30, deadline=None)
     @given(
