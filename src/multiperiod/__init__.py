@@ -1,21 +1,17 @@
 """Multi-periodicity detection for noisy, trended, outlier-laden series."""
 
 from .detector import DetectorConfig, PeriodRecord, PeriodReport, robust_period
-from .preprocess import PreprocessConfig
 from .series import InternalError, InvalidInputError, TimeSeries
-from .spectral import AdmmConfig
 from .synthbench import SCENARIOS, SplitMix64, SyntheticSpec, generate, score
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdmmConfig",
     "DetectorConfig",
     "InternalError",
     "InvalidInputError",
     "PeriodRecord",
     "PeriodReport",
-    "PreprocessConfig",
     "SCENARIOS",
     "SplitMix64",
     "SyntheticSpec",

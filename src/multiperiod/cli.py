@@ -19,7 +19,6 @@ import numpy as np
 
 from .acf import find_peaks, full_range_periodogram, huber_acf
 from .detector import DetectorConfig, LevelSpectrum, PeriodReport, _detect
-from .preprocess import PreprocessConfig
 from .series import InvalidInputError, TimeSeries
 from .synthbench import SCENARIOS, SyntheticSpec, generate, run_benchmark
 
@@ -127,8 +126,8 @@ def report_to_dict(report: PeriodReport) -> dict:
 
 def _detector_config(args: argparse.Namespace) -> DetectorConfig:
     return DetectorConfig(
-        preprocess=PreprocessConfig(hp_lambda=args.hp_lambda),
-        admm=dataclasses.replace(DetectorConfig().admm, zeta=args.zeta),
+        hp_lambda=args.hp_lambda,
+        zeta=args.zeta,
         fisher_alpha=args.alpha,
         acf_height=args.acf_height,
         share_threshold=args.share_threshold,
@@ -244,6 +243,7 @@ def _add_synth_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    defaults = DetectorConfig()
     parser = _Parser(prog="multiperiod", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -253,12 +253,11 @@ def build_parser() -> argparse.ArgumentParser:
     detect.add_argument("--output", default=None)
     detect.add_argument("--no-robust", action="store_true", help="plain periodogram/ACF path")
     detect.add_argument("--lambda", dest="hp_lambda", type=float,
-                        default=PreprocessConfig().hp_lambda, help="trend smoothing weight")
-    detect.add_argument("--zeta", type=float, default=DetectorConfig().admm.zeta)
-    detect.add_argument("--alpha", type=float, default=DetectorConfig().fisher_alpha)
-    detect.add_argument("--acf-height", type=float, default=DetectorConfig().acf_height)
-    detect.add_argument("--share-threshold", type=float,
-                        default=DetectorConfig().share_threshold)
+                        default=defaults.hp_lambda, help="trend smoothing weight")
+    detect.add_argument("--zeta", type=float, default=defaults.zeta)
+    detect.add_argument("--alpha", type=float, default=defaults.fisher_alpha)
+    detect.add_argument("--acf-height", type=float, default=defaults.acf_height)
+    detect.add_argument("--share-threshold", type=float, default=defaults.share_threshold)
     detect.add_argument("--dump-diagnostics", default=None, metavar="DIR",
                         help="write per-level periodogram/ACF CSVs here")
     detect.set_defaults(func=_cmd_detect)

@@ -9,7 +9,8 @@ are deduplicated before reporting.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,40 +21,43 @@ from .acf import (
     huber_acf,
     period_from_peaks,
 )
-from .modwt import daubechies_filters, max_level, modwt_decompose, rank_levels
-from .preprocess import PreprocessConfig, preprocess
+from .modwt import check_family_order, daubechies_filters, max_level, modwt_decompose, rank_levels
+from .preprocess import DEFAULT_HP_LAMBDA, preprocess
 from .series import InvalidInputError, TimeSeries
-from .spectral import AdmmConfig, HybridPeriodogram, fisher_test, huber_periodogram, zero_pad
+from .spectral import DEFAULT_ZETA, HybridPeriodogram, fisher_test, huber_periodogram, zero_pad
 
 MIN_DETECTION_LENGTH = 64
 
 DEFAULT_SHARE_THRESHOLD = 0.05
 DEFAULT_FISHER_ALPHA = 1e-10
-DEFAULT_MERGE_TOLERANCE = 0.03
+# Periods from different levels closer than this (relative) are one period.
+MERGE_TOLERANCE = 0.03
 
 
 @dataclass(frozen=True)
 class DetectorConfig:
     """Pipeline settings; defaults mirror the published fixed configuration."""
 
-    preprocess: PreprocessConfig = field(default_factory=PreprocessConfig)
+    hp_lambda: float = DEFAULT_HP_LAMBDA
     wavelet_order: int = 4
     share_threshold: float = DEFAULT_SHARE_THRESHOLD
-    admm: AdmmConfig = field(default_factory=AdmmConfig)
+    zeta: float = DEFAULT_ZETA
     fisher_alpha: float = DEFAULT_FISHER_ALPHA
     acf_height: float = DEFAULT_PEAK_HEIGHT
-    merge_tolerance: float = DEFAULT_MERGE_TOLERANCE
     robust_mode: bool = True
 
     def __post_init__(self) -> None:
+        if not 0 <= self.hp_lambda < math.inf:
+            raise InvalidInputError("hp_lambda must be finite and nonnegative")
+        check_family_order(self.wavelet_order)
+        if not self.zeta > 0:
+            raise InvalidInputError("zeta must be positive")
         if not (0.0 < self.fisher_alpha < 1.0):
             raise InvalidInputError("fisher_alpha must lie in (0, 1)")
         if not (0.0 <= self.share_threshold <= 1.0):
             raise InvalidInputError("share_threshold must lie in [0, 1]")
         if not (0.0 < self.acf_height < 1.0):
             raise InvalidInputError("acf_height must lie in (0, 1)")
-        if not self.merge_tolerance >= 0:
-            raise InvalidInputError("merge_tolerance must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -114,12 +118,10 @@ def detect_level(
     )
 
 
-def merge_periods(
-    records: list[PeriodRecord], tolerance: float = DEFAULT_MERGE_TOLERANCE
-) -> list[PeriodRecord]:
+def merge_periods(records: list[PeriodRecord]) -> list[PeriodRecord]:
     """Collapse near-duplicate lengths across levels, keeping the best-backed.
 
-    Lengths differing by less than ``tolerance`` relative (to the larger)
+    Lengths differing by less than ``MERGE_TOLERANCE`` relative (to the larger)
     are chained into one cluster; the record with the largest variance
     share survives (ties: lower level). Output is sorted by length.
     """
@@ -129,7 +131,7 @@ def merge_periods(
     clusters: list[list[PeriodRecord]] = [[ordered[0]]]
     for record in ordered[1:]:
         prev = clusters[-1][-1]
-        if abs(record.length - prev.length) < tolerance * max(record.length, prev.length):
+        if abs(record.length - prev.length) < MERGE_TOLERANCE * max(record.length, prev.length):
             clusters[-1].append(record)
         else:
             clusters.append([record])
@@ -168,7 +170,7 @@ def _detect(
         raise InvalidInputError(
             f"detection requires at least {MIN_DETECTION_LENGTH} samples, got {series.length}"
         )
-    cleaned = preprocess(series, cfg.preprocess)
+    cleaned = preprocess(series, cfg.hp_lambda)
     if not np.any(cleaned.values):
         return PeriodReport(periods=(), levels_examined=0, degenerate=True, config=cfg), []
     filters = daubechies_filters(cfg.wavelet_order)
@@ -180,11 +182,11 @@ def _detect(
         lev = decomp.level(j)
         # Ranked levels have positive variance, so x is never all zeros.
         x = zero_pad(lev.w)
-        hybrid = huber_periodogram(x, j, cfg.admm, robust=cfg.robust_mode)
+        hybrid = huber_periodogram(x, j, cfg.zeta, robust=cfg.robust_mode)
         spectra.append((j, x, hybrid))
         record = detect_level(x, hybrid, j, cfg, variance_share=lev.share)
         if record is not None:
             found.append(record)
-    merged = tuple(merge_periods(found, cfg.merge_tolerance))
+    merged = tuple(merge_periods(found))
     report = PeriodReport(merged, levels_examined=len(spectra), degenerate=False, config=cfg)
     return report, spectra

@@ -98,12 +98,17 @@ def _daubechies_scaling(order: int) -> np.ndarray:
     return coeffs
 
 
-def daubechies_filters(family_order: int = 4) -> WaveletFilterPair:
-    """MODWT-rescaled Daubechies extremal-phase filters; tap count 2*order."""
+def check_family_order(family_order: int) -> None:
+    """Reject anything but an integer Daubechies order in 1..MAX_FAMILY_ORDER."""
     if not isinstance(family_order, (int, np.integer)) or not 1 <= family_order <= MAX_FAMILY_ORDER:
         raise InvalidInputError(
             f"family_order must be an integer in 1..{MAX_FAMILY_ORDER}, got {family_order!r}"
         )
+
+
+def daubechies_filters(family_order: int = 4) -> WaveletFilterPair:
+    """MODWT-rescaled Daubechies extremal-phase filters; tap count 2*order."""
+    check_family_order(family_order)
     g = _daubechies_scaling(int(family_order))
     h = ((-1.0) ** np.arange(g.size)) * g[::-1]
     return WaveletFilterPair(h=h / _SQRT2, g=g / _SQRT2, L1=g.size)

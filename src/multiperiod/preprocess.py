@@ -9,7 +9,6 @@ handles everything this coarse stage leaves behind.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solveh_banded
@@ -20,23 +19,10 @@ from .series import InvalidInputError, TimeSeries
 # (half-power cutoff near period 236) while absorbing slower trend. For much
 # longer periods raise hp_lambda; half-power period scales like lambda^(1/4).
 DEFAULT_HP_LAMBDA = 1e6
-DEFAULT_CLIP_C = 3.0
+# Detrended values are clipped to this many MAD units about their median.
+CLIP_C = 3.0
 
 MIN_PIPELINE_LENGTH = 8
-
-
-@dataclass(frozen=True)
-class PreprocessConfig:
-    """Knobs for the preprocessing stage."""
-
-    hp_lambda: float = DEFAULT_HP_LAMBDA
-    clip_c: float = DEFAULT_CLIP_C
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.hp_lambda < math.inf:
-            raise InvalidInputError("hp_lambda must be finite and nonnegative")
-        if not 0 < self.clip_c < math.inf:
-            raise InvalidInputError("clip_c must be finite and positive")
 
 
 def standardize(series: TimeSeries) -> tuple[TimeSeries, float, float]:
@@ -81,8 +67,8 @@ def hp_trend(series: TimeSeries, hp_lambda: float) -> TimeSeries:
     n = x.size
     if n < 3:
         raise InvalidInputError("trend filtering requires at least 3 samples")
-    if hp_lambda < 0:
-        raise InvalidInputError("hp_lambda must be nonnegative")
+    if not 0 <= hp_lambda < math.inf:
+        raise InvalidInputError("hp_lambda must be finite and nonnegative")
     if hp_lambda == 0:
         return TimeSeries(x.copy())
 
@@ -98,37 +84,28 @@ def hp_trend(series: TimeSeries, hp_lambda: float) -> TimeSeries:
     return TimeSeries(trend)
 
 
-def clip_extremes(series: TimeSeries, clip_c: float) -> TimeSeries:
-    """Clip in median/MAD units: sign(u)*min(|u|, c) with u=(x-med)/MAD.
+def clip_extremes(x: np.ndarray, bound: float, mad_floor: float) -> TimeSeries:
+    """Clip in median/MAD units: sign(u)*min(|u|, bound) with u=(x-med)/MAD.
 
     MAD is the raw median absolute deviation about the median (no normal
-    consistency factor). Output values lie in [-c, c]. A zero MAD is
-    degenerate (not an error): the output is all zeros.
+    consistency factor). Output values lie in [-bound, bound]. A MAD at or below
+    ``mad_floor`` is degenerate (not an error): the output is all zeros.
     """
-    if clip_c <= 0:
-        raise InvalidInputError("clip_c must be positive")
-    return _clip_mad_units(series.values, clip_c, 0.0)
-
-
-def _clip_mad_units(x: np.ndarray, clip_c: float, mad_floor: float) -> TimeSeries:
-    """clip_extremes on an array; a MAD at or below ``mad_floor`` gives zeros."""
     med = float(np.median(x))
     mad = float(np.median(np.abs(x - med)))
     if mad <= mad_floor:
         return TimeSeries(np.zeros_like(x))
     u = (x - med) / mad
-    return TimeSeries(np.clip(u, -clip_c, clip_c))
+    return TimeSeries(np.clip(u, -bound, bound))
 
 
-def preprocess(series: TimeSeries, cfg: PreprocessConfig | None = None) -> TimeSeries:
+def preprocess(series: TimeSeries, hp_lambda: float = DEFAULT_HP_LAMBDA) -> TimeSeries:
     """Standardize, subtract the smooth trend, then clip extremes.
 
-    The output is bounded in [-clip_c, clip_c] and is all zeros exactly when
+    The output is bounded in [-CLIP_C, CLIP_C] and is all zeros exactly when
     the input is degenerate (constant, or zero spread after detrending, as
     for an exact line, up to the trend solve's round-off).
     """
-    if cfg is None:
-        cfg = PreprocessConfig()
     if series.length < MIN_PIPELINE_LENGTH:
         raise InvalidInputError(
             f"pipeline requires at least {MIN_PIPELINE_LENGTH} samples, got {series.length}"
@@ -136,10 +113,10 @@ def preprocess(series: TimeSeries, cfg: PreprocessConfig | None = None) -> TimeS
     standardized, _, std = standardize(series)
     if std == 0.0:
         return standardized
-    trend = hp_trend(standardized, cfg.hp_lambda)
+    trend = hp_trend(standardized, hp_lambda)
     detrended = standardized.values - trend.values
     # The banded solve's error on a unit-std series is at most about
     # cond(I + 2*lambda*D'D) * eps <= (1 + 32*lambda) * eps. A MAD below that
     # is round-off, not spread: an exact line leaves nothing else.
-    mad_floor = (1.0 + 32.0 * cfg.hp_lambda) * np.finfo(np.float64).eps
-    return _clip_mad_units(detrended, cfg.clip_c, mad_floor)
+    mad_floor = (1.0 + 32.0 * hp_lambda) * np.finfo(np.float64).eps
+    return clip_extremes(detrended, CLIP_C, mad_floor)

@@ -20,22 +20,8 @@ import numpy as np
 from .series import InvalidInputError
 
 
-@dataclass(frozen=True)
-class AdmmConfig:
-    """Solver settings for the per-frequency robust harmonic fit.
-
-    ``zeta`` is the Huber threshold on standardized residuals and
-    ``max_iter`` caps the Newton steps per frequency.
-    """
-
-    zeta: float = 1.0
-    max_iter: int = 50
-
-    def __post_init__(self) -> None:
-        if not self.zeta > 0:
-            raise InvalidInputError("zeta must be positive")
-        if not isinstance(self.max_iter, numbers.Integral) or self.max_iter < 1:
-            raise InvalidInputError("max_iter must be an integer of at least 1")
+# Huber threshold on the standardized residuals of the harmonic fit.
+DEFAULT_ZETA = 1.0
 
 
 @dataclass
@@ -115,7 +101,7 @@ _ROUNDOFF = 1e-12
 _SINGULAR = 1e-12
 
 
-def admm_huber_fit(x: np.ndarray, ks, cfg: AdmmConfig | None = None):
+def huber_fit(x: np.ndarray, ks, zeta: float = DEFAULT_ZETA, *, max_steps: int = 50):
     """Solve the Huber harmonic regression of one series at each frequency.
 
     The series ``x`` (n,) is fit at every integer frequency index in ``ks``
@@ -134,8 +120,8 @@ def admm_huber_fit(x: np.ndarray, ks, cfg: AdmmConfig | None = None):
     ever increasing: a step that raises F is halved back, and a bin whose
     active Gram is singular (every sample clipped) takes the IRLS step
     (Holland & Welsch 1977), which weights the Gram by min(1, zeta/|r|)
-    instead. At max_iter the last accepted iterate is returned, flagged
-    unconverged.
+    instead. After ``max_steps`` steps the last accepted iterate is
+    returned, flagged unconverged.
 
     Only the samples up to the last nonzero one are read on each step. On
     the zeros after it (the padding) the residual is -phi_t beta, and
@@ -151,8 +137,10 @@ def admm_huber_fit(x: np.ndarray, ks, cfg: AdmmConfig | None = None):
 
     Returns (beta (B, 2), iterations (B,), converged (B,)).
     """
-    if cfg is None:
-        cfg = AdmmConfig()
+    if not zeta > 0:
+        raise InvalidInputError("zeta must be positive")
+    if not isinstance(max_steps, numbers.Integral) or max_steps < 1:
+        raise InvalidInputError("max_steps must be an integer of at least 1")
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1:
         raise InvalidInputError("expected a 1-d series")
@@ -176,7 +164,7 @@ def admm_huber_fit(x: np.ndarray, ks, cfg: AdmmConfig | None = None):
     nbins = ks.size
     chunk = max(1, _FIT_CHUNK // max(m, 1))
     beta = np.zeros((nbins, 2))
-    iterations = np.full(nbins, cfg.max_iter, dtype=np.int64)
+    iterations = np.full(nbins, max_steps, dtype=np.int64)
     converged = np.zeros(nbins, dtype=bool)
     width = min(nbins, chunk)
     # One block for all float rows: as separate blocks the allocator may hand
@@ -189,7 +177,7 @@ def admm_huber_fit(x: np.ndarray, ks, cfg: AdmmConfig | None = None):
     for lo in range(0, nbins, chunk):
         hi = min(lo + chunk, nbins)
         _newton_huber_chunk(
-            x[:m], n, ks[lo:hi], table, cfg.zeta, cfg.max_iter, tol,
+            x[:m], n, ks[lo:hi], table, zeta, max_steps, tol,
             (work, scratch, flags, patterns), beta[lo:hi], iterations[lo:hi], converged[lo:hi],
         )
     return beta, iterations, converged
@@ -213,9 +201,9 @@ def _harmonics(ks, start, stop, n, table, out):
 
 
 def _newton_huber_chunk(
-    x, n, ks, table, zeta, max_iter, tol, buffers, beta, iterations, converged
+    x, n, ks, table, zeta, max_steps, tol, buffers, beta, iterations, converged
 ):
-    """Run the Newton solver of ``admm_huber_fit`` for one chunk of frequencies.
+    """Run the Newton solver of ``huber_fit`` for one chunk of frequencies.
 
     ``x`` holds the samples up to the last nonzero one of the length-n
     series. ``buffers`` are the work arrays: per bin, rows cos, sin,
@@ -245,7 +233,7 @@ def _newton_huber_chunk(
     full = np.zeros(b, dtype=bool)  # b_cur is a full Newton step from b_acc
     live = np.arange(b)
 
-    for it in range(1, max_iter + 1):
+    for it in range(1, max_steps + 1):
         nb = live.size
         r, above, below, pat = r_rows[:nb], above_rows[:nb], below_rows[:nb], pattern[:nb]
         np.matmul(b_cur[:, None, :], q[:, 0:2], out=r)
@@ -375,14 +363,14 @@ def robust_band(n_padded: int, level: int) -> tuple[int, int] | None:
 def huber_periodogram(
     x: np.ndarray,
     level: int,
-    cfg: AdmmConfig | None = None,
+    zeta: float = DEFAULT_ZETA,
     robust: bool = True,
 ) -> HybridPeriodogram:
     """Hybrid half-spectrum of a padded series for one wavelet level.
 
     Bins inside the level's nominal band get the robust power
     (n/4)*||beta||^2 from the Huber fit; all other bins reuse the plain
-    periodogram. DC is forced to zero. ``robust=False`` (or a degenerate
+    periodogram; ``zeta`` is the fit's Huber threshold. DC is forced to zero. ``robust=False`` (or a degenerate
     all-zero input) skips the robust fits entirely.
     """
     x = np.asarray(x, dtype=np.float64)
@@ -398,7 +386,7 @@ def huber_periodogram(
     iterations = converged = None
     if band is not None:
         ks = np.arange(band[0], band[1] + 1)
-        beta, iterations, converged = admm_huber_fit(x, ks, cfg)
+        beta, iterations, converged = huber_fit(x, ks, zeta)
         power[ks] = (n / 4.0) * np.einsum("ij,ij->i", beta, beta)
     return HybridPeriodogram(power, band, n, iterations, converged)
 

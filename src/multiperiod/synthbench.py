@@ -10,6 +10,7 @@ fixed: noise first, then outlier positions, then outlier signs.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass, replace
 
@@ -81,6 +82,8 @@ class SyntheticSpec:
     def __post_init__(self) -> None:
         if self.waveform not in WAVEFORMS:
             raise InvalidInputError(f"waveform must be one of {WAVEFORMS}")
+        if not all(isinstance(v, numbers.Integral) for v in (self.length, self.seed, *self.periods)):
+            raise InvalidInputError("length, seed and periods must be integers")
         if self.length < 8:
             raise InvalidInputError("length must be at least 8")
         periods = tuple(int(p) for p in self.periods)

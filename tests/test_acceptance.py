@@ -18,10 +18,9 @@ from multiperiod.modwt import daubechies_filters, level_width, max_level, modwt_
 from multiperiod.preprocess import hp_trend
 from multiperiod.series import TimeSeries
 from multiperiod.spectral import (
-    AdmmConfig,
-    admm_huber_fit,
     fisher_g,
     fisher_pvalue,
+    huber_fit,
     huber_periodogram,
     vanilla_periodogram,
     zero_pad,
@@ -136,7 +135,6 @@ def test_criterion_06_wiener_khinchin_oracle():
 def test_criterion_07_least_squares_limit():
     rng = np.random.default_rng(11)
     worst = 0.0
-    cfg = AdmmConfig(zeta=1e9)
     for _ in range(50):
         n = int(rng.choice([64, 128, 256, 512]))
         k = int(rng.integers(1, n // 2))
@@ -146,7 +144,7 @@ def test_criterion_07_least_squares_limit():
             [np.cos(2 * np.pi * k * t / n), np.sin(2 * np.pi * k * t / n)]
         )
         ols = np.linalg.lstsq(phi, w, rcond=None)[0]
-        beta, _, _ = admm_huber_fit(w, [k], cfg)
+        beta, _, _ = huber_fit(w, [k], 1e9)
         worst = max(worst, float(np.linalg.norm(beta[0] - ols) / np.linalg.norm(ols)))
     report(
         "criterion 07: least-squares limit",
@@ -264,7 +262,7 @@ def test_criterion_11_chi_square_shape():
     beta = np.empty((samples, 2))
     for i in range(samples):
         row = zero_pad(rng.normal(size=n_series))
-        beta[i] = admm_huber_fit(row, [k], AdmmConfig())[0][0]
+        beta[i] = huber_fit(row, [k])[0][0]
     power = (2 * n_series / 4.0) * np.einsum("ij,ij->i", beta, beta)
     normalized = 2.0 * power / power.mean()
     ks = stats.kstest(normalized, "chi2", args=(2,))

@@ -14,8 +14,7 @@ from multiperiod.acf import (
 )
 from multiperiod.series import InvalidInputError
 from multiperiod.spectral import (
-    AdmmConfig,
-    admm_huber_fit,
+    huber_fit,
     huber_periodogram,
     vanilla_periodogram,
     zero_pad,
@@ -238,7 +237,7 @@ class TestRobustnessToOutlierBursts:
         """Periodogram with every bin 1..N-1 fit robustly by the Huber fit."""
         hybrid = huber_periodogram(x, 7, robust=False)
         ks = np.arange(1, x.size // 2)
-        beta, _, _ = admm_huber_fit(x, ks, AdmmConfig())
+        beta, _, _ = huber_fit(x, ks)
         hybrid.power[ks] = (x.size / 4.0) * np.einsum("ij,ij->i", beta, beta)
         return hybrid
 

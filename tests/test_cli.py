@@ -210,13 +210,15 @@ class TestDetectCommand:
         code, out, _ = run_cli(capsys, "detect", "--input", str(three_period_csv))
         assert code == 0
         config = json.loads(out)["config"]
-        assert config["preprocess"]["hp_lambda"] == 1e6
-        assert config["preprocess"]["clip_c"] == 3.0
-        assert config["wavelet_order"] == 4
-        assert config["admm"] == {"zeta": 1.0, "max_iter": 50}
-        assert config["fisher_alpha"] == 1e-10
-        assert config["acf_height"] == 0.5
-        assert config["share_threshold"] == 0.05
+        assert config == {
+            "hp_lambda": 1e6,
+            "wavelet_order": 4,
+            "share_threshold": 0.05,
+            "zeta": 1.0,
+            "fisher_alpha": 1e-10,
+            "acf_height": 0.5,
+            "robust_mode": True,
+        }
 
 
 class TestBenchCommand:

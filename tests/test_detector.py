@@ -12,9 +12,9 @@ from multiperiod.detector import (
     robust_period,
 )
 from multiperiod.modwt import daubechies_filters, modwt_decompose
-from multiperiod.preprocess import PreprocessConfig, preprocess
+from multiperiod.preprocess import preprocess
 from multiperiod.series import InvalidInputError, TimeSeries
-from multiperiod.spectral import AdmmConfig, huber_periodogram, zero_pad
+from multiperiod.spectral import huber_periodogram, zero_pad
 from multiperiod.synthbench import SCENARIOS, generate
 
 
@@ -29,7 +29,7 @@ def three_period_level(level, seed=0):
 def validate_level(w, level, cfg=DetectorConfig(), variance_share=0.0):
     """detect_level on the padded series and periodogram the pipeline builds."""
     x = zero_pad(w)
-    hybrid = huber_periodogram(x, level, cfg.admm, robust=cfg.robust_mode)
+    hybrid = huber_periodogram(x, level, cfg.zeta, robust=cfg.robust_mode)
     return detect_level(x, hybrid, level, cfg, variance_share)
 
 
@@ -75,21 +75,21 @@ class TestMergePeriods:
 
     def test_near_duplicates_keep_larger_share(self):
         merged = merge_periods(
-            [self._rec(100.0, 0.4, level=6), self._rec(101.0, 0.1, level=5)], 0.03
+            [self._rec(100.0, 0.4, level=6), self._rec(101.0, 0.1, level=5)]
         )
         assert [r.length for r in merged] == [100.0]
         assert merged[0].level == 6
 
     def test_distinct_lengths_unchanged(self):
-        merged = merge_periods([self._rec(50.0, 0.3), self._rec(20.0, 0.3)], 0.03)
+        merged = merge_periods([self._rec(50.0, 0.3), self._rec(20.0, 0.3)])
         assert [r.length for r in merged] == [20.0, 50.0]
 
     def test_empty(self):
-        assert merge_periods([], 0.03) == []
+        assert merge_periods([]) == []
 
     def test_chained_cluster_collapses_once(self):
         records = [self._rec(100.0, 0.2), self._rec(102.0, 0.5), self._rec(104.0, 0.1)]
-        merged = merge_periods(records, 0.03)
+        merged = merge_periods(records)
         assert [r.length for r in merged] == [102.0]
 
 
@@ -196,29 +196,22 @@ class TestRobustPeriod:
         with pytest.raises(InvalidInputError):
             DetectorConfig(acf_height=0.0)
         with pytest.raises(InvalidInputError):
-            DetectorConfig(merge_tolerance=-0.1)
-
-    @pytest.mark.parametrize(
-        "make",
-        [
-            lambda v: DetectorConfig(preprocess=PreprocessConfig(hp_lambda=v)),
-            lambda v: DetectorConfig(preprocess=PreprocessConfig(clip_c=v)),
-            lambda v: DetectorConfig(admm=AdmmConfig(zeta=v)),
-            lambda v: DetectorConfig(merge_tolerance=v),
-        ],
-        ids=["hp_lambda", "clip_c", "zeta", "merge_tolerance"],
-    )
-    def test_config_rejects_nan(self, make):
+            DetectorConfig(hp_lambda=-1.0)
         with pytest.raises(InvalidInputError):
-            make(math.nan)
+            DetectorConfig(zeta=0.0)
 
-    @pytest.mark.parametrize("value", [2.5, math.nan, 1e9, "50"])
-    def test_config_rejects_non_integer_max_iter(self, value):
+    @pytest.mark.parametrize("field", ["hp_lambda", "zeta"])
+    def test_config_rejects_nan(self, field):
         with pytest.raises(InvalidInputError):
-            DetectorConfig(admm=AdmmConfig(max_iter=value))
+            DetectorConfig(**{field: math.nan})
 
-    @pytest.mark.parametrize("field", ["hp_lambda", "clip_c"])
+    @pytest.mark.parametrize("field", ["hp_lambda"])
     @pytest.mark.parametrize("value", [math.inf, -math.inf])
     def test_preprocess_config_rejects_infinities(self, field, value):
         with pytest.raises(InvalidInputError):
-            PreprocessConfig(**{field: value})
+            DetectorConfig(**{field: value})
+
+    @pytest.mark.parametrize("order", [0, 11, 2.0, "4", None])
+    def test_config_rejects_unknown_wavelet_order(self, order):
+        with pytest.raises(InvalidInputError):
+            DetectorConfig(wavelet_order=order)

@@ -12,11 +12,10 @@ from multiperiod.detector import DetectorConfig, _detect
 from multiperiod.series import InvalidInputError
 from multiperiod.spectral import (
     _FIT_CHUNK,
-    AdmmConfig,
-    admm_huber_fit,
     fisher_g,
     fisher_pvalue,
     fisher_test,
+    huber_fit,
     huber_objective,
     huber_periodogram,
     robust_band,
@@ -38,11 +37,11 @@ def harmonic_regressors(n, k):
     )
 
 
-def assert_band_matches_single_fits(x, ks, cfg):
+def assert_band_matches_single_fits(x, ks, max_steps=50):
     """Fitting x over a band is bit-identical to fitting each k on its own."""
-    beta, iterations, converged = admm_huber_fit(x, ks, cfg)
+    beta, iterations, converged = huber_fit(x, ks, max_steps=max_steps)
     for i, k in enumerate(ks):
-        single = admm_huber_fit(x, [k], cfg)
+        single = huber_fit(x, [k], max_steps=max_steps)
         np.testing.assert_array_equal(beta[i], single[0][0])
         assert iterations[i] == single[1][0]
         assert converged[i] == single[2][0]
@@ -156,12 +155,14 @@ class TestVanillaPeriodogram:
 
 
 class TestAdmmHuberFit:
+    """huber_fit; the class is named after the ADMM solver that it replaced."""
+
     def test_noiseless_harmonic_recovered_exactly(self):
         n, k = 96, 5
         phi = harmonic_regressors(n, k)
         beta_true = np.array([0.8, -1.4])
         for zeta in (0.1, 1.0, 100.0):
-            beta, _, converged = admm_huber_fit(phi @ beta_true, [k], AdmmConfig(zeta=zeta))
+            beta, _, converged = huber_fit(phi @ beta_true, [k], zeta)
             assert converged[0]
             assert np.max(np.abs(beta[0] - beta_true)) < 1e-6
 
@@ -173,7 +174,7 @@ class TestAdmmHuberFit:
             x = rng.normal(size=n)
             phi = harmonic_regressors(n, k)
             ols = np.linalg.lstsq(phi, x, rcond=None)[0]
-            beta, iterations, _ = admm_huber_fit(x, [k], AdmmConfig(zeta=1e9))
+            beta, iterations, _ = huber_fit(x, [k], 1e9)
             assert np.linalg.norm(beta[0] - ols) < 1e-5 * max(np.linalg.norm(ols), 1e-12)
             # the least-squares start is the minimizer: its step is round-off
             assert iterations[0] == 1
@@ -184,27 +185,27 @@ class TestAdmmHuberFit:
         x[3] += 10.0
         x[40] -= 7.0
         oracle = huber_gradient_descent(x, 7, 1.0)
-        beta, _, _ = admm_huber_fit(x, [7])
+        beta, _, _ = huber_fit(x, [7])
         assert np.max(np.abs(beta[0] - oracle)) < 1e-3
 
     def test_degenerate_frequencies_rejected(self):
         x = np.ones(32)
         with pytest.raises(InvalidInputError):
-            admm_huber_fit(x, [0])
+            huber_fit(x, [0])
         with pytest.raises(InvalidInputError):
-            admm_huber_fit(x, [16])
+            huber_fit(x, [16])
         with pytest.raises(InvalidInputError):
-            admm_huber_fit(np.ones((2, 32)), [3])  # one series, not rows
+            huber_fit(np.ones((2, 32)), [3])  # one series, not rows
 
     def test_non_integer_frequencies_rejected(self):
         x = np.ones(32)
         for ks in ([3.5], [3, 4.25], [math.nan], [[3, 4]], np.array([[5]])):
             with pytest.raises(InvalidInputError):
-                admm_huber_fit(x, ks)
+                huber_fit(x, ks)
         # integral values of any dtype are indices
         rng = np.random.default_rng(14)
         x = rng.normal(size=32)
-        floats, ints = admm_huber_fit(x, [3.0, 5.0]), admm_huber_fit(x, [3, 5])
+        floats, ints = huber_fit(x, [3.0, 5.0]), huber_fit(x, [3, 5])
         np.testing.assert_array_equal(floats[0], ints[0])
 
     def test_objective_descends_to_its_minimum(self):
@@ -217,12 +218,12 @@ class TestAdmmHuberFit:
             x = rng.normal(size=80)
             spikes = rng.choice(80, size=4, replace=False)
             x[spikes] += rng.choice([-8.0, 8.0], size=4)
-            _, iterations, converged = admm_huber_fit(x, [9])
+            _, iterations, converged = huber_fit(x, [9])
             assert converged[0] and iterations[0] > 2
             least_squares = np.linalg.lstsq(phi, x, rcond=None)[0]
             trace = [huber_objective(phi @ least_squares - x, 1.0)]
             for m in range(1, int(iterations[0]) + 1):
-                beta, _, _ = admm_huber_fit(x, [9], AdmmConfig(max_iter=m))
+                beta, _, _ = huber_fit(x, [9], max_steps=m)
                 trace.append(huber_objective(phi @ beta[0] - x, 1.0))
             assert np.all(np.diff(trace) <= 1e-12 * trace[0])
             assert trace[-1] < trace[0]
@@ -233,16 +234,15 @@ class TestAdmmHuberFit:
         # still never increases, and each bin ends at the descent oracle
         rng = np.random.default_rng(15)
         x = 10.0 * rng.choice([-1.0, 1.0], size=64)
-        cfg = AdmmConfig(zeta=0.1)
         for k in (3, 5, 7):
             phi = harmonic_regressors(64, k)
             least_squares = np.linalg.lstsq(phi, x, rcond=None)[0]
             assert np.all(np.abs(x - phi @ least_squares) > 0.1)
-            beta, iterations, converged = admm_huber_fit(x, [k], cfg)
+            beta, iterations, converged = huber_fit(x, [k], 0.1)
             assert converged[0]
             trace = [fit_objective(x, k, least_squares, 0.1)]
             for m in range(1, int(iterations[0]) + 1):
-                capped = admm_huber_fit(x, [k], AdmmConfig(zeta=0.1, max_iter=m))[0][0]
+                capped = huber_fit(x, [k], 0.1, max_steps=m)[0][0]
                 trace.append(fit_objective(x, k, capped, 0.1))
             assert np.all(np.diff(trace) <= 1e-12 * trace[0])
             oracle = huber_gradient_descent(x, k, 0.1, iters=50000)
@@ -251,27 +251,27 @@ class TestAdmmHuberFit:
     def test_unconverged_returns_flag_not_error(self):
         rng = np.random.default_rng(6)
         x = rng.normal(size=256)
-        beta, iters, converged = admm_huber_fit(x, [31], AdmmConfig(max_iter=1))
+        beta, iters, converged = huber_fit(x, [31], max_steps=1)
         assert iters[0] == 1 and not converged[0]
         assert np.all(np.isfinite(beta))
 
     def test_batch_agrees_with_single(self):
         rng = np.random.default_rng(7)
         x = rng.normal(size=128)
-        assert_band_matches_single_fits(x, [3, 17, 40, 63], AdmmConfig())
+        assert_band_matches_single_fits(x, [3, 17, 40, 63])
 
     @pytest.mark.parametrize(
         "size", [1, CHUNK_BINS - 1, CHUNK_BINS, CHUNK_BINS + 1, 2 * CHUNK_BINS + 1]
     )
     def test_batch_agrees_with_single_across_chunk_edges(self, size):
         # bins converge at different iterations, so chunks compact unevenly;
-        # at max_iter=2 most bins stop at the cap
+        # at max_steps=2 most bins stop at the cap
         rng = np.random.default_rng(size)
         x = zero_pad(rng.standard_t(2, size=CHUNK_SERIES))
         ks = np.arange(3, 3 + size)
-        assert_band_matches_single_fits(x, ks, AdmmConfig())
-        assert_band_matches_single_fits(x, ks, AdmmConfig(max_iter=7))
-        assert_band_matches_single_fits(x, ks, AdmmConfig(max_iter=2))
+        assert_band_matches_single_fits(x, ks)
+        assert_band_matches_single_fits(x, ks, max_steps=7)
+        assert_band_matches_single_fits(x, ks, max_steps=2)
 
     @pytest.mark.parametrize(
         "make, zeta",
@@ -289,7 +289,7 @@ class TestAdmmHuberFit:
         rng = np.random.default_rng(12)
         x = zero_pad(make(rng, np.arange(128)))
         ks = np.arange(12, 21)
-        beta, _, converged = admm_huber_fit(x, ks, AdmmConfig(zeta=zeta))
+        beta, _, converged = huber_fit(x, ks, zeta)
         assert converged.all()
         norms = np.hypot(beta[:, 0], beta[:, 1])
         assert norms.max() > zeta and norms.min() < zeta
@@ -307,7 +307,7 @@ class TestAdmmHuberFit:
         t = np.arange(128)
         for length, zeta, k in ((80, 0.45, 8), (96, 0.5, 9)):
             x = np.where(t < length, np.cos(2 * np.pi * k * t / 128), 0.0)
-            beta, _, converged = admm_huber_fit(x, [k], AdmmConfig(zeta=zeta))
+            beta, _, converged = huber_fit(x, [k], zeta)
             assert converged[0] and np.hypot(*beta[0]) > zeta
             oracle = huber_gradient_descent(x, k, zeta, iters=20000)
             assert np.max(np.abs(beta[0] - oracle)) < 1e-6
@@ -343,7 +343,7 @@ class TestAdmmHuberFit:
         if ks.size > 64:  # a window of wide bands keeps the oracle cheap
             start = window % (ks.size - 63)
             ks = ks[start : start + 64]
-        beta, _, _ = admm_huber_fit(x, ks, AdmmConfig(zeta=zeta))
+        beta, _, _ = huber_fit(x, ks, zeta)
         reference = admm_oracle(x, ks, zeta)
         for i, k in enumerate(ks):
             ours = fit_objective(x, k, beta[i], zeta)
@@ -399,7 +399,7 @@ class TestHuberPeriodogram:
     def test_huge_zeta_equals_vanilla(self):
         rng = np.random.default_rng(9)
         x = zero_pad(rng.normal(size=200))
-        hybrid = huber_periodogram(x, 2, AdmmConfig(zeta=1e9))
+        hybrid = huber_periodogram(x, 2, 1e9)
         vanilla = vanilla_periodogram(x)[:200]
         vanilla[0] = 0.0
         band = slice(hybrid.band[0], hybrid.band[1] + 1)
@@ -444,7 +444,7 @@ class TestHuberPeriodogram:
         )
         lo = data.draw(st.integers(1, n // 2 - 1), label="lo")
         hi = data.draw(st.integers(lo, n // 2 - 1), label="hi")
-        assert_band_matches_single_fits(x, np.arange(lo, hi + 1), AdmmConfig())
+        assert_band_matches_single_fits(x, np.arange(lo, hi + 1))
 
     def test_level_one_memory_is_linear_in_length(self):
         # the level-1 band has N/2 bins: solving all of them at once would
@@ -520,10 +520,14 @@ class TestFisher:
 
 
 class TestConfigValidation:
-    def test_admm_config(self):
+    def test_huber_fit_settings(self):
+        x = np.ones(32)
         with pytest.raises(InvalidInputError):
-            AdmmConfig(zeta=0.0)
+            huber_fit(x, [3], 0.0)
         with pytest.raises(InvalidInputError):
-            AdmmConfig(zeta=math.nan)
+            huber_fit(x, [3], math.nan)
+
+    @pytest.mark.parametrize("value", [0, 2.5, math.nan, 1e9, "50"])
+    def test_huber_fit_rejects_non_integer_max_steps(self, value):
         with pytest.raises(InvalidInputError):
-            AdmmConfig(max_iter=0)
+            huber_fit(np.ones(32), [3], max_steps=value)

@@ -149,6 +149,19 @@ class TestGenerate:
         with pytest.raises(InvalidInputError):
             SyntheticSpec(**{field: value})
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("periods", (20.5,)),
+            ("periods", (20, 50.0)),
+            ("length", 1000.5),
+            ("seed", 1.5),
+        ],
+    )
+    def test_spec_rejects_non_integers(self, field, value):
+        with pytest.raises(InvalidInputError):
+            SyntheticSpec(**{field: value})
+
 
 class TestScore:
     def test_perfect_match(self):
