@@ -1,11 +1,10 @@
 """Autocorrelation from the spectrum, peak detection, and period validation.
 
-The half-spectrum is mirrored into a full-range periodogram (with the
-Nyquist ordinate filled in directly from the padded samples), inverted to
-the autocorrelation, corrected per lag for the shrinking overlap count, and
-rescaled so lag 0 is exactly 1. The median spacing of qualifying peaks is
-accepted as the period only when it falls inside the resolution window of
-the dominant frequency bin.
+The half-spectrum plus its Nyquist ordinate (DC to Nyquist) is inverted to
+the autocorrelation with a real inverse FFT, corrected per lag for the
+shrinking overlap count, and rescaled so lag 0 is exactly 1. The median
+spacing of qualifying peaks is accepted as the period only when it falls
+inside the resolution window of the dominant frequency bin.
 """
 
 from __future__ import annotations
@@ -14,26 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .series import InternalError, InvalidInputError
+from .series import InvalidInputError
 from .spectral import HybridPeriodogram
 
 DEFAULT_PEAK_HEIGHT = 0.5
-
-
-@dataclass(frozen=True)
-class AcfSeries:
-    """Normalized autocorrelation by lag, values[0] == 1.
-
-    ``autocovariance`` is the raw inverse-transform output (for the vanilla
-    spectrum it equals the linear autocorrelation sum_n w_n w_{n+t}).
-    Lags beyond ``usable_lags`` (half the series) are kept but not searched
-    for peaks: the 1/(N-t) correction blows up there.
-    """
-
-    values: np.ndarray
-    usable_lags: int
-    autocovariance: np.ndarray
-    degenerate: bool = False
 
 
 @dataclass(frozen=True)
@@ -62,74 +45,49 @@ class ValidationRange:
         return self.lo <= value <= self.hi
 
 
-def full_range_periodogram(hybrid: HybridPeriodogram, x: np.ndarray) -> np.ndarray:
-    """Extend the half spectrum to all n bins by symmetry.
+def full_range_periodogram(hybrid: HybridPeriodogram) -> np.ndarray:
+    """The one-sided spectrum: bins 0..N, the half-spectrum power then the Nyquist ordinate."""
+    return np.append(hybrid.power, hybrid.nyquist)
 
-    Bins 0..N-1 copy the hybrid power, bin N (Nyquist) is
-    (sum_k x_{2k} - x_{2k+1})^2 / n computed from the padded samples, and
-    bins N+1..n-1 mirror bins N-1..1.
+
+def huber_acf(spectrum: np.ndarray) -> np.ndarray | None:
+    """Normalized autocorrelation of the unpadded series from its one-sided spectrum.
+
+    ``spectrum`` holds bins 0..N of a real, even spectrum over n = 2N
+    samples, so p_t = sum_k p_k exp(i 2 pi k t / n) is the real inverse FFT
+    of those bins (up to a constant factor, which the normalization
+    cancels). Each lag t < N is divided by (N - t) * p_0 to undo the
+    shrinking overlap, then the whole curve is rescaled by its lag-0 value
+    so it starts at exactly 1. Nonpositive total power is degenerate and
+    yields None.
     """
-    x = np.asarray(x, dtype=np.float64)
-    half = hybrid.power.size
-    n = hybrid.n_padded
-    if n != 2 * half or x.size != n:
-        raise InvalidInputError("padded series does not match the periodogram")
-    out = np.empty(n)
-    out[:half] = hybrid.power
-    out[half] = (x[0::2] - x[1::2]).sum() ** 2 / n
-    out[half + 1 :] = hybrid.power[1:][::-1]
-    return out
-
-
-def huber_acf(p_bar: np.ndarray, n_series: int) -> AcfSeries:
-    """Autocorrelation of the unpadded series from its full-range spectrum.
-
-    p_t = sum_k p_bar[k] exp(i 2 pi k t / n) is real for the symmetric
-    input (residual imaginary mass is asserted away); each lag is divided
-    by (N - t) * p_0 to undo the shrinking overlap, then the whole curve is
-    rescaled by its lag-0 value so the reported scale starts at exactly 1.
-    Nonpositive total power is degenerate and yields a flagged zero series.
-    """
-    p_bar = np.asarray(p_bar, dtype=np.float64)
-    if p_bar.size != 2 * n_series:
-        raise InvalidInputError("full-range spectrum must have twice the series length")
-    p = np.fft.ifft(p_bar) * p_bar.size
-    scale = max(1.0, float(np.max(np.abs(p.real))))
-    if np.max(np.abs(p.imag)) > 1e-8 * scale:
-        raise InternalError("inverse transform of a symmetric spectrum is not real")
-    p = p.real
-    lags = np.arange(n_series)
+    spectrum = np.asarray(spectrum, dtype=np.float64)
+    if spectrum.ndim != 1 or spectrum.size < 2:
+        raise InvalidInputError("expected a 1-d spectrum of at least 2 bins (DC to Nyquist)")
+    n_series = spectrum.size - 1
+    p = np.fft.irfft(spectrum, 2 * n_series)
     if p[0] <= 0:
-        return AcfSeries(
-            values=np.zeros(n_series),
-            usable_lags=n_series // 2,
-            autocovariance=p[:n_series].copy(),
-            degenerate=True,
-        )
-    raw = p[:n_series] / ((n_series - lags) * p[0])
-    return AcfSeries(
-        values=raw / raw[0],
-        usable_lags=n_series // 2,
-        autocovariance=p[:n_series].copy(),
-    )
+        return None
+    raw = p[:n_series] / ((n_series - np.arange(n_series)) * p[0])
+    return raw / raw[0]
 
 
-def find_peaks(acf: AcfSeries, height: float = DEFAULT_PEAK_HEIGHT) -> list[int]:
-    """Lags of local maxima at or above ``height`` within the usable range.
+def find_peaks(acf: np.ndarray, height: float = DEFAULT_PEAK_HEIGHT) -> list[int]:
+    """Lags of local maxima at or above ``height`` up to lag ``acf.size // 2``.
 
-    A lag t qualifies when values[t] > values[t-1], values[t] >= values[t+1]
-    and values[t] >= height, so a flat plateau reports its first lag. No two
-    peaks are adjacent: lag t + 1 cannot rise strictly above a peak at t.
-    Lag 0 is never a peak.
+    Lags beyond half the series are not searched: the 1/(N-t) overlap
+    correction blows up there. A lag t qualifies when acf[t] > acf[t-1],
+    acf[t] >= acf[t+1] and acf[t] >= height, so a flat plateau reports its
+    first lag. No two peaks are adjacent: lag t + 1 cannot rise strictly
+    above a peak at t. Lag 0 is never a peak.
     """
     if not (0.0 < height < 1.0):
         raise InvalidInputError("height must lie in (0, 1)")
-    v = acf.values
-    last = min(acf.usable_lags, v.size - 2)
+    last = min(acf.size // 2, acf.size - 2)
     if last < 1:
         return []
     t = np.arange(1, last + 1)
-    is_peak = (v[t] > v[t - 1]) & (v[t] >= v[t + 1]) & (v[t] >= height)
+    is_peak = (acf[t] > acf[t - 1]) & (acf[t] >= acf[t + 1]) & (acf[t] >= height)
     return t[is_peak].tolist()
 
 

@@ -144,9 +144,10 @@ def _dump_diagnostics(
     the detection skips it on levels whose g-test failed.
     """
     os.makedirs(directory, exist_ok=True)
-    for level, x, hybrid in spectra:
-        spectrum = full_range_periodogram(hybrid, x)
-        acf = huber_acf(spectrum, x.size // 2)
+    for level, hybrid in spectra:
+        acf = huber_acf(full_range_periodogram(hybrid))
+        if acf is None:  # degenerate level: its ACF is written as zeros
+            acf = np.zeros(hybrid.power.size)
         peaks = set(find_peaks(acf, height=cfg.acf_height))
         lo, hi = hybrid.band or (0, -1)
         path = os.path.join(directory, f"level{level:02d}.csv")
@@ -159,7 +160,7 @@ def _dump_diagnostics(
                         k,
                         f"{hybrid.power[k]:.10g}",
                         int(lo <= k <= hi),
-                        f"{acf.values[k]:.10g}",
+                        f"{acf[k]:.10g}",
                         int(k in peaks),
                     ]
                 )

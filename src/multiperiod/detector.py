@@ -58,6 +58,8 @@ class DetectorConfig:
             raise InvalidInputError("share_threshold must lie in [0, 1]")
         if not (0.0 < self.acf_height < 1.0):
             raise InvalidInputError("acf_height must lie in (0, 1)")
+        if not isinstance(self.robust_mode, (bool, np.bool_)):
+            raise InvalidInputError(f"robust_mode must be a bool, got {self.robust_mode!r}")
 
 
 @dataclass(frozen=True)
@@ -83,31 +85,27 @@ class PeriodReport:
 
 
 def detect_level(
-    x: np.ndarray,
     hybrid: HybridPeriodogram,
     level: int,
     cfg: DetectorConfig,
     variance_share: float = 0.0,
 ) -> PeriodRecord | None:
-    """Validate one level's dominant period from its padded series and spectrum.
+    """Validate one level's dominant period from its hybrid periodogram.
 
-    ``x`` is the level's zero-padded coefficient series and ``hybrid`` its
-    hybrid periodogram. Pipeline: g-test (bins 1..N-1 of the half
-    spectrum); insignificant levels return None. Otherwise the dominant bin
-    must be corroborated: the autocorrelation's qualifying-peak median
-    spacing has to land inside the bin's resolution window, and that median
-    is the reported period length.
+    Pipeline: g-test (bins 1..N-1 of the half spectrum); insignificant
+    levels return None. Otherwise the dominant bin must be corroborated:
+    the autocorrelation's qualifying-peak median spacing has to land inside
+    the bin's resolution window, and that median is the reported period
+    length.
     """
-    half = x.size // 2
-    outcome = fisher_test(hybrid.power, np.arange(1, half), cfg.fisher_alpha)
+    outcome = fisher_test(hybrid.power, cfg.fisher_alpha)
     if not outcome.significant:
         return None
-    spectrum = full_range_periodogram(hybrid, x)
-    acf = huber_acf(spectrum, half)
-    if acf.degenerate:
+    acf = huber_acf(full_range_periodogram(hybrid))
+    if acf is None:
         return None
     peaks = find_peaks(acf, height=cfg.acf_height)
-    period = period_from_peaks(peaks, outcome.k_star, x.size)
+    period = period_from_peaks(peaks, outcome.k_star, hybrid.n_padded)
     if period is None:
         return None
     return PeriodRecord(
@@ -153,8 +151,8 @@ def robust_period(series: TimeSeries, cfg: DetectorConfig | None = None) -> Peri
     return _detect(series, cfg or DetectorConfig())[0]
 
 
-# One examined level: its index, zero-padded series and hybrid periodogram.
-LevelSpectrum = tuple[int, np.ndarray, HybridPeriodogram]
+# One examined level: its index and hybrid periodogram.
+LevelSpectrum = tuple[int, HybridPeriodogram]
 
 
 def _detect(
@@ -180,11 +178,10 @@ def _detect(
     found: list[PeriodRecord] = []
     for j in rank_levels(decomp, cfg.share_threshold):
         lev = decomp.level(j)
-        # Ranked levels have positive variance, so x is never all zeros.
-        x = zero_pad(lev.w)
-        hybrid = huber_periodogram(x, j, cfg.zeta, robust=cfg.robust_mode)
-        spectra.append((j, x, hybrid))
-        record = detect_level(x, hybrid, j, cfg, variance_share=lev.share)
+        # Ranked levels have positive variance, so the padded series is never all zeros.
+        hybrid = huber_periodogram(zero_pad(lev.w), j, cfg.zeta, robust=cfg.robust_mode)
+        spectra.append((j, hybrid))
+        record = detect_level(hybrid, j, cfg, variance_share=lev.share)
         if record is not None:
             found.append(record)
     merged = tuple(merge_periods(found))

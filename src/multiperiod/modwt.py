@@ -11,6 +11,7 @@ ranking.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -107,11 +108,21 @@ def check_family_order(family_order: int) -> None:
 
 
 def daubechies_filters(family_order: int = 4) -> WaveletFilterPair:
-    """MODWT-rescaled Daubechies extremal-phase filters; tap count 2*order."""
+    """MODWT-rescaled Daubechies extremal-phase filters; tap count 2*order.
+
+    Built once per order and shared: the taps are read-only.
+    """
     check_family_order(family_order)
-    g = _daubechies_scaling(int(family_order))
-    h = ((-1.0) ** np.arange(g.size)) * g[::-1]
-    return WaveletFilterPair(h=h / _SQRT2, g=g / _SQRT2, L1=g.size)
+    return _filters(int(family_order))
+
+
+@functools.lru_cache(maxsize=None)
+def _filters(order: int) -> WaveletFilterPair:
+    g = _daubechies_scaling(order)
+    h = ((-1.0) ** np.arange(g.size)) * g[::-1] / _SQRT2
+    g = g / _SQRT2
+    h.flags.writeable = g.flags.writeable = False
+    return WaveletFilterPair(h=h, g=g, L1=g.size)
 
 
 def level_width(j: int, L1: int) -> int:
@@ -137,11 +148,17 @@ def max_level(n: int, L1: int) -> int:
     return j0
 
 
-def _circular_filter(kernel: np.ndarray, signal: np.ndarray, stride: int) -> np.ndarray:
-    """out[t] = sum_l kernel[l] * signal[(t - stride*l) mod n]."""
+def _circular_filter_pair(
+    filters: WaveletFilterPair, signal: np.ndarray, stride: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Both out[t] = sum_l f[l] * signal[(t - stride*l) mod n], for f = h and g.
+
+    The circular block signal[(t - stride*l) mod n] is gathered once for both.
+    """
     n = signal.size
-    idx = (np.arange(n)[:, None] - stride * np.arange(kernel.size)[None, :]) % n
-    return signal[idx] @ kernel
+    idx = (np.arange(n)[:, None] - stride * np.arange(filters.L1)[None, :]) % n
+    block = signal[idx]
+    return block @ filters.h, block @ filters.g
 
 
 def biweight_midvariance(w: np.ndarray, width: int) -> float:
@@ -201,8 +218,7 @@ def modwt_decompose(
     coeffs = []
     v = x
     for j in range(1, j0 + 1):
-        w = _circular_filter(filters.h, v, 2 ** (j - 1))
-        v = _circular_filter(filters.g, v, 2 ** (j - 1))
+        w, v = _circular_filter_pair(filters, v, 2 ** (j - 1))
         coeffs.append(w)
 
     variances: list[float | None] = []

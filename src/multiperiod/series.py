@@ -15,18 +15,30 @@ class InternalError(RuntimeError):
     """A computed intermediate violates an internal invariant."""
 
 
+def _real_array(values) -> np.ndarray:
+    """``values`` as float64; complex or non-numeric input is an InvalidInputError."""
+    try:
+        array = np.asarray(values)
+        if array.dtype.kind in "biufO":  # bool, integer, float, or objects such as Decimal
+            return array.astype(np.float64, copy=False)
+    except (TypeError, ValueError):  # ragged nesting, or an object float() refuses
+        pass
+    raise InvalidInputError("time series values must be real numbers")
+
+
 @dataclass(frozen=True)
 class TimeSeries:
     """Ordered real-valued samples.
 
     Values are coerced to a 1-d float64 array on construction and must be
-    finite; NaN/Inf are rejected at ingestion rather than propagated.
+    real and finite: complex or non-numeric input and NaN/Inf are rejected
+    at ingestion rather than dropped or propagated.
     """
 
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=np.float64)
+        values = _real_array(self.values)
         if values.ndim != 1 or values.size == 0:
             raise InvalidInputError("time series must be a nonempty 1-d sequence")
         if not np.all(np.isfinite(values)):

@@ -29,15 +29,16 @@ class HybridPeriodogram:
     """Half-spectrum power with the band of robustly estimated bins.
 
     ``power[k]`` covers k = 0..N-1 of the padded length ``n_padded`` = 2N
-    spectrum (DC forced to 0, Nyquist excluded). The Huber fit was used
-    exactly on the bins ``band[0]..band[1]``; ``band`` is None when no bin
-    was fit robustly. ``iterations`` and ``converged`` hold per-band solver
-    diagnostics.
+    spectrum (DC forced to 0); ``nyquist`` is the plain ordinate of bin N.
+    The Huber fit was used exactly on the bins ``band[0]..band[1]``;
+    ``band`` is None when no bin was fit robustly. ``iterations`` and
+    ``converged`` hold per-band solver diagnostics.
     """
 
     power: np.ndarray
     band: tuple[int, int] | None
     n_padded: int
+    nyquist: float
     iterations: np.ndarray | None = None
     converged: np.ndarray | None = None
 
@@ -370,8 +371,10 @@ def huber_periodogram(
 
     Bins inside the level's nominal band get the robust power
     (n/4)*||beta||^2 from the Huber fit; all other bins reuse the plain
-    periodogram; ``zeta`` is the fit's Huber threshold. DC is forced to zero. ``robust=False`` (or a degenerate
-    all-zero input) skips the robust fits entirely.
+    periodogram; ``zeta`` is the fit's Huber threshold. DC is forced to
+    zero, and the Nyquist ordinate is (sum_k x_{2k} - x_{2k+1})^2 / n.
+    ``robust=False`` (or a degenerate all-zero input) skips the robust fits
+    entirely.
     """
     x = np.asarray(x, dtype=np.float64)
     n = x.size
@@ -388,24 +391,8 @@ def huber_periodogram(
         ks = np.arange(band[0], band[1] + 1)
         beta, iterations, converged = huber_fit(x, ks, zeta)
         power[ks] = (n / 4.0) * np.einsum("ij,ij->i", beta, beta)
-    return HybridPeriodogram(power, band, n, iterations, converged)
-
-
-def fisher_g(power: np.ndarray, test_range: np.ndarray) -> tuple[float, int] | None:
-    """Largest ordinate over the tested bins relative to their total.
-
-    Returns (g, k_star) with ties broken toward the smallest index, or None
-    when the tested power mass is zero (degenerate, never significant).
-    """
-    idx = np.sort(np.asarray(test_range, dtype=np.int64))
-    if idx.size < 2:
-        raise InvalidInputError("Fisher's test needs at least 2 frequency bins")
-    vals = np.asarray(power, dtype=np.float64)[idx]
-    total = vals.sum()
-    if total <= 0:
-        return None
-    pos = int(np.argmax(vals))
-    return float(vals[pos] / total), int(idx[pos])
+    nyquist = float((x[0::2] - x[1::2]).sum() ** 2 / n)
+    return HybridPeriodogram(power, band, n, nyquist, iterations, converged)
 
 
 def _signed_log_add(log_a: float, sign_a: float, log_b: float, sign_b: float):
@@ -460,13 +447,20 @@ def fisher_pvalue(g0: float, m: int) -> float:
     return min(1.0, max(0.0, math.exp(log_sum)))
 
 
-def fisher_test(
-    power: np.ndarray, test_range: np.ndarray, alpha: float
-) -> FisherOutcome:
-    """Run the g-test over the given bins at significance level alpha."""
-    picked = fisher_g(power, test_range)
-    if picked is None:
+def fisher_test(power: np.ndarray, alpha: float) -> FisherOutcome:
+    """Fisher's g-test over bins 1..len-1 of ``power`` at significance level alpha.
+
+    g is the largest tested ordinate over the tested total, at k_star (ties
+    break toward the smallest index). Zero tested power is degenerate and
+    never significant.
+    """
+    vals = np.asarray(power, dtype=np.float64)[1:]
+    if vals.size < 2:
+        raise InvalidInputError("Fisher's test needs at least 2 frequency bins")
+    total = vals.sum()
+    if total <= 0:
         return FisherOutcome(g=0.0, k_star=-1, p_value=1.0, significant=False)
-    g, k_star = picked
-    p = fisher_pvalue(g, len(test_range))
-    return FisherOutcome(g=g, k_star=k_star, p_value=p, significant=p < alpha)
+    pos = int(np.argmax(vals))
+    g = float(vals[pos] / total)
+    p = fisher_pvalue(g, vals.size)
+    return FisherOutcome(g=g, k_star=pos + 1, p_value=p, significant=p < alpha)

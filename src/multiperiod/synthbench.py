@@ -160,10 +160,20 @@ class Metrics:
     tolerance: float
 
 
-def _f1(precision: float, recall: float) -> float:
+def _metrics(
+    matched: list[tuple[float, float]], detected: int, truth: int, tolerance: float
+) -> Metrics:
+    """Precision, recall and F1 of ``matched`` pairs out of the detected and true counts.
+
+    Precision and recall are vacuously 1 when their denominator is zero.
+    """
+    precision = len(matched) / detected if detected else 1.0
+    recall = len(matched) / truth if truth else 1.0
     if precision + recall <= 0:
-        return 0.0
-    return 2.0 * precision * recall / (precision + recall)
+        f1 = 0.0
+    else:
+        f1 = 2.0 * precision * recall / (precision + recall)
+    return Metrics(precision, recall, f1, tuple(matched), tolerance)
 
 
 def _check_tolerance(tolerance: float) -> None:
@@ -191,15 +201,7 @@ def score(detected: list[float], truth: list[float], tolerance: float) -> Metric
         if best is not None:
             matched.append((d, best[1]))
             remaining.remove(best[1])
-    precision = len(matched) / len(detected) if detected else 1.0
-    recall = len(matched) / len(truth) if truth else 1.0
-    return Metrics(
-        precision=precision,
-        recall=recall,
-        f1=_f1(precision, recall),
-        matched=tuple(matched),
-        tolerance=tolerance,
-    )
+    return _metrics(matched, len(detected), len(truth), tolerance)
 
 
 @dataclass(frozen=True)
@@ -226,9 +228,7 @@ def run_benchmark(
     if cfg is None:
         cfg = DetectorConfig()
     truth = [float(p) for p in spec.periods]
-    total_matched = 0
     total_detected = 0
-    total_truth = 0
     pairs: list[tuple[float, float]] = []
     elapsed = 0.0
     for seed in range(runs):
@@ -237,20 +237,9 @@ def run_benchmark(
         report = robust_period(series, cfg)
         elapsed += time.perf_counter() - start
         detected = report.period_lengths
-        result = score(detected, truth, tolerance)
-        total_matched += len(result.matched)
+        pairs.extend(score(detected, truth, tolerance).matched)
         total_detected += len(detected)
-        total_truth += len(truth)
-        pairs.extend(result.matched)
-    precision = total_matched / total_detected if total_detected else 1.0
-    recall = total_matched / total_truth if total_truth else 1.0
-    metrics = Metrics(
-        precision=precision,
-        recall=recall,
-        f1=_f1(precision, recall),
-        matched=tuple(pairs),
-        tolerance=tolerance,
-    )
+    metrics = _metrics(pairs, total_detected, runs * len(truth), tolerance)
     return BenchmarkResult(
         metrics=metrics, runs=runs, mean_seconds_per_series=elapsed / runs
     )

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from multiperiod.acf import (
-    AcfSeries,
     ValidationRange,
     find_peaks,
     full_range_periodogram,
@@ -22,11 +21,10 @@ from multiperiod.spectral import (
 
 
 def vanilla_pipeline_acf(w):
-    """Plain-spectrum path: pad, half spectrum, mirror, invert."""
+    """Plain-spectrum path: pad, half spectrum plus Nyquist, invert."""
     x = zero_pad(np.asarray(w, dtype=float))
     hybrid = huber_periodogram(x, 1, robust=False)
-    p_bar = full_range_periodogram(hybrid, x)
-    return huber_acf(p_bar, x.size // 2), x
+    return huber_acf(full_range_periodogram(hybrid)), x
 
 
 def direct_linear_autocorrelation(w):
@@ -35,21 +33,21 @@ def direct_linear_autocorrelation(w):
 
 
 class TestFullRangePeriodogram:
-    def test_mirror_symmetry(self):
+    def test_power_then_nyquist(self):
         rng = np.random.default_rng(0)
         x = zero_pad(rng.normal(size=50))
         hybrid = huber_periodogram(x, 2, robust=False)
-        p_bar = full_range_periodogram(hybrid, x)
-        n = x.size
-        for k in range(51, n):
-            assert p_bar[k] == p_bar[n - k]
+        p_bar = full_range_periodogram(hybrid)
+        assert p_bar.size == 51
+        np.testing.assert_array_equal(p_bar[:50], hybrid.power)
+        assert p_bar[50] == hybrid.nyquist
 
     def test_nyquist_hand_example(self):
         # x = [1,-1,1,-1,0,0,0,0]: paired differences (2,2,0,0) sum to 4,
         # so the Nyquist ordinate is 16/8 = 2, matching |sum x_t (-1)^t|^2/8
         x = np.array([1.0, -1.0, 1.0, -1.0, 0.0, 0.0, 0.0, 0.0])
         hybrid = huber_periodogram(x, 1, robust=False)
-        p_bar = full_range_periodogram(hybrid, x)
+        p_bar = full_range_periodogram(hybrid)
         assert p_bar[4] == pytest.approx(2.0)
         full = vanilla_periodogram(x)
         assert p_bar[4] == pytest.approx(full[4])
@@ -57,13 +55,13 @@ class TestFullRangePeriodogram:
     def test_zero_series(self):
         x = np.zeros(32)
         hybrid = huber_periodogram(x, 2, robust=False)
-        np.testing.assert_array_equal(full_range_periodogram(hybrid, x), np.zeros(32))
+        np.testing.assert_array_equal(full_range_periodogram(hybrid), np.zeros(17))
 
     def test_nyquist_matches_plain_spectrum_generally(self):
         rng = np.random.default_rng(1)
         x = zero_pad(rng.normal(size=64))
         hybrid = huber_periodogram(x, 2, robust=False)
-        p_bar = full_range_periodogram(hybrid, x)
+        p_bar = full_range_periodogram(hybrid)
         assert p_bar[64] == pytest.approx(vanilla_periodogram(x)[64], rel=1e-10)
 
 
@@ -71,16 +69,18 @@ class TestHuberAcf:
     def test_lag_zero_is_one(self):
         rng = np.random.default_rng(2)
         acf, _ = vanilla_pipeline_acf(rng.normal(size=80))
-        assert acf.values[0] == 1.0
+        assert acf[0] == 1.0
 
     def test_matches_direct_summation(self):
-        # zero-padding turns the circular correlation into the linear one
+        # zero-padding turns the circular correlation into the linear one:
+        # acf[lag] = N * sum_t w_t w_{t+lag} / ((N - lag) * sum_t w_t^2)
         rng = np.random.default_rng(3)
         for n in (50, 100, 257):
             w = rng.normal(size=n)
             acf, x = vanilla_pipeline_acf(w)
             direct = direct_linear_autocorrelation(x[:n])
-            assert np.max(np.abs(acf.autocovariance - direct)) < 1e-8
+            expected = n * direct / ((n - np.arange(n)) * direct[0])
+            np.testing.assert_allclose(acf, expected, rtol=1e-9, atol=0)
 
     def test_sinusoid_peaks_near_multiples(self):
         t = np.arange(200)
@@ -94,40 +94,37 @@ class TestHuberAcf:
         rng = np.random.default_rng(4)
         x = zero_pad(rng.normal(size=64))
         hybrid = huber_periodogram(x, 2, robust=False)
-        p_bar = full_range_periodogram(hybrid, x)
-        base = huber_acf(p_bar, 64)
-        scaled = huber_acf(1e7 * p_bar, 64)
-        np.testing.assert_allclose(scaled.values, base.values, atol=1e-12)
+        p_bar = full_range_periodogram(hybrid)
+        base = huber_acf(p_bar)
+        scaled = huber_acf(1e7 * p_bar)
+        np.testing.assert_allclose(scaled, base, atol=1e-12)
 
     def test_degenerate_zero_spectrum(self):
-        acf = huber_acf(np.zeros(128), 64)
-        assert acf.degenerate
-        np.testing.assert_array_equal(acf.values, np.zeros(64))
+        assert huber_acf(np.zeros(65)) is None
 
     def test_usable_range_bound(self):
         # |acf| <= 1 + 1e-6 on the usable range for a full-cycle sinusoid
         # and for white noise (the overlap correction cancels exactly there)
         t = np.arange(200)
         acf, _ = vanilla_pipeline_acf(np.sin(2 * np.pi * t / 20))
-        assert np.max(np.abs(acf.values[: acf.usable_lags + 1])) <= 1.0 + 1e-6
+        assert np.max(np.abs(acf[: acf.size // 2 + 1])) <= 1.0 + 1e-6
         rng = np.random.default_rng(5)
         acf, _ = vanilla_pipeline_acf(rng.normal(size=400))
-        assert np.max(np.abs(acf.values[: acf.usable_lags + 1])) <= 1.0 + 1e-6
+        assert np.max(np.abs(acf[: acf.size // 2 + 1])) <= 1.0 + 1e-6
 
-    def test_length_mismatch_rejected(self):
+    def test_spectrum_shorter_than_two_bins_rejected(self):
         with pytest.raises(InvalidInputError):
-            huber_acf(np.zeros(100), 60)
+            huber_acf(np.zeros(1))
+        with pytest.raises(InvalidInputError):
+            huber_acf(np.zeros((4, 4)))
 
 
 class TestFindPeaks:
     @staticmethod
     def _acf(values):
+        """The values followed by as many zero lags, so all of them are searched."""
         values = np.asarray(values, dtype=float)
-        return AcfSeries(
-            values=values,
-            usable_lags=values.size - 2,
-            autocovariance=values.copy(),
-        )
+        return np.concatenate([values, np.zeros(values.size)])
 
     def test_decreasing_has_no_peaks(self):
         acf = self._acf(np.linspace(1.0, 0.0, 30))
@@ -163,20 +160,14 @@ class TestFindPeaks:
                 st.floats(allow_nan=False, allow_infinity=False),
             ),
         ),
-        usable_lags=st.integers(0, 40),
         height=st.floats(0.01, 0.99),
     )
-    def test_peaks_follow_the_rule_and_are_never_adjacent(
-        self, values, usable_lags, height
-    ):
-        acf = AcfSeries(
-            values=values, usable_lags=usable_lags, autocovariance=values.copy()
-        )
-        peaks = find_peaks(acf, height)
+    def test_peaks_follow_the_rule_and_are_never_adjacent(self, values, height):
+        peaks = find_peaks(values, height)
         v = values
         expected = [
             t
-            for t in range(1, min(usable_lags, v.size - 2) + 1)
+            for t in range(1, min(v.size // 2, v.size - 2) + 1)
             if v[t] > v[t - 1] and v[t] >= v[t + 1] and v[t] >= height
         ]
         assert peaks == expected
@@ -247,8 +238,7 @@ class TestRobustnessToOutlierBursts:
             hybrid = self._robust_half_spectrum(x)
         else:
             hybrid = huber_periodogram(x, 7, robust=False)
-        p_bar = full_range_periodogram(hybrid, x)
-        return find_peaks(huber_acf(p_bar, x.size // 2), 0.5)
+        return find_peaks(huber_acf(full_range_periodogram(hybrid)), 0.5)
 
     def test_plain_path_loses_true_peak_and_gains_short_lag_peaks(self):
         clean, contaminated = self._setup()

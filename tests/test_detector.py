@@ -27,10 +27,9 @@ def three_period_level(level, seed=0):
 
 
 def validate_level(w, level, cfg=DetectorConfig(), variance_share=0.0):
-    """detect_level on the padded series and periodogram the pipeline builds."""
-    x = zero_pad(w)
-    hybrid = huber_periodogram(x, level, cfg.zeta, robust=cfg.robust_mode)
-    return detect_level(x, hybrid, level, cfg, variance_share)
+    """detect_level on the periodogram the pipeline builds."""
+    hybrid = huber_periodogram(zero_pad(w), level, cfg.zeta, robust=cfg.robust_mode)
+    return detect_level(hybrid, level, cfg, variance_share)
 
 
 class TestDetectLevel:
@@ -215,3 +214,11 @@ class TestRobustPeriod:
     def test_config_rejects_unknown_wavelet_order(self, order):
         with pytest.raises(InvalidInputError):
             DetectorConfig(wavelet_order=order)
+
+    @pytest.mark.parametrize("value", ["no", None, 1, 0, 1.0])
+    def test_config_rejects_non_bool_robust_mode(self, value):
+        with pytest.raises(InvalidInputError):
+            DetectorConfig(robust_mode=value)
+
+    def test_config_accepts_numpy_bool_robust_mode(self):
+        assert DetectorConfig(robust_mode=np.False_).robust_mode == np.False_

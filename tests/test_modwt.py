@@ -84,6 +84,14 @@ class TestFilters:
         with pytest.raises(InvalidInputError):
             daubechies_filters(order)
 
+    def test_filters_are_built_once_and_read_only(self):
+        pair = daubechies_filters(4)
+        assert daubechies_filters(4) is pair
+        assert daubechies_filters(np.int64(4)) is pair
+        for taps in (pair.h, pair.g):
+            with pytest.raises(ValueError):
+                taps[0] = 0.0
+
 
 class TestMaxLevel:
     def test_hand_examples(self):

@@ -161,6 +161,29 @@ class TestPreprocess:
         with pytest.raises(InvalidInputError):
             TimeSeries([1.0, np.inf])
 
+    @pytest.mark.parametrize(
+        "values",
+        [
+            np.array([1 + 2j] * 100),
+            [1 + 2j] * 100,
+            np.array([1.0] * 100, dtype=np.complex128),
+            ["a"] * 100,
+            np.array(["1.0"] * 100),
+            [None] * 100,
+            [1.0, None] * 50,
+            [[1.0, 2.0], [3.0]],
+        ],
+    )
+    def test_rejects_complex_and_non_numeric_at_ingestion(self, values):
+        with pytest.raises(InvalidInputError):
+            TimeSeries(values)
+
+    def test_accepts_integer_and_float32_input(self):
+        ints = TimeSeries(list(range(100)))
+        singles = TimeSeries(np.arange(100, dtype=np.float32))
+        assert ints.values.dtype == singles.values.dtype == np.float64
+        np.testing.assert_array_equal(ints.values, singles.values)
+
 
 class TestConfig:
     def test_validation(self):

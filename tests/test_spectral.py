@@ -12,7 +12,6 @@ from multiperiod.detector import DetectorConfig, _detect
 from multiperiod.series import InvalidInputError
 from multiperiod.spectral import (
     _FIT_CHUNK,
-    fisher_g,
     fisher_pvalue,
     fisher_test,
     huber_fit,
@@ -319,7 +318,7 @@ class TestAdmmHuberFit:
         series = generate(replace(SCENARIOS[scenario], seed=0))
         _, spectra = _detect(series, DetectorConfig())
         assert spectra
-        for level, _, hybrid in spectra:
+        for level, hybrid in spectra:
             assert hybrid.converged.all(), level
             assert hybrid.iterations.mean() <= 4, level
 
@@ -467,23 +466,24 @@ class TestFisher:
     def test_all_mass_in_one_bin(self):
         power = np.zeros(32)
         power[5] = 2.0
-        g, k_star = fisher_g(power, np.arange(1, 32))
-        assert g == 1.0 and k_star == 5
+        outcome = fisher_test(power, alpha=1e-10)
+        assert outcome.g == 1.0 and outcome.k_star == 5
 
     def test_uniform_power(self):
         power = np.ones(11)
-        g, k_star = fisher_g(power, np.arange(1, 11))
-        assert g == pytest.approx(1.0 / 10.0)
-        assert k_star == 1  # ties break toward the smallest index
+        outcome = fisher_test(power, alpha=1e-10)
+        assert outcome.g == pytest.approx(1.0 / 10.0)
+        assert outcome.k_star == 1  # ties break toward the smallest index
 
     def test_small_example(self):
-        power = np.array([1.0, 3.0, 2.0])
-        g, k_star = fisher_g(power, np.arange(3))
-        assert g == pytest.approx(0.5) and k_star == 1
+        # bins 1..3 are tested; the large DC bin 0 is not
+        power = np.array([7.0, 3.0, 2.0, 1.0])
+        outcome = fisher_test(power, alpha=1e-10)
+        assert outcome.g == pytest.approx(0.5) and outcome.k_star == 1
 
     def test_zero_power_degenerate(self):
-        assert fisher_g(np.zeros(16), np.arange(1, 16)) is None
-        outcome = fisher_test(np.zeros(16), np.arange(1, 16), alpha=1e-10)
+        outcome = fisher_test(np.zeros(16), alpha=1e-10)
+        assert outcome.k_star == -1
         assert not outcome.significant and outcome.p_value == 1.0
 
     def test_pvalue_hand_example(self):
@@ -516,7 +516,7 @@ class TestFisher:
 
     def test_range_needs_two_bins(self):
         with pytest.raises(InvalidInputError):
-            fisher_g(np.ones(4), np.array([2]))
+            fisher_test(np.ones(2), alpha=1e-10)
 
 
 class TestConfigValidation:
