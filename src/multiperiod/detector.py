@@ -10,6 +10,7 @@ are deduplicated before reporting.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,6 +48,10 @@ class DetectorConfig:
     robust_mode: bool = True
 
     def __post_init__(self) -> None:
+        for name in ("hp_lambda", "share_threshold", "zeta", "fisher_alpha", "acf_height"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise InvalidInputError(f"{name} must be a real number, got {value!r}")
         if not 0 <= self.hp_lambda < math.inf:
             raise InvalidInputError("hp_lambda must be finite and nonnegative")
         check_family_order(self.wavelet_order)

@@ -101,7 +101,11 @@ def _daubechies_scaling(order: int) -> np.ndarray:
 
 def check_family_order(family_order: int) -> None:
     """Reject anything but an integer Daubechies order in 1..MAX_FAMILY_ORDER."""
-    if not isinstance(family_order, (int, np.integer)) or not 1 <= family_order <= MAX_FAMILY_ORDER:
+    if (
+        isinstance(family_order, bool)
+        or not isinstance(family_order, (int, np.integer))
+        or not 1 <= family_order <= MAX_FAMILY_ORDER
+    ):
         raise InvalidInputError(
             f"family_order must be an integer in 1..{MAX_FAMILY_ORDER}, got {family_order!r}"
         )

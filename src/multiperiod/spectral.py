@@ -2,11 +2,11 @@
 
 Per wavelet level the power spectrum is hybrid: inside the level's nominal
 passband each bin's harmonic amplitude pair is fit by minimizing a Huber
-loss (solved per frequency by safeguarded Newton steps on the loss's
-active set, which read only the unpadded samples while the fit stays small
-enough that no padded sample is clipped), while bins outside the band fall
-back to the plain FFT periodogram. Fisher's g-test on the hybrid spectrum
-yields the dominant-frequency candidate and its tail p-value.
+loss (safeguarded Newton steps on the loss's active set, over the unpadded
+samples while no padded sample can be clipped, else over all of them),
+while bins outside the band fall back to the plain FFT periodogram.
+Fisher's g-test on the hybrid spectrum yields the dominant-frequency
+candidate and its tail p-value.
 """
 
 from __future__ import annotations
@@ -129,7 +129,8 @@ def huber_fit(x: np.ndarray, ks, zeta: float = DEFAULT_ZETA, *, max_steps: int =
     |phi_t beta| <= ||beta|| because cos^2 + sin^2 = 1, so while
     ||beta|| <= zeta every padded sample is active: the padding adds its
     fixed Gram block P to H, -P beta to g and beta'P beta / 2 to F. A bin
-    with ||beta|| > zeta sums its padding explicitly for that step.
+    whose iterate leaves that ball is fit again from its least-squares
+    start over all n samples, and reports the steps of that second fit.
 
     Frequencies are independent, so they are solved in chunks of about
     ``_FIT_CHUNK`` real samples that reuse one set of work arrays: memory is
@@ -162,30 +163,31 @@ def huber_fit(x: np.ndarray, ks, zeta: float = DEFAULT_ZETA, *, max_steps: int =
     angle = (2.0 * np.pi / n) * np.arange(n)
     table = (np.cos(angle), np.sin(angle))
     tol = _ROUNDOFF * float(np.max(np.abs(x), initial=0.0))
-    nbins = ks.size
-    chunk = max(1, _FIT_CHUNK // max(m, 1))
-    beta = np.zeros((nbins, 2))
-    iterations = np.full(nbins, max_steps, dtype=np.int64)
-    converged = np.zeros(nbins, dtype=bool)
-    width = min(nbins, chunk)
-    # One block for all float rows: as separate blocks the allocator may hand
-    # them back to the OS after each call, and each call then faults them in.
-    rows = np.empty(7 * width * m)
-    work = rows[: 5 * width * m].reshape(5, width, m)
-    scratch = rows[5 * width * m :].reshape(2, width, 1, m)
-    flags = np.empty((2, width, 1, m), dtype=bool)
-    patterns = np.empty((2, width, 1, n), dtype=np.int8)
-    for lo in range(0, nbins, chunk):
-        hi = min(lo + chunk, nbins)
-        _newton_huber_chunk(
-            x[:m], n, ks[lo:hi], table, zeta, max_steps, tol,
-            (work, scratch, flags, patterns), beta[lo:hi], iterations[lo:hi], converged[lo:hi],
-        )
+    beta = np.zeros((ks.size, 2))
+    iterations = np.zeros(ks.size, dtype=np.int64)  # 0 marks a bin still to fit
+    converged = np.zeros(ks.size, dtype=bool)
+    # A bin that leaves the ball ||beta|| <= zeta is fit again over all n samples.
+    for samples in (x[:m], x):
+        m, todo = samples.size, np.flatnonzero(iterations == 0)
+        chunk = max(1, _FIT_CHUNK // max(m, 1))
+        width = min(todo.size, chunk)
+        # One block for all float rows: as separate blocks the allocator may hand
+        # them back to the OS after each call, and each call then faults them in.
+        rows = np.empty(7 * width * m)
+        work = rows[: 5 * width * m].reshape(5, width, m)
+        scratch = rows[5 * width * m :].reshape(2, width, 1, m)
+        flags = np.empty((2, width, 1, m), dtype=bool)
+        patterns = np.empty((2, width, 1, m), dtype=np.int8)
+        for lo in range(0, todo.size, chunk):
+            _newton_huber_chunk(
+                samples, n, ks, todo[lo : lo + chunk], table, zeta, max_steps, tol,
+                (work, scratch, flags, patterns), beta, iterations, converged,
+            )
     return beta, iterations, converged
 
 
-def _harmonics(ks, start, stop, n, table, out):
-    """Write cos and sin of 2*pi*k*t/n for t = start..stop-1 to ``out[0]``, ``out[1]``.
+def _harmonics(ks, m, n, table, out):
+    """Write cos and sin of 2*pi*k*t/n for t = 0..m-1 to ``out[0]``, ``out[1]``.
 
     Both are read from ``table`` at j = k*t mod n, formed as the sum of
     k*t mod n at every 64th t and k*c mod n for c < 64: two small integer
@@ -193,34 +195,35 @@ def _harmonics(ks, start, stop, n, table, out):
     the "wrap" lookup reduces it with at most one subtraction.
     """
     k = np.asarray(ks, dtype=np.int64)[:, None]
-    heads = (k * np.arange(start, stop, 64)) % n
+    heads = (k * np.arange(0, m, 64)) % n
     tails = (k * np.arange(64)) % n
-    j = (heads[:, :, None] + tails[:, None, :]).reshape(k.size, -1)[:, : stop - start]
+    j = (heads[:, :, None] + tails[:, None, :]).reshape(k.size, -1)[:, :m]
     np.take(table[0], j, out=out[0], mode="wrap")
     np.take(table[1], j, out=out[1], mode="wrap")
     return out
 
 
 def _newton_huber_chunk(
-    x, n, ks, table, zeta, max_steps, tol, buffers, beta, iterations, converged
+    x, n, ks, bins, table, zeta, max_steps, tol, buffers, beta, iterations, converged
 ):
     """Run the Newton solver of ``huber_fit`` for one chunk of frequencies.
 
-    ``x`` holds the samples up to the last nonzero one of the length-n
-    series. ``buffers`` are the work arrays: per bin, rows cos, sin,
-    cos*cos, cos*sin and sin*sin; the residual (then the active mask) and
-    the clipped residual; the clipped-above and clipped-below flags; and the
-    clip pattern over all n samples (0 active, +1 or -1 clipped above or
-    below) at the current and at the last accepted iterate. Results go to
-    the ``beta``, ``iterations`` and ``converged`` views of the chunk's bins.
-    A converged bin leaves the work arrays: a live bin from the end moves
-    into its slot.
+    ``x`` holds the first m samples of the length-n series; the rest are
+    zero. ``buffers`` are the work arrays: per bin, rows cos, sin, cos*cos,
+    cos*sin and sin*sin; the residual (then the active mask) and the clipped
+    residual; the clipped-above and clipped-below flags; and the clip
+    pattern of the m samples (0 active, +1 or -1 clipped above or below) at
+    the current and at the last accepted iterate. The chunk fits the
+    frequencies ``ks[bins]``; results go to rows ``bins`` of ``beta``,
+    ``iterations`` and ``converged``; while m < n, a bin whose iterate
+    leaves the ball ||beta|| <= zeta gets ``iterations`` 0 instead. A done
+    bin leaves the work arrays: a live bin from the end moves into its slot.
     """
-    b, m = ks.size, x.size
+    b, m = bins.size, x.size
     work, (r_rows, psi_rows), (above_rows, below_rows), patterns = buffers
     pattern, pattern_acc = patterns
     q = work[:, :b].transpose(1, 0, 2)  # (bin, row, sample); each row kind is contiguous
-    _harmonics(ks, 0, m, n, table, q[:, 0:2].transpose(1, 0, 2))
+    _harmonics(ks[bins], m, n, table, q[:, 0:2].transpose(1, 0, 2))
     np.multiply(q[:, 0], q[:, 0], out=q[:, 2])
     np.multiply(q[:, 0], q[:, 1], out=q[:, 3])
     np.multiply(q[:, 1], q[:, 1], out=q[:, 4])
@@ -228,26 +231,29 @@ def _newton_huber_chunk(
     # is (2/n) sum phi x and the padding's Gram block is (n/2) I less the
     # real samples' block.
     padding = np.zeros((b, 3)) if m == n else (0.5 * n, 0.0, 0.5 * n) - q[:, 2:5].sum(axis=2)
+    radius = zeta if m < n else np.inf  # the padding's terms hold inside this ball
     b_cur = np.matmul(q[:, 0:2], x) / (0.5 * n)
     b_acc = np.zeros((b, 2))  # the last accepted iterate and its objective
     f_acc = np.full(b, np.inf)
     full = np.zeros(b, dtype=bool)  # b_cur is a full Newton step from b_acc
-    live = np.arange(b)
+    live = bins.copy()
 
     for it in range(1, max_steps + 1):
+        left = np.hypot(b_cur[:, 0], b_cur[:, 1]) > radius
+        if left.any():
+            iterations[live[left]] = 0
+            if left.all():
+                return
+            _, q, live, b_cur, b_acc, f_acc, full, padding = _retire(
+                left, [pattern_acc[: live.size], q, live, b_cur, b_acc, f_acc, full, padding]
+            )
         nb = live.size
         r, above, below, pat = r_rows[:nb], above_rows[:nb], below_rows[:nb], pattern[:nb]
         np.matmul(b_cur[:, None, :], q[:, 0:2], out=r)
         np.subtract(x, r, out=r)
         np.greater(r, zeta, out=above)
         np.less(r, -zeta, out=below)
-        np.subtract(above.view(np.int8), below.view(np.int8), out=pat[:, :, :m])
-        pat[:, :, m:] = 0
-        padded = {}  # bin -> Huber terms of its padding, past the guard
-        if m < n:
-            for i in np.flatnonzero(np.hypot(b_cur[:, 0], b_cur[:, 1]) > zeta):
-                padded[live[i]] = _padding_terms(ks[live[i]], m, n, table, b_cur[i], zeta)
-                pat[i, 0, m:] = padded[live[i]][-1]
+        np.subtract(above.view(np.int8), below.view(np.int8), out=pat)
 
         # a full step that kept the pattern it was computed from was exact
         done = full & (pat == pattern_acc[:nb]).all(axis=(1, 2))
@@ -267,16 +273,11 @@ def _newton_huber_chunk(
         f = np.matmul(psi, r.transpose(0, 2, 1))[:, 0, 0]
         f -= 0.5 * np.matmul(psi, psi.transpose(0, 2, 1))[:, 0, 0]
         act = r  # the residual was read for the last time above
-        np.equal(pat[:, :, :m], 0, out=act)
-        hess = np.matmul(q[:, 2:5], act.transpose(0, 2, 1))[:, :, 0]
-        if m < n:
-            pb = padding[:, 0:2] * b_cur[:, 0:1] + padding[:, 1:3] * b_cur[:, 1:2]
-            real = hess, grad, f
-            hess, grad, f = hess + padding, grad - pb, f + 0.5 * np.einsum("ij,ij->i", b_cur, pb)
-            if padded:
-                for i in np.flatnonzero(np.isin(live, list(padded))):
-                    h, g, obj = padded[live[i]][:3]
-                    hess[i], grad[i], f[i] = real[0][i] + h, real[1][i] + g, real[2][i] + obj
+        np.equal(pat, 0, out=act)
+        hess = np.matmul(q[:, 2:5], act.transpose(0, 2, 1))[:, :, 0] + padding
+        pb = padding[:, 0:2] * b_cur[:, 0:1] + padding[:, 1:3] * b_cur[:, 1:2]
+        grad -= pb
+        f += 0.5 * np.einsum("ij,ij->i", b_cur, pb)
 
         worse = f > f_acc
         if worse.any():
@@ -291,8 +292,7 @@ def _newton_huber_chunk(
         singular = ~(det > _SINGULAR * (cc + ss) ** 2)
         for i in np.flatnonzero(singular):
             weights = zeta / np.maximum(np.abs(x - b_cur[i] @ q[i, 0:2]), zeta)
-            pad = padded[live[i]][3] if live[i] in padded else padding[i]
-            hess[i] = q[i, 2:5] @ weights + pad
+            hess[i] = q[i, 2:5] @ weights + padding[i]
             det[i] = cc[i] * ss[i] - cs[i] * cs[i]
         step = np.column_stack(
             [ss * grad[:, 0] - cs * grad[:, 1], cc * grad[:, 1] - cs * grad[:, 0]]
@@ -311,7 +311,7 @@ def _newton_huber_chunk(
                 small, [pattern_acc[:nb], q, live, b_cur, b_acc, f_acc, full, padding]
             )
     else:
-        beta[live] = b_acc
+        beta[live], iterations[live] = b_acc, max_steps
 
 
 def _settle(done, value, it, live, beta, iterations, converged):
@@ -328,28 +328,6 @@ def _retire(done, arrays):
     for a in arrays:
         a[slots] = a[movers]
     return [a[: keep.size] for a in arrays]
-
-
-def _padding_terms(k, m, n, table, b_cur, zeta):
-    """Huber terms at ``b_cur`` of samples m..n-1, where x is zero.
-
-    Returns the active Gram block (cc, cs, ss), the gradient sum psi*phi,
-    the objective, the IRLS Gram block (weights min(1, zeta/|r|)) and the
-    clip pattern.
-    """
-    c, s = _harmonics([k], m, n, n, table, np.empty((2, 1, n - m)))[:, 0]
-    r = -(b_cur[0] * c + b_cur[1] * s)
-    psi = np.clip(r, -zeta, zeta)
-    pattern = np.sign(r - psi)
-    rows = np.stack([c * c, c * s, s * s])
-    weights = zeta / np.maximum(np.abs(r), zeta)
-    return (
-        rows @ (pattern == 0).astype(np.float64),
-        np.array([psi @ c, psi @ s]),
-        psi @ (r - 0.5 * psi),
-        rows @ weights,
-        pattern,
-    )
 
 
 def robust_band(n_padded: int, level: int) -> tuple[int, int] | None:

@@ -186,9 +186,14 @@ def score(detected: list[float], truth: list[float], tolerance: float) -> Metric
 
     Detected values (ascending) each claim the nearest unmatched truth
     value with |d - t| <= tolerance * t. Precision and recall are vacuously
-    1 when their denominator sets are empty.
+    1 when their denominator sets are empty. Detected values must be
+    finite, truth values finite and positive.
     """
     _check_tolerance(tolerance)
+    if not all(isinstance(d, numbers.Real) and math.isfinite(d) for d in detected):
+        raise InvalidInputError("detected values must be finite real numbers")
+    if not all(isinstance(t, numbers.Real) and math.isfinite(t) and t > 0 for t in truth):
+        raise InvalidInputError("truth values must be finite positive real numbers")
     remaining = list(truth)
     matched: list[tuple[float, float]] = []
     for d in sorted(detected):

@@ -210,10 +210,20 @@ class TestRobustPeriod:
         with pytest.raises(InvalidInputError):
             DetectorConfig(**{field: value})
 
-    @pytest.mark.parametrize("order", [0, 11, 2.0, "4", None])
+    @pytest.mark.parametrize("order", [0, 11, 2.0, "4", None, True])
     def test_config_rejects_unknown_wavelet_order(self, order):
         with pytest.raises(InvalidInputError):
             DetectorConfig(wavelet_order=order)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("hp_lambda", True), ("zeta", True), ("share_threshold", True),
+         ("fisher_alpha", np.True_), ("hp_lambda", "1e6"), ("zeta", None),
+         ("acf_height", "0.5"), ("share_threshold", 0.5 + 0j)],
+    )
+    def test_config_rejects_bool_and_non_real_numbers(self, field, value):
+        with pytest.raises(InvalidInputError):
+            DetectorConfig(**{field: value})
 
     @pytest.mark.parametrize("value", ["no", None, 1, 0, 1.0])
     def test_config_rejects_non_bool_robust_mode(self, value):

@@ -79,7 +79,7 @@ class TestFilters:
         assert abs(np.dot(pair.g, pair.g) - 0.5) < 1e-12
         assert abs(np.dot(pair.h, pair.g)) < 1e-12
 
-    @pytest.mark.parametrize("order", [0, 11, -3])
+    @pytest.mark.parametrize("order", [0, 11, -3, True, np.True_])
     def test_unsupported_orders(self, order):
         with pytest.raises(InvalidInputError):
             daubechies_filters(order)

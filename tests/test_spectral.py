@@ -12,6 +12,7 @@ from multiperiod.detector import DetectorConfig, _detect
 from multiperiod.series import InvalidInputError
 from multiperiod.spectral import (
     _FIT_CHUNK,
+    DEFAULT_ZETA,
     fisher_pvalue,
     fisher_test,
     huber_fit,
@@ -36,11 +37,11 @@ def harmonic_regressors(n, k):
     )
 
 
-def assert_band_matches_single_fits(x, ks, max_steps=50):
+def assert_band_matches_single_fits(x, ks, max_steps=50, zeta=DEFAULT_ZETA):
     """Fitting x over a band is bit-identical to fitting each k on its own."""
-    beta, iterations, converged = huber_fit(x, ks, max_steps=max_steps)
+    beta, iterations, converged = huber_fit(x, ks, zeta, max_steps=max_steps)
     for i, k in enumerate(ks):
-        single = huber_fit(x, [k], max_steps=max_steps)
+        single = huber_fit(x, [k], zeta, max_steps=max_steps)
         np.testing.assert_array_equal(beta[i], single[0][0])
         assert iterations[i] == single[1][0]
         assert converged[i] == single[2][0]
@@ -266,11 +267,21 @@ class TestAdmmHuberFit:
         # bins converge at different iterations, so chunks compact unevenly;
         # at max_steps=2 most bins stop at the cap
         rng = np.random.default_rng(size)
-        x = zero_pad(rng.standard_t(2, size=CHUNK_SERIES))
+        noise = rng.standard_t(2, size=CHUNK_SERIES)
         ks = np.arange(3, 3 + size)
-        assert_band_matches_single_fits(x, ks)
-        assert_band_matches_single_fits(x, ks, max_steps=7)
-        assert_band_matches_single_fits(x, ks, max_steps=2)
+        # At zeta = 0.3 the last bin's least-squares start lies past
+        # ||beta|| = zeta; the middle tone's highest samples are pulled down,
+        # so its bins start inside the ball and leave it on the second step.
+        # The padding is a fifth of the series.
+        n, t = 5 * CHUNK_SERIES // 4, np.arange(CHUNK_SERIES)
+        tone = np.cos(2 * np.pi * ks[size // 2] * t / n)
+        guard = 0.3 * noise + np.cos(2 * np.pi * ks[-1] * t / n) + tone
+        guard[np.argsort(-tone)[:50]] -= 10
+        guard = np.concatenate([guard, np.zeros(n - CHUNK_SERIES)])
+        for x, zeta in ((zero_pad(noise), DEFAULT_ZETA), (guard, 0.3)):
+            assert_band_matches_single_fits(x, ks, zeta=zeta)
+            assert_band_matches_single_fits(x, ks, max_steps=7, zeta=zeta)
+            assert_band_matches_single_fits(x, ks, max_steps=2, zeta=zeta)
 
     @pytest.mark.parametrize(
         "make, zeta",
@@ -330,14 +341,22 @@ class TestAdmmHuberFit:
         heavy=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
         window=st.integers(0, 2**16),
+        tone=st.none() | st.tuples(st.floats(0, 1), st.floats(0.5, 5)),
     )
-    def test_objective_at_most_the_admm_oracle(self, half, level, zeta, heavy, seed, window):
-        rng = np.random.default_rng(seed)
-        noise = rng.standard_t(2, half) if heavy else rng.normal(size=half)
-        x = zero_pad(noise)
-        band = robust_band(x.size, level)
+    def test_objective_at_most_the_admm_oracle(
+        self, half, level, zeta, heavy, seed, window, tone
+    ):
+        # an in-band tone takes some bins past ||beta|| = zeta
+        band = robust_band(2 * half, level)
         if band is None:
             return
+        rng = np.random.default_rng(seed)
+        noise = rng.standard_t(2, half) if heavy else rng.normal(size=half)
+        if tone is not None:
+            where, amplitude = tone
+            k = band[0] + round(where * (band[1] - band[0]))
+            noise += amplitude * np.cos(np.pi * k * np.arange(half) / half)
+        x = zero_pad(noise)
         ks = np.arange(band[0], band[1] + 1)
         if ks.size > 64:  # a window of wide bands keeps the oracle cheap
             start = window % (ks.size - 63)

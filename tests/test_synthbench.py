@@ -194,6 +194,16 @@ class TestScore:
         with pytest.raises(InvalidInputError):
             score([40.0], [20.0], tolerance)
 
+    @pytest.mark.parametrize(
+        "detected, truth",
+        [([20.0], [math.nan]), ([math.nan], [20.0]), ([math.inf], [20.0]),
+         ([20.0], [math.inf]), ([20.0], [0.0]), ([20.0], [-20.0]), (["20"], [20.0]),
+         ([20.0], [None])],
+    )
+    def test_rejects_non_finite_values_and_non_positive_truth(self, detected, truth):
+        with pytest.raises(InvalidInputError):
+            score(detected, truth, 0.02)
+
     def test_empty_detected_vs_truth(self):
         m = score([], [20.0], 0.02)
         assert m.precision == 1.0 and m.recall == 0.0 and m.f1 == 0.0
