@@ -2,11 +2,10 @@
 
 Per wavelet level the power spectrum is hybrid: inside the level's nominal
 passband each bin's harmonic amplitude pair is fit by minimizing a Huber
-loss (safeguarded Newton steps on the loss's active set, over the unpadded
-samples while no padded sample can be clipped, else over all of them),
-while bins outside the band fall back to the plain FFT periodogram.
-Fisher's g-test on the hybrid spectrum yields the dominant-frequency
-candidate and its tail p-value.
+loss (safeguarded Newton steps on the loss's active set, each reading only
+the samples whose clip state can change), while bins outside the band fall
+back to the plain FFT periodogram. Fisher's g-test on the hybrid spectrum
+yields the dominant-frequency candidate and its tail p-value.
 """
 
 from __future__ import annotations
@@ -86,12 +85,10 @@ def huber_objective(residual: np.ndarray, zeta: float) -> float:
     )
 
 
-# Real samples solved together: a chunk holds _FIT_CHUNK // m bins of m real
-# samples each (at least one bin). Its work arrays, seven float64 rows per bin
-# (five kept, two of scratch), stay near 2 MB whatever the series length, so
-# a level's memory is O(n) whatever its band size and a chunk stays in cache:
-# 32 bins at N = 1000, 3 at N = 10 000.
-_FIT_CHUNK = 32_000
+# Bin-sample pairs solved together: a chunk's work arrays (cos and sin of each
+# bin at each at-risk sample, the residual and two clip patterns, about 35
+# bytes a pair) stay near 1 MB whatever the series length.
+_FIT_BUDGET = 32_768
 
 # A Newton step no longer than _ROUNDOFF * max|x| is round-off: the bin is at
 # its minimizer.
@@ -102,6 +99,11 @@ _ROUNDOFF = 1e-12
 _SINGULAR = 1e-12
 
 
+def _check_zeta(zeta) -> None:
+    if isinstance(zeta, bool) or not isinstance(zeta, numbers.Real) or not zeta > 0:
+        raise InvalidInputError(f"zeta must be a positive real number, got {zeta!r}")
+
+
 def huber_fit(x: np.ndarray, ks, zeta: float = DEFAULT_ZETA, *, max_steps: int = 50):
     """Solve the Huber harmonic regression of one series at each frequency.
 
@@ -110,37 +112,43 @@ def huber_fit(x: np.ndarray, ks, zeta: float = DEFAULT_ZETA, *, max_steps: int =
     beta minimizes F(beta) = sum_t huber(x_t - phi_t beta) at threshold
     zeta. The loss is piecewise quadratic, so the solver takes Newton steps
     on its active set (Huber 1981, sec. 7.8). It starts from the
-    least-squares beta. Each step computes the residual r = x - phi beta,
-    its clip psi = clip(r, -zeta, zeta), the active Gram
-    H = sum_{|r| <= zeta} phi phi' and the gradient g = sum psi phi, and
-    moves to beta + H^-1 g: the exact minimizer of F while the pattern of
-    unclipped samples and clip signs stays as it is. A bin has converged
-    once a full step lands on the pattern it was computed from (that step
-    was then exact), or once a step is round-off
-    (||H^-1 g|| <= 1e-12 * max|x|). Two safeguards keep the objective from
-    ever increasing: a step that raises F is halved back, and a bin whose
-    active Gram is singular (every sample clipped) takes the IRLS step
-    (Holland & Welsch 1977), which weights the Gram by min(1, zeta/|r|)
-    instead. After ``max_steps`` steps the last accepted iterate is
-    returned, flagged unconverged.
+    least-squares beta. At each iterate it finds the clip pattern of the
+    residuals r = x - phi beta (each sample active, or clipped above or
+    below), the active Gram H = sum_{|r| <= zeta} phi phi' and the gradient
+    g = sum psi phi of the clipped residual psi = clip(r, -zeta, zeta), and
+    moves to beta + H^-1 g: the exact minimizer of F while the pattern stays
+    as it is. A bin has converged once a full step lands on the pattern it
+    was computed from (that step was then exact), or once a step is
+    round-off (||H^-1 g|| <= 1e-12 * max|x|). Two safeguards keep the
+    objective from ever increasing: a step that raises F is halved back,
+    and a bin whose active Gram is singular (every sample clipped) takes
+    the IRLS step (Holland & Welsch 1977), which weights the Gram by
+    min(1, zeta/|r|) instead. After ``max_steps`` steps the last accepted
+    iterate is returned, flagged unconverged.
 
-    Only the samples up to the last nonzero one are read on each step. On
-    the zeros after it (the padding) the residual is -phi_t beta, and
-    |phi_t beta| <= ||beta|| because cos^2 + sin^2 = 1, so while
-    ||beta|| <= zeta every padded sample is active: the padding adds its
-    fixed Gram block P to H, -P beta to g and beta'P beta / 2 to F. A bin
-    whose iterate leaves that ball is fit again from its least-squares
-    start over all n samples, and reports the steps of that second fit.
+    A step reads few samples. The reference pattern is the clip state at
+    beta = 0; its statistics come for every bin from three FFTs: of x (the
+    least-squares start), of psi(x) (g at beta = 0) and of the active mask,
+    whose DFT at 2k gives H, as cos^2 = (1 + cos 2a)/2. Because
+    |phi_t beta| <= ||beta||, sample t can leave its reference state only if
+    its slack ||x_t| - zeta| is at most ||beta||. The samples are sorted by
+    slack once, and a bin whose iterates stay within a radius corrects the
+    reference statistics by the samples of slack up to that radius that
+    changed state. Zero padding has slack zeta, so it is read only once
+    ||beta|| nears zeta. The change of F that decides a halving is summed
+    from these corrections and the new pattern's quadratic between the two
+    iterates, never as the difference of two full sums, whose round-off
+    could stall a bin.
 
-    Frequencies are independent, so they are solved in chunks of about
-    ``_FIT_CHUNK`` real samples that reuse one set of work arrays: memory is
-    O(n) whatever B is, and each frequency's result is bit-identical to
-    fitting it alone.
+    Frequencies are independent. They are solved in chunks of at most
+    ``_FIT_BUDGET`` bin-sample pairs (or one bin), sorted by the radius of
+    their least-squares start; a bin whose iterate leaves its chunk's
+    radius is fit again later, over the samples within twice its norm. Each
+    frequency's result is bit-identical to fitting it alone.
 
     Returns (beta (B, 2), iterations (B,), converged (B,)).
     """
-    if not zeta > 0:
-        raise InvalidInputError("zeta must be positive")
+    _check_zeta(zeta)
     if not isinstance(max_steps, numbers.Integral) or max_steps < 1:
         raise InvalidInputError("max_steps must be an integer of at least 1")
     x = np.asarray(x, dtype=np.float64)
@@ -157,177 +165,159 @@ def huber_fit(x: np.ndarray, ks, zeta: float = DEFAULT_ZETA, *, max_steps: int =
         raise InvalidInputError("frequency indices must satisfy 1 <= k < n/2")
     ks = ks.astype(np.int64)
 
-    nonzero = np.flatnonzero(x)
-    m = int(nonzero[-1]) + 1 if nonzero.size else 0
-    # cos/sin of 2*pi*j/n, read at j = k*t mod n
-    angle = (2.0 * np.pi / n) * np.arange(n)
-    table = (np.cos(angle), np.sin(angle))
+    # Statistics of the reference pattern per bin: g at beta = 0, then H.
+    spec = np.fft.rfft(np.stack([x, np.clip(x, -zeta, zeta), np.abs(x) <= zeta]))
+    two = 2 * ks
+    mask2 = spec[2, np.minimum(two, n - two)]  # the mask's DFT at 2k, conjugated past n/2
+    count = spec[2, 0].real
+    reference = np.column_stack([
+        spec[1, ks].real, -spec[1, ks].imag, 0.5 * (count + mask2.real),
+        np.where(two > n // 2, 0.5, -0.5) * mask2.imag, 0.5 * (count - mask2.real),
+    ])
+    start = (2.0 / n) * np.column_stack([spec[0, ks].real, -spec[0, ks].imag])
+    slack = np.abs(np.abs(x) - zeta)
+    order = np.argsort(slack, kind="stable")
+    slack = slack[order]
+    # A sample whose slack exceeds ||beta|| by this margin keeps its reference
+    # state whatever the round-off of its residual.
+    margin = 1e-9 * (zeta + slack[-1])
+    reach = np.searchsorted(slack, np.hypot(start[:, 0], start[:, 1]) + margin, side="right")
+    angle = (2.0 * np.pi / n) * np.arange(n)  # cos/sin of 2*pi*j/n, read at j = k*t mod n
     tol = _ROUNDOFF * float(np.max(np.abs(x), initial=0.0))
-    beta = np.zeros((ks.size, 2))
-    iterations = np.zeros(ks.size, dtype=np.int64)  # 0 marks a bin still to fit
-    converged = np.zeros(ks.size, dtype=bool)
-    # A bin that leaves the ball ||beta|| <= zeta is fit again over all n samples.
-    for samples in (x[:m], x):
-        m, todo = samples.size, np.flatnonzero(iterations == 0)
-        chunk = max(1, _FIT_CHUNK // max(m, 1))
-        width = min(todo.size, chunk)
-        # One block for all float rows: as separate blocks the allocator may hand
-        # them back to the OS after each call, and each call then faults them in.
-        rows = np.empty(7 * width * m)
-        work = rows[: 5 * width * m].reshape(5, width, m)
-        scratch = rows[5 * width * m :].reshape(2, width, 1, m)
-        flags = np.empty((2, width, 1, m), dtype=bool)
-        patterns = np.empty((2, width, 1, m), dtype=np.int8)
-        for lo in range(0, todo.size, chunk):
-            _newton_huber_chunk(
-                samples, n, ks, todo[lo : lo + chunk], table, zeta, max_steps, tol,
-                (work, scratch, flags, patterns), beta, iterations, converged,
-            )
-    return beta, iterations, converged
-
-
-def _harmonics(ks, m, n, table, out):
-    """Write cos and sin of 2*pi*k*t/n for t = 0..m-1 to ``out[0]``, ``out[1]``.
-
-    Both are read from ``table`` at j = k*t mod n, formed as the sum of
-    k*t mod n at every 64th t and k*c mod n for c < 64: two small integer
-    remainders in place of one over every sample. The sum is below 2n, so
-    the "wrap" lookup reduces it with at most one subtraction.
-    """
-    k = np.asarray(ks, dtype=np.int64)[:, None]
-    heads = (k * np.arange(0, m, 64)) % n
-    tails = (k * np.arange(64)) % n
-    j = (heads[:, :, None] + tails[:, None, :]).reshape(k.size, -1)[:, :m]
-    np.take(table[0], j, out=out[0], mode="wrap")
-    np.take(table[1], j, out=out[1], mode="wrap")
+    fit = (x, ks, (np.cos(angle), np.sin(angle)), order, slack, margin, reach, zeta, max_steps, tol)
+    out = (np.zeros((ks.size, 2)), np.zeros(ks.size, dtype=np.int64), np.zeros(ks.size, dtype=bool))
+    todo = np.arange(ks.size)  # a bin with iterations 0 is still to fit
+    while todo.size:
+        todo = todo[np.argsort(reach[todo], kind="stable")]
+        lo = 0
+        while lo < todo.size:
+            widths = np.maximum(reach[todo[lo : lo + _FIT_BUDGET]], 1)
+            pairs = np.arange(1, widths.size + 1) * widths
+            hi = lo + max(1, int(np.searchsorted(pairs, _FIT_BUDGET, side="right")))
+            bins = todo[lo:hi]
+            _newton_huber_chunk(fit, bins, reference[bins], start[bins], out)
+            lo = hi
+        todo = np.flatnonzero(out[1] == 0)
     return out
 
 
-def _newton_huber_chunk(
-    x, n, ks, bins, table, zeta, max_steps, tol, buffers, beta, iterations, converged
-):
-    """Run the Newton solver of ``huber_fit`` for one chunk of frequencies.
+def _harmonics(ks, t, table, n):
+    """cos and sin of 2*pi*k*t/n as (bin, 2, sample), read from ``table``.
 
-    ``x`` holds the first m samples of the length-n series; the rest are
-    zero. ``buffers`` are the work arrays: per bin, rows cos, sin, cos*cos,
-    cos*sin and sin*sin; the residual (then the active mask) and the clipped
-    residual; the clipped-above and clipped-below flags; and the clip
-    pattern of the m samples (0 active, +1 or -1 clipped above or below) at
-    the current and at the last accepted iterate. The chunk fits the
-    frequencies ``ks[bins]``; results go to rows ``bins`` of ``beta``,
-    ``iterations`` and ``converged``; while m < n, a bin whose iterate
-    leaves the ball ||beta|| <= zeta gets ``iterations`` 0 instead. A done
-    bin leaves the work arrays: a live bin from the end moves into its slot.
+    The index k*t mod n is formed up to a multiple of n, which the "wrap"
+    lookup removes: a float quotient costs less than an integer remainder.
     """
-    b, m = bins.size, x.size
-    work, (r_rows, psi_rows), (above_rows, below_rows), patterns = buffers
-    pattern, pattern_acc = patterns
-    q = work[:, :b].transpose(1, 0, 2)  # (bin, row, sample); each row kind is contiguous
-    _harmonics(ks[bins], m, n, table, q[:, 0:2].transpose(1, 0, 2))
-    np.multiply(q[:, 0], q[:, 0], out=q[:, 2])
-    np.multiply(q[:, 0], q[:, 1], out=q[:, 3])
-    np.multiply(q[:, 1], q[:, 1], out=q[:, 4])
-    # The Gram matrix of all n samples is (n/2) I, so the least-squares start
-    # is (2/n) sum phi x and the padding's Gram block is (n/2) I less the
-    # real samples' block.
-    padding = np.zeros((b, 3)) if m == n else (0.5 * n, 0.0, 0.5 * n) - q[:, 2:5].sum(axis=2)
-    radius = zeta if m < n else np.inf  # the padding's terms hold inside this ball
-    b_cur = np.matmul(q[:, 0:2], x) / (0.5 * n)
-    b_acc = np.zeros((b, 2))  # the last accepted iterate and its objective
-    f_acc = np.full(b, np.inf)
-    full = np.zeros(b, dtype=bool)  # b_cur is a full Newton step from b_acc
-    live = bins.copy()
+    j = np.multiply.outer(ks, t)
+    j -= n * (j * (1.0 / n)).astype(np.int64)
+    out = np.empty((ks.size, 2, t.size))
+    np.take(table[0], j, out=out[:, 0], mode="wrap")
+    np.take(table[1], j, out=out[:, 1], mode="wrap")
+    return out
+
+
+def _newton_huber_chunk(fit, bins, stats, b_cur, out):
+    """Run the Newton solver of ``huber_fit`` for the frequencies ``ks[bins]``.
+
+    ``stats`` holds per bin the reference pattern's g at beta = 0 and H
+    (cc, cs, ss), ``b_cur`` the least-squares starts. The chunk reads the
+    first k samples in slack order, k = ``reach`` of its last bin; a bin
+    whose iterate leaves the radius those samples cover gets a larger
+    ``reach`` and keeps ``iterations`` 0. Results go to rows ``bins`` of
+    ``out`` = (beta, iterations, converged). Per bin the chunk keeps the
+    cos and sin rows of its samples, the clip pattern at the last accepted
+    iterate, and that pattern's g at beta = 0 and H; a done bin leaves them.
+    """
+    x, ks, table, order, slack, margin, reach, zeta, max_steps, tol = fit
+    beta, iterations, converged = out
+    n, k = x.size, int(reach[bins[-1]])
+    radius = slack[k] - margin if k < n else np.inf
+    xt = x[order[:k]]
+    half = 0.5 * (xt * xt + zeta * zeta)
+    phi = _harmonics(ks[bins], order[:k], table, n)
+    at_zero = (xt > zeta).view(np.int8) - (xt < -zeta).view(np.int8)
+    pat_acc = np.repeat(at_zero[None, :], bins.size, axis=0)
+    live, b_acc = bins, np.zeros_like(b_cur)
+    full = np.zeros(bins.size, dtype=bool)  # b_cur is a full Newton step from b_acc
 
     for it in range(1, max_steps + 1):
-        left = np.hypot(b_cur[:, 0], b_cur[:, 1]) > radius
+        norm = np.hypot(b_cur[:, 0], b_cur[:, 1])
+        left = norm > radius
         if left.any():
-            iterations[live[left]] = 0
+            reach[live[left]] = np.searchsorted(slack, 2 * norm[left] + margin, side="right")
             if left.all():
                 return
-            _, q, live, b_cur, b_acc, f_acc, full, padding = _retire(
-                left, [pattern_acc[: live.size], q, live, b_cur, b_acc, f_acc, full, padding]
+            live, phi, pat_acc, stats, b_cur, b_acc, full = (
+                a[~left] for a in (live, phi, pat_acc, stats, b_cur, b_acc, full)
             )
-        nb = live.size
-        r, above, below, pat = r_rows[:nb], above_rows[:nb], below_rows[:nb], pattern[:nb]
-        np.matmul(b_cur[:, None, :], q[:, 0:2], out=r)
-        np.subtract(x, r, out=r)
-        np.greater(r, zeta, out=above)
-        np.less(r, -zeta, out=below)
-        np.subtract(above.view(np.int8), below.view(np.int8), out=pat)
+        r = np.matmul(b_cur[:, None, :], phi)[:, 0]
+        np.subtract(xt, r, out=r)
+        pat = (r > zeta).view(np.int8) - (r < -zeta).view(np.int8)
+        flip = pat != pat_acc
 
         # a full step that kept the pattern it was computed from was exact
-        done = full & (pat == pattern_acc[:nb]).all(axis=(1, 2))
+        done = full & ~flip.any(axis=1)
         if done.any():
-            _settle(done, b_cur, it, live, beta, iterations, converged)
+            settled = live[done]
+            beta[settled], iterations[settled], converged[settled] = b_cur[done], it, True
             if done.all():
-                break
-            *_, q, live, b_cur, b_acc, f_acc, full, padding = _retire(
-                done,
-                [r, pat, pattern_acc[:nb], q, live, b_cur, b_acc, f_acc, full, padding],
+                return
+            live, phi, pat, pat_acc, stats, b_cur, b_acc, flip = (
+                a[~done] for a in (live, phi, pat, pat_acc, stats, b_cur, b_acc, flip)
             )
-            nb = live.size
-            r, pat = r_rows[:nb], pattern[:nb]
-        psi = psi_rows[:nb]
-        np.clip(r, -zeta, zeta, out=psi)
-        grad = np.matmul(q[:, 0:2], psi.transpose(0, 2, 1))[:, :, 0]
-        f = np.matmul(psi, r.transpose(0, 2, 1))[:, 0, 0]
-        f -= 0.5 * np.matmul(psi, psi.transpose(0, 2, 1))[:, 0, 0]
-        act = r  # the residual was read for the last time above
-        np.equal(pat, 0, out=act)
-        hess = np.matmul(q[:, 2:5], act.transpose(0, 2, 1))[:, :, 0] + padding
-        pb = padding[:, 0:2] * b_cur[:, 0:1] + padding[:, 1:3] * b_cur[:, 1:2]
-        grad -= pb
-        f += 0.5 * np.einsum("ij,ij->i", b_cur, pb)
+        # A pattern's F is c - beta'l + beta'H beta / 2 (plus a constant): l is
+        # g at beta = 0. A sample that changes its active flag by da and its
+        # clip sign by dp adds (x^2 + zeta^2) da / 2 + zeta x dp to c,
+        # (x da + zeta dp) phi to l and da phi phi' to H.
+        i, j = np.divmod(np.flatnonzero(flip), k)
+        new, old = pat[i, j], pat_acc[i, j]
+        da, dp = np.abs(old) - np.abs(new), new - old
+        xj, (c, s) = xt[j], phi[i, :, j].T
+        w = xj * da + zeta * dp
+        terms = np.stack(
+            [half[j] * da + zeta * xj * dp, w * c, w * s, da * c * c, da * c * s, da * s * s],
+            axis=1,
+        )
+        d = np.zeros((live.size, 6))
+        if i.size:
+            first = np.flatnonzero(np.diff(i, prepend=-1))
+            d[i[first]] = np.add.reduceat(terms, first, axis=0)
+        cur = stats + d[:, 1:]
+        hess = cur[:, [2, 3, 3, 4]].reshape(-1, 2, 2)
+        g = cur[:, 0:2, None] - np.matmul(hess, np.stack([b_acc, b_cur], axis=2))
+        # F(b_cur) - F(b_acc): the flips' change of F at b_acc, then the new
+        # pattern's quadratic from b_acc to b_cur
+        d_hess_b = np.matmul(d[:, [3, 4, 4, 5]].reshape(-1, 2, 2), b_acc[:, :, None])[:, :, 0]
+        rise = d[:, 0] - np.einsum("ij,ij->i", b_acc, d[:, 1:3] - 0.5 * d_hess_b)
+        rise -= 0.5 * np.einsum("ij,ij->i", b_cur - b_acc, g[:, :, 0] + g[:, :, 1])
 
-        worse = f > f_acc
-        if worse.any():
-            accept = ~worse
-            b_acc[accept], f_acc[accept] = b_cur[accept], f[accept]
-            pattern_acc[:nb][accept] = pat[accept]
-        else:
-            b_acc[:], f_acc[:] = b_cur, f
-            pattern, pattern_acc = pattern_acc, pattern
-        cc, cs, ss = hess.T
-        det = cc * ss - cs * cs
-        singular = ~(det > _SINGULAR * (cc + ss) ** 2)
-        for i in np.flatnonzero(singular):
-            weights = zeta / np.maximum(np.abs(x - b_cur[i] @ q[i, 0:2]), zeta)
-            hess[i] = q[i, 2:5] @ weights + padding[i]
-            det[i] = cc[i] * ss[i] - cs[i] * cs[i]
+        worse = (rise > 0) & (it > 1)
+        accept = ~worse
+        stats[accept], pat_acc[accept], b_acc[accept] = cur[accept], pat[accept], b_cur[accept]
+        cc, cs, ss = cur[:, 2], cur[:, 3], cur[:, 4]
+        singular = ~(cc * ss - cs * cs > _SINGULAR * (cc + ss) ** 2)
+        for b in np.flatnonzero(singular):
+            c, s = _harmonics(ks[live[b : b + 1]], np.arange(n), table, n)[0]
+            weights = zeta / np.maximum(np.abs(x - b_cur[b, 0] * c - b_cur[b, 1] * s), zeta)
+            cc[b], cs[b], ss[b] = weights @ (c * c), weights @ (c * s), weights @ (s * s)
+        grad = g[:, :, 1]
         step = np.column_stack(
             [ss * grad[:, 0] - cs * grad[:, 1], cc * grad[:, 1] - cs * grad[:, 0]]
-        ) / det[:, None]
+        ) / (cc * ss - cs * cs)[:, None]
         small = np.hypot(step[:, 0], step[:, 1]) <= tol
-        full = ~singular
+        full = ~singular & accept
         if worse.any():  # a step that raised F is halved back
             step[worse] = 0.5 * (b_cur[worse] - b_acc[worse])
-            small[worse] = full[worse] = False
+            small[worse] = False
         b_cur = b_acc + step
         if small.any():
-            _settle(small, b_acc, it, live, beta, iterations, converged)
+            settled = live[small]
+            beta[settled], iterations[settled], converged[settled] = b_acc[small], it, True
             if small.all():
-                break
-            _, q, live, b_cur, b_acc, f_acc, full, padding = _retire(
-                small, [pattern_acc[:nb], q, live, b_cur, b_acc, f_acc, full, padding]
+                return
+            live, phi, pat_acc, stats, b_cur, b_acc, full = (
+                a[~small] for a in (live, phi, pat_acc, stats, b_cur, b_acc, full)
             )
-    else:
-        beta[live], iterations[live] = b_acc, max_steps
-
-
-def _settle(done, value, it, live, beta, iterations, converged):
-    """Record the bins flagged ``done`` as converged at ``value`` on step ``it``."""
-    beta[live[done]] = value[done]
-    iterations[live[done]] = it
-    converged[live[done]] = True
-
-
-def _retire(done, arrays):
-    """Move the rows of live bins into the slots of done ones; return the live rows."""
-    keep = np.flatnonzero(~done)
-    slots, movers = np.flatnonzero(done[: keep.size]), keep[keep >= keep.size]
-    for a in arrays:
-        a[slots] = a[movers]
-    return [a[: keep.size] for a in arrays]
+    beta[live], iterations[live] = b_acc, max_steps
 
 
 def robust_band(n_padded: int, level: int) -> tuple[int, int] | None:
@@ -360,6 +350,7 @@ def huber_periodogram(
         raise InvalidInputError("expected an even-length padded series of >= 4 samples")
     if level < 1:
         raise InvalidInputError("level must be >= 1")
+    _check_zeta(zeta)
 
     power = vanilla_periodogram(x)[: n // 2].copy()
     power[0] = 0.0

@@ -100,6 +100,10 @@ class SyntheticSpec:
             amplitudes = tuple(float(a) for a in amplitudes)
         if len(amplitudes) != len(periods):
             raise InvalidInputError("amplitudes must match periods one-to-one")
+        for name in ("trend_amplitude", "noise_variance", "outlier_ratio", "outlier_amplitude"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise InvalidInputError(f"{name} must be a real number, got {value!r}")
         magnitudes = (self.noise_variance, self.trend_amplitude, self.outlier_amplitude)
         if not all(math.isfinite(a) for a in magnitudes + amplitudes):
             raise InvalidInputError("amplitudes and noise variance must be finite")

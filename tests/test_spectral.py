@@ -8,10 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from multiperiod import spectral
 from multiperiod.detector import DetectorConfig, _detect
 from multiperiod.series import InvalidInputError
 from multiperiod.spectral import (
-    _FIT_CHUNK,
     DEFAULT_ZETA,
     fisher_pvalue,
     fisher_test,
@@ -25,9 +25,9 @@ from multiperiod.spectral import (
 from multiperiod.synthbench import SCENARIOS, generate
 
 
-# A chunk of the solver holds CHUNK_BINS bins of a series of CHUNK_SERIES samples.
+# Band sizes around CHUNK_BINS, fit on a series of CHUNK_SERIES samples.
 CHUNK_BINS = 32
-CHUNK_SERIES = _FIT_CHUNK // CHUNK_BINS
+CHUNK_SERIES = 1000
 
 
 def harmonic_regressors(n, k):
@@ -263,25 +263,29 @@ class TestAdmmHuberFit:
     @pytest.mark.parametrize(
         "size", [1, CHUNK_BINS - 1, CHUNK_BINS, CHUNK_BINS + 1, 2 * CHUNK_BINS + 1]
     )
-    def test_batch_agrees_with_single_across_chunk_edges(self, size):
+    def test_batch_agrees_with_single_across_chunk_edges(self, size, monkeypatch):
         # bins converge at different iterations, so chunks compact unevenly;
-        # at max_steps=2 most bins stop at the cap
+        # at max_steps=2 most bins stop at the cap. A budget of 1000
+        # bin-sample pairs splits the wider bands into several chunks.
         rng = np.random.default_rng(size)
         noise = rng.standard_t(2, size=CHUNK_SERIES)
         ks = np.arange(3, 3 + size)
         # At zeta = 0.3 the last bin's least-squares start lies past
-        # ||beta|| = zeta; the middle tone's highest samples are pulled down,
-        # so its bins start inside the ball and leave it on the second step.
-        # The padding is a fifth of the series.
+        # ||beta|| = zeta, so its chunk reads the padding; the middle tone's
+        # highest samples are pulled down, so its bins' iterates grow past
+        # their chunk's radius and are fit again. The padding is a fifth of
+        # the series.
         n, t = 5 * CHUNK_SERIES // 4, np.arange(CHUNK_SERIES)
         tone = np.cos(2 * np.pi * ks[size // 2] * t / n)
         guard = 0.3 * noise + np.cos(2 * np.pi * ks[-1] * t / n) + tone
         guard[np.argsort(-tone)[:50]] -= 10
         guard = np.concatenate([guard, np.zeros(n - CHUNK_SERIES)])
-        for x, zeta in ((zero_pad(noise), DEFAULT_ZETA), (guard, 0.3)):
-            assert_band_matches_single_fits(x, ks, zeta=zeta)
-            assert_band_matches_single_fits(x, ks, max_steps=7, zeta=zeta)
-            assert_band_matches_single_fits(x, ks, max_steps=2, zeta=zeta)
+        for budget in (spectral._FIT_BUDGET, 1000):
+            monkeypatch.setattr(spectral, "_FIT_BUDGET", budget)
+            for x, zeta in ((zero_pad(noise), DEFAULT_ZETA), (guard, 0.3)):
+                assert_band_matches_single_fits(x, ks, zeta=zeta)
+                assert_band_matches_single_fits(x, ks, max_steps=7, zeta=zeta)
+                assert_band_matches_single_fits(x, ks, max_steps=2, zeta=zeta)
 
     @pytest.mark.parametrize(
         "make, zeta",
@@ -294,8 +298,8 @@ class TestAdmmHuberFit:
         ids=["zeta0.3", "sine-zeta0.5"],
     )
     def test_guard_breaking_bins_take_the_full_step(self, make, zeta):
-        # past ||beta|| = zeta the padded samples may be downweighted, so the
-        # step sums the padding explicitly; both paths meet the descent oracle
+        # past ||beta|| = zeta the padded samples may be clipped, so those
+        # bins read them too; bins on both sides meet the descent oracle
         rng = np.random.default_rng(12)
         x = zero_pad(make(rng, np.arange(128)))
         ks = np.arange(12, 21)
@@ -322,48 +326,74 @@ class TestAdmmHuberFit:
             oracle = huber_gradient_descent(x, k, zeta, iters=20000)
             assert np.max(np.abs(beta[0] - oracle)) < 1e-6
 
-    @pytest.mark.parametrize("scenario", ["mild", "severe"])
-    def test_workload_bins_converge_in_few_steps(self, scenario):
+    @pytest.mark.parametrize(
+        "scenario, length",
+        [
+            pytest.param("mild", 1000, id="mild"),
+            pytest.param("severe", 1000, id="severe"),
+            pytest.param("severe", 10_000, id="severe-10000"),
+        ],
+    )
+    def test_workload_bins_converge_in_few_steps(self, scenario, length):
         # every bin of every examined level converges, in at most 4 Newton
-        # steps per bin on average (IRLS took 7 to 8)
-        series = generate(replace(SCENARIOS[scenario], seed=0))
+        # steps per bin on average (IRLS took 7 to 8); at N = 10 000 a level
+        # holds up to 5000 bins, and a halving test that lost the change of F
+        # to round-off would leave some of them halving until max_steps
+        series = generate(replace(SCENARIOS[scenario], length=length, seed=0))
         _, spectra = _detect(series, DetectorConfig())
         assert spectra
         for level, hybrid in spectra:
             assert hybrid.converged.all(), level
             assert hybrid.iterations.mean() <= 4, level
 
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=40, deadline=None)
     @given(
         half=st.integers(32, 1000),
         level=st.integers(1, 7),
         zeta=st.sampled_from([0.3, 1.0, 1e9]),
-        heavy=st.booleans(),
+        kind=st.sampled_from(["normal", "heavy", "quantized"]),
+        padded=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
         window=st.integers(0, 2**16),
         tone=st.none() | st.tuples(st.floats(0, 1), st.floats(0.5, 5)),
     )
     def test_objective_at_most_the_admm_oracle(
-        self, half, level, zeta, heavy, seed, window, tone
+        self, half, level, zeta, kind, padded, seed, window, tone
     ):
-        # an in-band tone takes some bins past ||beta|| = zeta
-        band = robust_band(2 * half, level)
+        # Every converged bin is a minimizer: its clipped-residual gradient
+        # sum psi(r_t) phi_t is round-off, and no bin's objective exceeds the
+        # ADMM oracle's. Quantized series hold only 0, +-q and +-2q for
+        # q = min(zeta, 1): below zeta = 1 their samples sit exactly on the
+        # clip threshold and their slacks tie with each other and with the
+        # padding's. An in-band tone takes some bins past ||beta|| = zeta.
+        n = 2 * half
+        band = robust_band(n, level)
         if band is None:
             return
         rng = np.random.default_rng(seed)
-        noise = rng.standard_t(2, half) if heavy else rng.normal(size=half)
+        m = half if padded else n
+        if kind == "quantized":
+            values = min(zeta, 1.0) * rng.integers(-2, 3, m)
+        else:
+            values = rng.standard_t(2, m) if kind == "heavy" else rng.normal(size=m)
+            values = (values - values.mean()) / values.std()
         if tone is not None:
             where, amplitude = tone
             k = band[0] + round(where * (band[1] - band[0]))
-            noise += amplitude * np.cos(np.pi * k * np.arange(half) / half)
-        x = zero_pad(noise)
+            values = values + amplitude * np.cos(2 * np.pi * k * np.arange(m) / n)
+        x = np.concatenate([values, np.zeros(n - m)])
         ks = np.arange(band[0], band[1] + 1)
         if ks.size > 64:  # a window of wide bands keeps the oracle cheap
             start = window % (ks.size - 63)
             ks = ks[start : start + 64]
-        beta, _, _ = huber_fit(x, ks, zeta)
+        beta, _, converged = huber_fit(x, ks, zeta)
         reference = admm_oracle(x, ks, zeta)
+        scale = np.minimum(np.abs(x), zeta).sum()
         for i, k in enumerate(ks):
+            phi = harmonic_regressors(n, k)
+            if converged[i]:
+                psi = np.clip(x - phi @ beta[i], -zeta, zeta)
+                assert np.abs(phi.T @ psi).max() <= 1e-10 * scale
             ours = fit_objective(x, k, beta[i], zeta)
             theirs = fit_objective(x, k, reference[i], zeta)
             assert ours <= theirs + 1e-9 * abs(theirs)
@@ -545,6 +575,15 @@ class TestConfigValidation:
             huber_fit(x, [3], 0.0)
         with pytest.raises(InvalidInputError):
             huber_fit(x, [3], math.nan)
+
+    @pytest.mark.parametrize("zeta", [True, np.True_, "1", None, 1j])
+    def test_non_real_zeta_rejected(self, zeta):
+        x = zero_pad(np.random.default_rng(16).normal(size=64))
+        with pytest.raises(InvalidInputError):
+            huber_fit(x, [3], zeta)
+        for robust in (True, False):
+            with pytest.raises(InvalidInputError):
+                huber_periodogram(x, 3, zeta, robust=robust)
 
     @pytest.mark.parametrize("value", [0, 2.5, math.nan, 1e9, "50"])
     def test_huber_fit_rejects_non_integer_max_steps(self, value):

@@ -152,6 +152,23 @@ class TestGenerate:
     @pytest.mark.parametrize(
         "field, value",
         [
+            ("noise_variance", True),
+            ("noise_variance", None),
+            ("noise_variance", "0.1"),
+            ("trend_amplitude", None),
+            ("trend_amplitude", "10"),
+            ("outlier_ratio", None),
+            ("outlier_ratio", "0.01"),
+            ("outlier_amplitude", False),
+        ],
+    )
+    def test_spec_rejects_non_real_magnitudes(self, field, value):
+        with pytest.raises(InvalidInputError):
+            SyntheticSpec(**{field: value})
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
             ("periods", (20.5,)),
             ("periods", (20, 50.0)),
             ("length", 1000.5),
