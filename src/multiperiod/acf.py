@@ -45,9 +45,9 @@ class ValidationRange:
         return self.lo <= value <= self.hi
 
 
-def full_range_periodogram(hybrid: HybridPeriodogram) -> np.ndarray:
-    """The one-sided spectrum: bins 0..N, the half-spectrum power then the Nyquist ordinate."""
-    return np.append(hybrid.power, hybrid.nyquist)
+def full_range_periodogram(hybrid: HybridPeriodogram, row: int) -> np.ndarray:
+    """One row's one-sided spectrum: bins 0..N, its half-spectrum power then Nyquist ordinate."""
+    return np.append(hybrid.power[row], hybrid.nyquist[row])
 
 
 def huber_acf(spectrum: np.ndarray) -> np.ndarray | None:

@@ -18,8 +18,9 @@ import tempfile
 import numpy as np
 
 from .acf import find_peaks, full_range_periodogram, huber_acf
-from .detector import DetectorConfig, LevelSpectrum, PeriodReport, _detect
+from .detector import DetectorConfig, PeriodReport, _detect
 from .series import InvalidInputError, TimeSeries
+from .spectral import HybridPeriodogram
 from .synthbench import SCENARIOS, SyntheticSpec, generate, run_benchmark
 
 EXIT_OK = 0
@@ -136,29 +137,30 @@ def _detector_config(args: argparse.Namespace) -> DetectorConfig:
 
 
 def _dump_diagnostics(
-    spectra: list[LevelSpectrum], cfg: DetectorConfig, directory: str
+    levels: list[int], hybrid: HybridPeriodogram | None, cfg: DetectorConfig, directory: str
 ) -> None:
     """Per-level periodogram and autocorrelation CSVs for external plotting.
 
-    The periodograms are the detection's own; the ACF is recomputed because
-    the detection skips it on levels whose g-test failed.
+    The periodograms are the detection's own, one row per examined level;
+    the ACF is recomputed because the detection skips it on levels whose
+    g-test failed.
     """
     os.makedirs(directory, exist_ok=True)
-    for level, hybrid in spectra:
-        acf = huber_acf(full_range_periodogram(hybrid))
+    for row, level in enumerate(levels):
+        acf = huber_acf(full_range_periodogram(hybrid, row))
         if acf is None:  # degenerate level: its ACF is written as zeros
-            acf = np.zeros(hybrid.power.size)
+            acf = np.zeros(hybrid.n_padded // 2)
         peaks = set(find_peaks(acf, height=cfg.acf_height))
-        lo, hi = hybrid.band or (0, -1)
+        lo, hi = hybrid.band[row] or (0, -1)
         path = os.path.join(directory, f"level{level:02d}.csv")
         with open(path, "w", newline="") as handle:
             writer = csv.writer(handle)
             writer.writerow(["index", "power", "robust", "acf", "acf_peak"])
-            for k in range(hybrid.power.size):
+            for k, power in enumerate(hybrid.power[row]):
                 writer.writerow(
                     [
                         k,
-                        f"{hybrid.power[k]:.10g}",
+                        f"{power:.10g}",
                         int(lo <= k <= hi),
                         f"{acf[k]:.10g}",
                         int(k in peaks),
@@ -169,9 +171,9 @@ def _dump_diagnostics(
 def _cmd_detect(args: argparse.Namespace) -> int:
     series = read_csv(args.input, args.column)
     cfg = _detector_config(args)
-    report, spectra = _detect(series, cfg)
+    report, levels, hybrid = _detect(series, cfg)
     if args.dump_diagnostics:
-        _dump_diagnostics(spectra, cfg, args.dump_diagnostics)
+        _dump_diagnostics(levels, hybrid, cfg, args.dump_diagnostics)
     _emit(json.dumps(report_to_dict(report), indent=2), args.output)
     return EXIT_OK
 

@@ -1,10 +1,10 @@
 """End-to-end multi-periodicity detection pipeline.
 
 Preprocess, decompose into wavelet levels, rank levels by robust variance
-share, then per qualifying level: pad, build the hybrid periodogram, test
-spectral significance, and validate the dominant candidate against the
-autocorrelation peak structure. Validated periods from different levels
-are deduplicated before reporting.
+share, pad the qualifying levels and build their hybrid periodograms in one
+stack, then per level: test spectral significance, and validate the
+dominant candidate against the autocorrelation peak structure. Validated
+periods from different levels are deduplicated before reporting.
 """
 
 from __future__ import annotations
@@ -91,11 +91,12 @@ class PeriodReport:
 
 def detect_level(
     hybrid: HybridPeriodogram,
+    row: int,
     level: int,
     cfg: DetectorConfig,
     variance_share: float = 0.0,
 ) -> PeriodRecord | None:
-    """Validate one level's dominant period from its hybrid periodogram.
+    """Validate one level's dominant period from row ``row`` of the hybrid periodogram.
 
     Pipeline: g-test (bins 1..N-1 of the half spectrum); insignificant
     levels return None. Otherwise the dominant bin must be corroborated:
@@ -103,10 +104,10 @@ def detect_level(
     the bin's resolution window, and that median is the reported period
     length.
     """
-    outcome = fisher_test(hybrid.power, cfg.fisher_alpha)
+    outcome = fisher_test(hybrid.power[row], cfg.fisher_alpha)
     if not outcome.significant:
         return None
-    acf = huber_acf(full_range_periodogram(hybrid))
+    acf = huber_acf(full_range_periodogram(hybrid, row))
     if acf is None:
         return None
     peaks = find_peaks(acf, height=cfg.acf_height)
@@ -156,18 +157,14 @@ def robust_period(series: TimeSeries, cfg: DetectorConfig | None = None) -> Peri
     return _detect(series, cfg or DetectorConfig())[0]
 
 
-# One examined level: its index and hybrid periodogram.
-LevelSpectrum = tuple[int, HybridPeriodogram]
-
-
 def _detect(
     series: TimeSeries, cfg: DetectorConfig
-) -> tuple[PeriodReport, list[LevelSpectrum]]:
-    """The whole pipeline, walked once; also returns each examined level's spectrum.
+) -> tuple[PeriodReport, list[int], HybridPeriodogram | None]:
+    """The whole pipeline, walked once; also returns the examined levels and their spectra.
 
-    Levels are examined largest variance first, so the spectra come in
-    ranking order. A series that preprocesses to all zeros (degenerate
-    input) gives an empty degenerate report and no spectra.
+    Levels are examined largest variance first, so row r of the spectra is
+    the r-th examined level. A series that preprocesses to all zeros
+    (degenerate input), or that has no level to examine, gives no spectra.
     """
     if series.length < MIN_DETECTION_LENGTH:
         raise InvalidInputError(
@@ -175,20 +172,21 @@ def _detect(
         )
     cleaned = preprocess(series, cfg.hp_lambda)
     if not np.any(cleaned.values):
-        return PeriodReport(periods=(), levels_examined=0, degenerate=True, config=cfg), []
+        return PeriodReport(periods=(), levels_examined=0, degenerate=True, config=cfg), [], None
     filters = daubechies_filters(cfg.wavelet_order)
     j0 = max_level(series.length, filters.L1)
     decomp = modwt_decompose(cleaned, filters, j0, robust=cfg.robust_mode)
-    spectra: list[LevelSpectrum] = []
+    levels = rank_levels(decomp, cfg.share_threshold)
+    hybrid = None
     found: list[PeriodRecord] = []
-    for j in rank_levels(decomp, cfg.share_threshold):
-        lev = decomp.level(j)
-        # Ranked levels have positive variance, so the padded series is never all zeros.
-        hybrid = huber_periodogram(zero_pad(lev.w), j, cfg.zeta, robust=cfg.robust_mode)
-        spectra.append((j, hybrid))
-        record = detect_level(hybrid, j, cfg, variance_share=lev.share)
-        if record is not None:
-            found.append(record)
+    if levels:
+        # Ranked levels have positive variance, so no padded row is all zeros.
+        padded = np.stack([zero_pad(decomp.level(j).w) for j in levels])
+        hybrid = huber_periodogram(padded, levels, cfg.zeta, robust=cfg.robust_mode)
+        for row, j in enumerate(levels):
+            record = detect_level(hybrid, row, j, cfg, variance_share=decomp.level(j).share)
+            if record is not None:
+                found.append(record)
     merged = tuple(merge_periods(found))
-    report = PeriodReport(merged, levels_examined=len(spectra), degenerate=False, config=cfg)
-    return report, spectra
+    report = PeriodReport(merged, levels_examined=len(levels), degenerate=False, config=cfg)
+    return report, levels, hybrid

@@ -3,9 +3,10 @@
 Per wavelet level the power spectrum is hybrid: inside the level's nominal
 passband each bin's harmonic amplitude pair is fit by minimizing a Huber
 loss (safeguarded Newton steps on the loss's active set, each reading only
-the samples whose clip state can change), while bins outside the band fall
-back to the plain FFT periodogram. Fisher's g-test on the hybrid spectrum
-yields the dominant-frequency candidate and its tail p-value.
+the samples whose clip state can change; the bins of all levels of a
+series are solved together), while bins outside the band fall back to the
+plain FFT periodogram. Fisher's g-test on the hybrid spectrum yields the
+dominant-frequency candidate and its tail p-value.
 """
 
 from __future__ import annotations
@@ -25,19 +26,20 @@ DEFAULT_ZETA = 1.0
 
 @dataclass
 class HybridPeriodogram:
-    """Half-spectrum power with the band of robustly estimated bins.
+    """Half-spectrum power of a stack of levels, each with its robustly fit band.
 
-    ``power[k]`` covers k = 0..N-1 of the padded length ``n_padded`` = 2N
-    spectrum (DC forced to 0); ``nyquist`` is the plain ordinate of bin N.
-    The Huber fit was used exactly on the bins ``band[0]..band[1]``;
-    ``band`` is None when no bin was fit robustly. ``iterations`` and
-    ``converged`` hold per-band solver diagnostics.
+    Row r of ``power`` covers k = 0..N-1 of the padded length ``n_padded``
+    = 2N spectrum of level r (DC forced to 0); ``nyquist[r]`` is its plain
+    ordinate of bin N. The Huber fit was used exactly on the bins
+    ``band[r][0]..band[r][1]``; ``band[r]`` is None when no bin of row r
+    was fit robustly. ``iterations`` and ``converged`` hold the solver
+    diagnostics of every fit bin, in row order, or None when no bin was fit.
     """
 
     power: np.ndarray
-    band: tuple[int, int] | None
+    band: list[tuple[int, int] | None]
     n_padded: int
-    nyquist: float
+    nyquist: np.ndarray
     iterations: np.ndarray | None = None
     converged: np.ndarray | None = None
 
@@ -85,9 +87,9 @@ def huber_objective(residual: np.ndarray, zeta: float) -> float:
     )
 
 
-# Bin-sample pairs solved together: a chunk's work arrays (cos and sin of each
-# bin at each at-risk sample, the residual and two clip patterns, about 35
-# bytes a pair) stay near 1 MB whatever the series length.
+# Bin-sample pairs solved together: a chunk's work arrays (each bin's at-risk
+# samples, their cos and sin, the residual and two clip patterns, about 43
+# bytes a pair) stay near 1.5 MB whatever the series length.
 _FIT_BUDGET = 32_768
 
 # A Newton step no longer than _ROUNDOFF * max|x| is round-off: the bin is at
@@ -104,89 +106,109 @@ def _check_zeta(zeta) -> None:
         raise InvalidInputError(f"zeta must be a positive real number, got {zeta!r}")
 
 
-def huber_fit(x: np.ndarray, ks, zeta: float = DEFAULT_ZETA, *, max_steps: int = 50):
-    """Solve the Huber harmonic regression of one series at each frequency.
-
-    The series ``x`` (n,) is fit at every integer frequency index in ``ks``
-    (B,) with regressor columns phi_t = (cos(2*pi*k*t/n), sin(2*pi*k*t/n)):
-    beta minimizes F(beta) = sum_t huber(x_t - phi_t beta) at threshold
-    zeta. The loss is piecewise quadratic, so the solver takes Newton steps
-    on its active set (Huber 1981, sec. 7.8). It starts from the
-    least-squares beta. At each iterate it finds the clip pattern of the
-    residuals r = x - phi beta (each sample active, or clipped above or
-    below), the active Gram H = sum_{|r| <= zeta} phi phi' and the gradient
-    g = sum psi phi of the clipped residual psi = clip(r, -zeta, zeta), and
-    moves to beta + H^-1 g: the exact minimizer of F while the pattern stays
-    as it is. A bin has converged once a full step lands on the pattern it
-    was computed from (that step was then exact), or once a step is
-    round-off (||H^-1 g|| <= 1e-12 * max|x|). Two safeguards keep the
-    objective from ever increasing: a step that raises F is halved back,
-    and a bin whose active Gram is singular (every sample clipped) takes
-    the IRLS step (Holland & Welsch 1977), which weights the Gram by
-    min(1, zeta/|r|) instead. After ``max_steps`` steps the last accepted
-    iterate is returned, flagged unconverged.
-
-    A step reads few samples. The reference pattern is the clip state at
-    beta = 0; its statistics come for every bin from three FFTs: of x (the
-    least-squares start), of psi(x) (g at beta = 0) and of the active mask,
-    whose DFT at 2k gives H, as cos^2 = (1 + cos 2a)/2. Because
-    |phi_t beta| <= ||beta||, sample t can leave its reference state only if
-    its slack ||x_t| - zeta| is at most ||beta||. The samples are sorted by
-    slack once, and a bin whose iterates stay within a radius corrects the
-    reference statistics by the samples of slack up to that radius that
-    changed state. Zero padding has slack zeta, so it is read only once
-    ||beta|| nears zeta. The change of F that decides a halving is summed
-    from these corrections and the new pattern's quadratic between the two
-    iterates, never as the difference of two full sums, whose round-off
-    could stall a bin.
-
-    Frequencies are independent. They are solved in chunks of at most
-    ``_FIT_BUDGET`` bin-sample pairs (or one bin), sorted by the radius of
-    their least-squares start; a bin whose iterate leaves its chunk's
-    radius is fit again later, over the samples within twice its norm. Each
-    frequency's result is bit-identical to fitting it alone.
-
-    Returns (beta (B, 2), iterations (B,), converged (B,)).
-    """
-    _check_zeta(zeta)
-    if not isinstance(max_steps, numbers.Integral) or max_steps < 1:
-        raise InvalidInputError("max_steps must be an integer of at least 1")
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise InvalidInputError("expected a 1-d series")
+def _frequency_indices(ks, n: int) -> np.ndarray:
     ks = np.atleast_1d(np.asarray(ks))
     if ks.ndim != 1 or not (
         np.issubdtype(ks.dtype, np.integer)
         or (np.issubdtype(ks.dtype, np.floating) and np.all(ks == np.floor(ks)))
     ):
         raise InvalidInputError("frequency indices must be a 1-d sequence of integers")
-    n = x.size
     if np.any(ks < 1) or np.any(2 * ks >= n):
         raise InvalidInputError("frequency indices must satisfy 1 <= k < n/2")
-    ks = ks.astype(np.int64)
+    return ks.astype(np.int64)
 
-    # Statistics of the reference pattern per bin: g at beta = 0, then H.
-    spec = np.fft.rfft(np.stack([x, np.clip(x, -zeta, zeta), np.abs(x) <= zeta]))
-    two = 2 * ks
-    mask2 = spec[2, np.minimum(two, n - two)]  # the mask's DFT at 2k, conjugated past n/2
-    count = spec[2, 0].real
-    reference = np.column_stack([
-        spec[1, ks].real, -spec[1, ks].imag, 0.5 * (count + mask2.real),
-        np.where(two > n // 2, 0.5, -0.5) * mask2.imag, 0.5 * (count - mask2.real),
-    ])
-    start = (2.0 / n) * np.column_stack([spec[0, ks].real, -spec[0, ks].imag])
+
+def huber_fit(x: np.ndarray, ks, zeta: float = DEFAULT_ZETA, *, max_steps: int = 50):
+    """Solve the Huber harmonic regression of one or more series at each frequency.
+
+    The series ``x`` (n,) is fit at every integer frequency index in ``ks``
+    (B,) with regressor columns phi_t = (cos(2*pi*k*t/n), sin(2*pi*k*t/n)):
+    beta minimizes F(beta) = sum_t huber(x_t - phi_t beta) at threshold
+    zeta. A stack ``x`` (L, n) takes one ``ks`` array per row, and its
+    results are concatenated in row order. The loss is piecewise quadratic,
+    so the solver takes Newton steps on its active set (Huber 1981, sec.
+    7.8). It starts from the least-squares beta. At each iterate it finds
+    the clip pattern of the residuals r = x - phi beta (each sample active,
+    or clipped above or below), the active Gram H = sum_{|r| <= zeta} phi
+    phi' and the gradient g = sum psi phi of the clipped residual psi =
+    clip(r, -zeta, zeta), and moves to beta + H^-1 g: the exact minimizer
+    of F while the pattern stays as it is. A bin has converged once a full
+    step lands on the pattern it was computed from (that step was then
+    exact), or once a step is round-off (||H^-1 g|| <= 1e-12 * max|x| over
+    its row). Two safeguards keep the objective from ever increasing: a
+    step that raises F is halved back, and a bin whose active Gram is
+    singular (every sample clipped) takes the IRLS step (Holland & Welsch
+    1977), which weights the Gram by min(1, zeta/|r|) instead. After
+    ``max_steps`` steps the last accepted iterate is returned, flagged
+    unconverged.
+
+    A step reads few samples. The reference pattern is the clip state at
+    beta = 0; its statistics come for every bin from three FFTs of its row:
+    of x (the least-squares start), of psi(x) (g at beta = 0) and of the
+    active mask, whose DFT at 2k gives H, as cos^2 = (1 + cos 2a)/2.
+    Because |phi_t beta| <= ||beta||, sample t can leave its reference
+    state only if its slack ||x_t| - zeta| is at most ||beta||. Each row's
+    samples are sorted by slack once, and a bin whose iterates stay within
+    a radius corrects the reference statistics by the samples of slack up
+    to that radius that changed state. Zero padding has slack zeta, so it
+    is read only once ||beta|| nears zeta. The change of F that decides a
+    halving is summed from these corrections and the new pattern's
+    quadratic between the two iterates, never as the difference of two
+    full sums, whose round-off could stall a bin.
+
+    Frequencies are independent. Those of all rows are solved together in
+    chunks of at most ``_FIT_BUDGET`` bin-sample pairs (or one bin), sorted
+    by the radius of their least-squares start, so a row's last few bins
+    share a chunk with another row's; a bin whose iterate leaves its
+    chunk's radius is fit again later, over the samples within twice its
+    norm. Each frequency's result is bit-identical to fitting it alone.
+
+    Returns (beta (B, 2), iterations (B,), converged (B,)), B counting the
+    frequencies of every row.
+    """
+    _check_zeta(zeta)
+    if not isinstance(max_steps, numbers.Integral) or max_steps < 1:
+        raise InvalidInputError("max_steps must be an integer of at least 1")
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim == 1:
+        x, ks = x[None], [ks]
+    if x.ndim != 2 or len(ks) != x.shape[0]:
+        raise InvalidInputError("expected a 1-d series or a 2-d stack with one ks per row")
+    n = x.shape[1]
+    ks = [_frequency_indices(k, n) for k in ks]
+
     slack = np.abs(np.abs(x) - zeta)
-    order = np.argsort(slack, kind="stable")
-    slack = slack[order]
+    order = np.argsort(slack, axis=1, kind="stable")
+    slack = np.take_along_axis(slack, order, axis=1)
     # A sample whose slack exceeds ||beta|| by this margin keeps its reference
     # state whatever the round-off of its residual.
-    margin = 1e-9 * (zeta + slack[-1])
-    reach = np.searchsorted(slack, np.hypot(start[:, 0], start[:, 1]) + margin, side="right")
+    margin = 1e-9 * (zeta + slack[:, -1])
+    per_row = []
+    for row, k, row_slack, row_margin in zip(x, ks, slack, margin):
+        # Statistics of the reference pattern per bin: g at beta = 0, then H.
+        spec = np.fft.rfft(np.stack([row, np.clip(row, -zeta, zeta), np.abs(row) <= zeta]))
+        two = 2 * k
+        mask2 = spec[2, np.minimum(two, n - two)]  # the mask's DFT at 2k, conjugated past n/2
+        count = spec[2, 0].real
+        reference = np.column_stack([
+            spec[1, k].real, -spec[1, k].imag, 0.5 * (count + mask2.real),
+            np.where(two > n // 2, 0.5, -0.5) * mask2.imag, 0.5 * (count - mask2.real),
+        ])
+        start = (2.0 / n) * np.column_stack([spec[0, k].real, -spec[0, k].imag])
+        reach = np.searchsorted(
+            row_slack, np.hypot(start[:, 0], start[:, 1]) + row_margin, side="right"
+        )
+        per_row.append((reference, start, reach))
+    reference, start, reach = (np.concatenate(a) for a in zip(*per_row))
+    rows = np.repeat(np.arange(x.shape[0]), [k.size for k in ks])
     angle = (2.0 * np.pi / n) * np.arange(n)  # cos/sin of 2*pi*j/n, read at j = k*t mod n
-    tol = _ROUNDOFF * float(np.max(np.abs(x), initial=0.0))
-    fit = (x, ks, (np.cos(angle), np.sin(angle)), order, slack, margin, reach, zeta, max_steps, tol)
-    out = (np.zeros((ks.size, 2)), np.zeros(ks.size, dtype=np.int64), np.zeros(ks.size, dtype=bool))
-    todo = np.arange(ks.size)  # a bin with iterations 0 is still to fit
+    tol = _ROUNDOFF * np.max(np.abs(x), axis=1, initial=0.0)
+    xs = np.take_along_axis(x, order, axis=1)
+    fit = (x, xs, np.concatenate(ks), rows, (np.cos(angle), np.sin(angle)), order, slack,
+           margin, reach, zeta, max_steps, tol)
+    out = (np.zeros((rows.size, 2)), np.zeros(rows.size, dtype=np.int64),
+           np.zeros(rows.size, dtype=bool))
+    todo = np.arange(rows.size)  # a bin with iterations 0 is still to fit
     while todo.size:
         todo = todo[np.argsort(reach[todo], kind="stable")]
         lo = 0
@@ -204,12 +226,13 @@ def huber_fit(x: np.ndarray, ks, zeta: float = DEFAULT_ZETA, *, max_steps: int =
 def _harmonics(ks, t, table, n):
     """cos and sin of 2*pi*k*t/n as (bin, 2, sample), read from ``table``.
 
+    ``t`` holds the samples of every bin (1-d) or one row of them per bin.
     The index k*t mod n is formed up to a multiple of n, which the "wrap"
     lookup removes: a float quotient costs less than an integer remainder.
     """
-    j = np.multiply.outer(ks, t)
+    j = ks[:, None] * t
     j -= n * (j * (1.0 / n)).astype(np.int64)
-    out = np.empty((ks.size, 2, t.size))
+    out = np.empty((ks.size, 2, j.shape[1]))
     np.take(table[0], j, out=out[:, 0], mode="wrap")
     np.take(table[1], j, out=out[:, 1], mode="wrap")
     return out
@@ -219,35 +242,39 @@ def _newton_huber_chunk(fit, bins, stats, b_cur, out):
     """Run the Newton solver of ``huber_fit`` for the frequencies ``ks[bins]``.
 
     ``stats`` holds per bin the reference pattern's g at beta = 0 and H
-    (cc, cs, ss), ``b_cur`` the least-squares starts. The chunk reads the
-    first k samples in slack order, k = ``reach`` of its last bin; a bin
-    whose iterate leaves the radius those samples cover gets a larger
-    ``reach`` and keeps ``iterations`` 0. Results go to rows ``bins`` of
-    ``out`` = (beta, iterations, converged). Per bin the chunk keeps the
-    cos and sin rows of its samples, the clip pattern at the last accepted
-    iterate, and that pattern's g at beta = 0 and H; a done bin leaves them.
+    (cc, cs, ss), ``b_cur`` the least-squares starts. Each bin reads the
+    first k samples of its row in slack order, k = ``reach`` of the chunk's
+    last bin; a bin whose iterate leaves the radius those samples cover in
+    its row gets a larger ``reach`` and keeps ``iterations`` 0. Results go
+    to rows ``bins`` of ``out`` = (beta, iterations, converged). Per bin the
+    chunk keeps its row, its samples and their cos and sin, the clip
+    pattern at the last accepted iterate, and that pattern's g at beta = 0
+    and H; a done bin leaves them.
     """
-    x, ks, table, order, slack, margin, reach, zeta, max_steps, tol = fit
+    x, xs, ks, rows, table, order, slack, margin, reach, zeta, max_steps, tol = fit
     beta, iterations, converged = out
-    n, k = x.size, int(reach[bins[-1]])
-    radius = slack[k] - margin if k < n else np.inf
-    xt = x[order[:k]]
-    half = 0.5 * (xt * xt + zeta * zeta)
-    phi = _harmonics(ks[bins], order[:k], table, n)
-    at_zero = (xt > zeta).view(np.int8) - (xt < -zeta).view(np.int8)
-    pat_acc = np.repeat(at_zero[None, :], bins.size, axis=0)
+    n, k = x.shape[1], int(reach[bins[-1]])
+    radius = slack[:, k] - margin if k < n else np.full(x.shape[0], np.inf)
+    row = rows[bins]
+    xt = xs[row, :k]
+    phi = _harmonics(ks[bins], order[row, :k], table, n)
+    pat_acc = (xt > zeta).view(np.int8) - (xt < -zeta).view(np.int8)
     live, b_acc = bins, np.zeros_like(b_cur)
     full = np.zeros(bins.size, dtype=bool)  # b_cur is a full Newton step from b_acc
 
     for it in range(1, max_steps + 1):
         norm = np.hypot(b_cur[:, 0], b_cur[:, 1])
-        left = norm > radius
+        left = norm > radius[row]
         if left.any():
-            reach[live[left]] = np.searchsorted(slack, 2 * norm[left] + margin, side="right")
+            for row_id in np.unique(row[left]):
+                moved = left & (row == row_id)
+                reach[live[moved]] = np.searchsorted(
+                    slack[row_id], 2 * norm[moved] + margin[row_id], side="right"
+                )
             if left.all():
                 return
-            live, phi, pat_acc, stats, b_cur, b_acc, full = (
-                a[~left] for a in (live, phi, pat_acc, stats, b_cur, b_acc, full)
+            live, row, xt, phi, pat_acc, stats, b_cur, b_acc, full = (
+                a[~left] for a in (live, row, xt, phi, pat_acc, stats, b_cur, b_acc, full)
             )
         r = np.matmul(b_cur[:, None, :], phi)[:, 0]
         np.subtract(xt, r, out=r)
@@ -261,20 +288,26 @@ def _newton_huber_chunk(fit, bins, stats, b_cur, out):
             beta[settled], iterations[settled], converged[settled] = b_cur[done], it, True
             if done.all():
                 return
-            live, phi, pat, pat_acc, stats, b_cur, b_acc, flip = (
-                a[~done] for a in (live, phi, pat, pat_acc, stats, b_cur, b_acc, flip)
+            live, row, xt, phi, pat, pat_acc, stats, b_cur, b_acc, flip = (
+                a[~done] for a in (live, row, xt, phi, pat, pat_acc, stats, b_cur, b_acc, flip)
             )
         # A pattern's F is c - beta'l + beta'H beta / 2 (plus a constant): l is
         # g at beta = 0. A sample that changes its active flag by da and its
         # clip sign by dp adds (x^2 + zeta^2) da / 2 + zeta x dp to c,
         # (x da + zeta dp) phi to l and da phi phi' to H.
-        i, j = np.divmod(np.flatnonzero(flip), k)
-        new, old = pat[i, j], pat_acc[i, j]
+        # f = i*k + j flags bin i's sample j; its cos and sin sit at flat
+        # (i, 0, j) and (i, 1, j) of phi
+        f = np.flatnonzero(flip)
+        i = f // k
+        new, old = pat.take(f), pat_acc.take(f)
         da, dp = np.abs(old) - np.abs(new), new - old
-        xj, (c, s) = xt[j], phi[i, :, j].T
+        xj, c, s = xt.take(f), phi.take(f + i * k), phi.take(f + (i + 1) * k)
         w = xj * da + zeta * dp
         terms = np.stack(
-            [half[j] * da + zeta * xj * dp, w * c, w * s, da * c * c, da * c * s, da * s * s],
+            [
+                0.5 * (xj * xj + zeta * zeta) * da + zeta * xj * dp,
+                w * c, w * s, da * c * c, da * c * s, da * s * s,
+            ],
             axis=1,
         )
         d = np.zeros((live.size, 6))
@@ -297,13 +330,14 @@ def _newton_huber_chunk(fit, bins, stats, b_cur, out):
         singular = ~(cc * ss - cs * cs > _SINGULAR * (cc + ss) ** 2)
         for b in np.flatnonzero(singular):
             c, s = _harmonics(ks[live[b : b + 1]], np.arange(n), table, n)[0]
-            weights = zeta / np.maximum(np.abs(x - b_cur[b, 0] * c - b_cur[b, 1] * s), zeta)
+            residual = x[row[b]] - b_cur[b, 0] * c - b_cur[b, 1] * s
+            weights = zeta / np.maximum(np.abs(residual), zeta)
             cc[b], cs[b], ss[b] = weights @ (c * c), weights @ (c * s), weights @ (s * s)
         grad = g[:, :, 1]
         step = np.column_stack(
             [ss * grad[:, 0] - cs * grad[:, 1], cc * grad[:, 1] - cs * grad[:, 0]]
         ) / (cc * ss - cs * cs)[:, None]
-        small = np.hypot(step[:, 0], step[:, 1]) <= tol
+        small = np.hypot(step[:, 0], step[:, 1]) <= tol[row]
         full = ~singular & accept
         if worse.any():  # a step that raised F is halved back
             step[worse] = 0.5 * (b_cur[worse] - b_acc[worse])
@@ -314,8 +348,8 @@ def _newton_huber_chunk(fit, bins, stats, b_cur, out):
             beta[settled], iterations[settled], converged[settled] = b_acc[small], it, True
             if small.all():
                 return
-            live, phi, pat_acc, stats, b_cur, b_acc, full = (
-                a[~small] for a in (live, phi, pat_acc, stats, b_cur, b_acc, full)
+            live, row, xt, phi, pat_acc, stats, b_cur, b_acc, full = (
+                a[~small] for a in (live, row, xt, phi, pat_acc, stats, b_cur, b_acc, full)
             )
     beta[live], iterations[live] = b_acc, max_steps
 
@@ -331,36 +365,41 @@ def robust_band(n_padded: int, level: int) -> tuple[int, int] | None:
 
 def huber_periodogram(
     x: np.ndarray,
-    level: int,
+    levels,
     zeta: float = DEFAULT_ZETA,
     robust: bool = True,
 ) -> HybridPeriodogram:
-    """Hybrid half-spectrum of a padded series for one wavelet level.
+    """Hybrid half-spectra of a stack of padded series, one wavelet level per row.
 
-    Bins inside the level's nominal band get the robust power
-    (n/4)*||beta||^2 from the Huber fit; all other bins reuse the plain
+    Bins inside each row's nominal band for its level in ``levels`` get the
+    robust power (n/4)*||beta||^2 from the Huber fit, every row's band
+    solved in one ``huber_fit`` call; all other bins reuse the plain
     periodogram; ``zeta`` is the fit's Huber threshold. DC is forced to
     zero, and the Nyquist ordinate is (sum_k x_{2k} - x_{2k+1})^2 / n.
-    ``robust=False`` (or a degenerate all-zero input) skips the robust fits
-    entirely.
+    ``robust=False`` skips the robust fits entirely, and so does a
+    degenerate all-zero row for itself.
     """
     x = np.asarray(x, dtype=np.float64)
-    n = x.size
-    if n < 4 or n % 2:
-        raise InvalidInputError("expected an even-length padded series of >= 4 samples")
-    if level < 1:
-        raise InvalidInputError("level must be >= 1")
+    if x.ndim != 2 or x.shape[1] < 4 or x.shape[1] % 2:
+        raise InvalidInputError("expected a stack of even-length padded series of >= 4 samples")
+    if len(levels) != x.shape[0] or any(level < 1 for level in levels):
+        raise InvalidInputError("expected one level of at least 1 per series")
     _check_zeta(zeta)
 
-    power = vanilla_periodogram(x)[: n // 2].copy()
-    power[0] = 0.0
-    band = robust_band(n, level) if robust and np.any(x) else None
+    n = x.shape[1]
+    power = np.stack([vanilla_periodogram(row)[: n // 2] for row in x])
+    power[:, 0] = 0.0
+    band = [
+        robust_band(n, level) if robust and np.any(row) else None
+        for row, level in zip(x, levels)
+    ]
     iterations = converged = None
-    if band is not None:
-        ks = np.arange(band[0], band[1] + 1)
+    if any(band):
+        ks = [np.arange(b[0], b[1] + 1) if b else np.arange(0) for b in band]
         beta, iterations, converged = huber_fit(x, ks, zeta)
-        power[ks] = (n / 4.0) * np.einsum("ij,ij->i", beta, beta)
-    nyquist = float((x[0::2] - x[1::2]).sum() ** 2 / n)
+        rows = np.repeat(np.arange(len(ks)), [k.size for k in ks])
+        power[rows, np.concatenate(ks)] = (n / 4.0) * np.einsum("ij,ij->i", beta, beta)
+    nyquist = (x[:, 0::2] - x[:, 1::2]).sum(axis=1) ** 2 / n
     return HybridPeriodogram(power, band, n, nyquist, iterations, converged)
 
 

@@ -120,8 +120,8 @@ def test_criterion_06_wiener_khinchin_oracle():
         n = int(rng.integers(50, 400))
         w = rng.normal(size=n)
         x = zero_pad(w)
-        hybrid = huber_periodogram(x, 1, robust=False)
-        acf = huber_acf(full_range_periodogram(hybrid))
+        hybrid = huber_periodogram(x[None], [1], robust=False)
+        acf = huber_acf(full_range_periodogram(hybrid, 0))
         direct = np.array([np.dot(x[: n - t], x[t:n]) for t in range(n)])
         # acf[lag] = N * sum_t w_t w_{t+lag} / ((N - lag) * sum_t w_t^2)
         expected = n * direct / ((n - np.arange(n)) * direct[0])

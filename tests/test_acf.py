@@ -23,8 +23,8 @@ from multiperiod.spectral import (
 def vanilla_pipeline_acf(w):
     """Plain-spectrum path: pad, half spectrum plus Nyquist, invert."""
     x = zero_pad(np.asarray(w, dtype=float))
-    hybrid = huber_periodogram(x, 1, robust=False)
-    return huber_acf(full_range_periodogram(hybrid)), x
+    hybrid = huber_periodogram(x[None], [1], robust=False)
+    return huber_acf(full_range_periodogram(hybrid, 0)), x
 
 
 def direct_linear_autocorrelation(w):
@@ -36,32 +36,32 @@ class TestFullRangePeriodogram:
     def test_power_then_nyquist(self):
         rng = np.random.default_rng(0)
         x = zero_pad(rng.normal(size=50))
-        hybrid = huber_periodogram(x, 2, robust=False)
-        p_bar = full_range_periodogram(hybrid)
+        hybrid = huber_periodogram(x[None], [2], robust=False)
+        p_bar = full_range_periodogram(hybrid, 0)
         assert p_bar.size == 51
-        np.testing.assert_array_equal(p_bar[:50], hybrid.power)
-        assert p_bar[50] == hybrid.nyquist
+        np.testing.assert_array_equal(p_bar[:50], hybrid.power[0])
+        assert p_bar[50] == hybrid.nyquist[0]
 
     def test_nyquist_hand_example(self):
         # x = [1,-1,1,-1,0,0,0,0]: paired differences (2,2,0,0) sum to 4,
         # so the Nyquist ordinate is 16/8 = 2, matching |sum x_t (-1)^t|^2/8
         x = np.array([1.0, -1.0, 1.0, -1.0, 0.0, 0.0, 0.0, 0.0])
-        hybrid = huber_periodogram(x, 1, robust=False)
-        p_bar = full_range_periodogram(hybrid)
+        hybrid = huber_periodogram(x[None], [1], robust=False)
+        p_bar = full_range_periodogram(hybrid, 0)
         assert p_bar[4] == pytest.approx(2.0)
         full = vanilla_periodogram(x)
         assert p_bar[4] == pytest.approx(full[4])
 
     def test_zero_series(self):
         x = np.zeros(32)
-        hybrid = huber_periodogram(x, 2, robust=False)
-        np.testing.assert_array_equal(full_range_periodogram(hybrid), np.zeros(17))
+        hybrid = huber_periodogram(x[None], [2], robust=False)
+        np.testing.assert_array_equal(full_range_periodogram(hybrid, 0), np.zeros(17))
 
     def test_nyquist_matches_plain_spectrum_generally(self):
         rng = np.random.default_rng(1)
         x = zero_pad(rng.normal(size=64))
-        hybrid = huber_periodogram(x, 2, robust=False)
-        p_bar = full_range_periodogram(hybrid)
+        hybrid = huber_periodogram(x[None], [2], robust=False)
+        p_bar = full_range_periodogram(hybrid, 0)
         assert p_bar[64] == pytest.approx(vanilla_periodogram(x)[64], rel=1e-10)
 
 
@@ -93,8 +93,8 @@ class TestHuberAcf:
     def test_scale_invariance(self):
         rng = np.random.default_rng(4)
         x = zero_pad(rng.normal(size=64))
-        hybrid = huber_periodogram(x, 2, robust=False)
-        p_bar = full_range_periodogram(hybrid)
+        hybrid = huber_periodogram(x[None], [2], robust=False)
+        p_bar = full_range_periodogram(hybrid, 0)
         base = huber_acf(p_bar)
         scaled = huber_acf(1e7 * p_bar)
         np.testing.assert_allclose(scaled, base, atol=1e-12)
@@ -226,10 +226,10 @@ class TestRobustnessToOutlierBursts:
     @staticmethod
     def _robust_half_spectrum(x):
         """Periodogram with every bin 1..N-1 fit robustly by the Huber fit."""
-        hybrid = huber_periodogram(x, 7, robust=False)
+        hybrid = huber_periodogram(x[None], [7], robust=False)
         ks = np.arange(1, x.size // 2)
         beta, _, _ = huber_fit(x, ks)
-        hybrid.power[ks] = (x.size / 4.0) * np.einsum("ij,ij->i", beta, beta)
+        hybrid.power[0, ks] = (x.size / 4.0) * np.einsum("ij,ij->i", beta, beta)
         return hybrid
 
     def _acf_peaks(self, w, robust):
@@ -237,8 +237,8 @@ class TestRobustnessToOutlierBursts:
         if robust:
             hybrid = self._robust_half_spectrum(x)
         else:
-            hybrid = huber_periodogram(x, 7, robust=False)
-        return find_peaks(huber_acf(full_range_periodogram(hybrid)), 0.5)
+            hybrid = huber_periodogram(x[None], [7], robust=False)
+        return find_peaks(huber_acf(full_range_periodogram(hybrid, 0)), 0.5)
 
     def test_plain_path_loses_true_peak_and_gains_short_lag_peaks(self):
         clean, contaminated = self._setup()
@@ -257,8 +257,8 @@ class TestRobustnessToOutlierBursts:
     def test_robust_spectrum_strips_contamination(self):
         _, contaminated = self._setup()
         x = zero_pad(contaminated)
-        plain = huber_periodogram(x, 7, robust=False).power
-        fitted = self._robust_half_spectrum(x).power
+        plain = huber_periodogram(x[None], [7], robust=False).power[0]
+        fitted = self._robust_half_spectrum(x).power[0]
         comb_line = x.size // 12  # burst spacing of 12 samples
         assert fitted[comb_line] < plain[comb_line] / 5.0
         assert 0.8 * plain[8] < fitted[8] < 1.3 * plain[8]

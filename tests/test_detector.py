@@ -28,8 +28,8 @@ def three_period_level(level, seed=0):
 
 def validate_level(w, level, cfg=DetectorConfig(), variance_share=0.0):
     """detect_level on the periodogram the pipeline builds."""
-    hybrid = huber_periodogram(zero_pad(w), level, cfg.zeta, robust=cfg.robust_mode)
-    return detect_level(hybrid, level, cfg, variance_share)
+    hybrid = huber_periodogram(zero_pad(w)[None], [level], cfg.zeta, robust=cfg.robust_mode)
+    return detect_level(hybrid, 0, level, cfg, variance_share)
 
 
 class TestDetectLevel:
@@ -178,6 +178,15 @@ class TestRobustPeriod:
     def test_constant_series_degenerate_report(self):
         report = robust_period(TimeSeries(np.full(256, 3.0)))
         assert report.degenerate
+        assert report.periods == ()
+        assert report.levels_examined == 0
+
+    def test_no_level_over_the_share_threshold(self):
+        # no level holds all the wavelet variance, so none is examined and
+        # no periodogram is built
+        cfg = DetectorConfig(share_threshold=1.0)
+        report = robust_period(generate(SCENARIOS["mild"]), cfg)
+        assert not report.degenerate
         assert report.periods == ()
         assert report.levels_examined == 0
 

@@ -38,10 +38,17 @@ def harmonic_regressors(n, k):
 
 
 def assert_band_matches_single_fits(x, ks, max_steps=50, zeta=DEFAULT_ZETA):
-    """Fitting x over a band is bit-identical to fitting each k on its own."""
+    """Fitting x over a band is bit-identical to fitting each k on its own.
+
+    A stack x (L, n) with one band per row in ``ks`` is checked against
+    each row's k fit alone, in row order.
+    """
     beta, iterations, converged = huber_fit(x, ks, zeta, max_steps=max_steps)
-    for i, k in enumerate(ks):
-        single = huber_fit(x, [k], zeta, max_steps=max_steps)
+    rows = zip(x, ks) if np.ndim(x) == 2 else [(x, ks)]
+    singles = [(row, k) for row, band in rows for k in band]
+    assert beta.shape == (len(singles), 2)
+    for i, (row, k) in enumerate(singles):
+        single = huber_fit(row, [k], zeta, max_steps=max_steps)
         np.testing.assert_array_equal(beta[i], single[0][0])
         assert iterations[i] == single[1][0]
         assert converged[i] == single[2][0]
@@ -247,6 +254,9 @@ class TestAdmmHuberFit:
             assert np.all(np.diff(trace) <= 1e-12 * trace[0])
             oracle = huber_gradient_descent(x, k, 0.1, iters=50000)
             assert trace[-1] <= (1 + 1e-12) * fit_objective(x, k, oracle, 0.1)
+        # stacked under another series, each bin takes its own row's IRLS step
+        stack = np.stack([rng.normal(size=64), x])
+        assert_band_matches_single_fits(stack, [[3, 5, 7], [3, 5, 7]], zeta=0.1)
 
     def test_unconverged_returns_flag_not_error(self):
         rng = np.random.default_rng(6)
@@ -280,12 +290,25 @@ class TestAdmmHuberFit:
         guard = 0.3 * noise + np.cos(2 * np.pi * ks[-1] * t / n) + tone
         guard[np.argsort(-tone)[:50]] -= 10
         guard = np.concatenate([guard, np.zeros(n - CHUNK_SERIES)])
+        # Stacked with the guard series: padded t(2) noise and a shorter
+        # padded row, each over its own band, so bins of different rows
+        # share chunks.
+        stack = np.stack([
+            guard,
+            zero_pad(noise[: n // 2]),
+            np.pad(zero_pad(noise[: n // 4]), (0, n - 2 * (n // 4))),
+        ])
+        bands = [ks, ks + size // 2, ks[: size // 2 + 1]]
         for budget in (spectral._FIT_BUDGET, 1000):
             monkeypatch.setattr(spectral, "_FIT_BUDGET", budget)
-            for x, zeta in ((zero_pad(noise), DEFAULT_ZETA), (guard, 0.3)):
-                assert_band_matches_single_fits(x, ks, zeta=zeta)
-                assert_band_matches_single_fits(x, ks, max_steps=7, zeta=zeta)
-                assert_band_matches_single_fits(x, ks, max_steps=2, zeta=zeta)
+            for x, band, zeta in (
+                (zero_pad(noise), ks, DEFAULT_ZETA),
+                (guard, ks, 0.3),
+                (stack[:2], bands[:2], 0.3),
+                (stack, bands, 0.3),
+            ):
+                for max_steps in (50, 7, 2):
+                    assert_band_matches_single_fits(x, band, max_steps=max_steps, zeta=zeta)
 
     @pytest.mark.parametrize(
         "make, zeta",
@@ -340,11 +363,40 @@ class TestAdmmHuberFit:
         # holds up to 5000 bins, and a halving test that lost the change of F
         # to round-off would leave some of them halving until max_steps
         series = generate(replace(SCENARIOS[scenario], length=length, seed=0))
-        _, spectra = _detect(series, DetectorConfig())
-        assert spectra
-        for level, hybrid in spectra:
-            assert hybrid.converged.all(), level
-            assert hybrid.iterations.mean() <= 4, level
+        _, levels, hybrid = _detect(series, DetectorConfig())
+        assert levels
+        assert hybrid.converged.all()
+        sizes = [hi - lo + 1 for lo, hi in hybrid.band]
+        for level, iterations in zip(levels, np.split(hybrid.iterations, np.cumsum(sizes)[:-1])):
+            assert iterations.mean() <= 4, level
+
+    def test_golden_detections_stack_fits_like_single_rows(self, monkeypatch):
+        # every bin of the 100 robust golden detections (each scenario, seeds
+        # 0-19): the one stacked fit of a detection's levels equals fitting
+        # each level's band alone
+        fit, calls = spectral.huber_fit, []
+
+        def recorded(x, ks, zeta, **kwargs):
+            result = fit(x, ks, zeta, **kwargs)
+            calls.append((x, ks, zeta, result))
+            return result
+
+        monkeypatch.setattr(spectral, "huber_fit", recorded)
+        for scenario in SCENARIOS:
+            for seed in range(20):
+                _detect(generate(replace(SCENARIOS[scenario], seed=seed)), DetectorConfig())
+        assert len(calls) == 100
+        total = 0
+        for x, ks, zeta, stacked in calls:
+            lo = 0
+            for row, band in zip(x, ks):
+                single = fit(row, band, zeta)
+                for got, want in zip(stacked, single):
+                    np.testing.assert_array_equal(got[lo : lo + band.size], want)
+                lo += band.size
+            assert lo == stacked[0].shape[0]
+            total += lo
+        assert total == 55_468
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -411,11 +463,11 @@ class TestHuberPeriodogram:
         n_series, period = 576, 144
         t = np.arange(n_series)
         x = zero_pad(np.sin(2 * np.pi * t / period))
-        hybrid = huber_periodogram(x, 7)
-        assert hybrid.band is not None
-        lo, hi = hybrid.band
+        hybrid = huber_periodogram(x[None], [7])
+        assert hybrid.band[0] is not None
+        lo, hi = hybrid.band[0]
         assert lo <= 8 <= hi
-        assert np.argmax(hybrid.power) == 8
+        assert np.argmax(hybrid.power[0]) == 8
 
     def test_band_formula(self):
         assert robust_band(1152, 7) == (5, 9)
@@ -426,33 +478,53 @@ class TestHuberPeriodogram:
     def test_mask_matches_band(self):
         rng = np.random.default_rng(8)
         x = zero_pad(rng.normal(size=256))
-        hybrid = huber_periodogram(x, 3)
-        assert hybrid.band == robust_band(512, 3)
-        lo, hi = hybrid.band
+        hybrid = huber_periodogram(x[None], [3])
+        assert hybrid.band == [robust_band(512, 3)]
+        lo, hi = hybrid.band[0]
         assert hybrid.iterations.size == hybrid.converged.size == hi - lo + 1
         # every bin outside the band keeps the plain periodogram
-        plain = huber_periodogram(x, 3, robust=False).power
+        power, plain = hybrid.power[0], huber_periodogram(x[None], [3], robust=False).power[0]
         outside = np.ones(256, dtype=bool)
         outside[lo : hi + 1] = False
-        np.testing.assert_array_equal(hybrid.power[outside], plain[outside])
-        assert np.all(hybrid.power[lo : hi + 1] != plain[lo : hi + 1])
-        assert np.all(hybrid.power >= 0)
-        assert hybrid.power[0] == 0.0
+        np.testing.assert_array_equal(power[outside], plain[outside])
+        assert np.all(power[lo : hi + 1] != plain[lo : hi + 1])
+        assert np.all(power >= 0)
+        assert power[0] == 0.0
+
+    def test_stack_rows_match_single_rows(self):
+        # each row of a stack, an all-zero row among them, gets the spectrum
+        # it gets alone; the fit diagnostics of the fitted rows come in row
+        # order
+        rng = np.random.default_rng(17)
+        x = np.stack(
+            [zero_pad(rng.standard_t(2, 256)), np.zeros(512), zero_pad(rng.normal(size=256))]
+        )
+        levels = [2, 3, 5]
+        hybrid = huber_periodogram(x, levels)
+        singles = [huber_periodogram(row[None], [level]) for row, level in zip(x, levels)]
+        for r, single in enumerate(singles):
+            np.testing.assert_array_equal(hybrid.power[r], single.power[0])
+            assert hybrid.nyquist[r] == single.nyquist[0]
+            assert hybrid.band[r] == single.band[0]
+        assert hybrid.band[1] is None and singles[1].iterations is None
+        for name in ("iterations", "converged"):
+            fitted = [getattr(singles[r], name) for r in (0, 2)]
+            np.testing.assert_array_equal(getattr(hybrid, name), np.concatenate(fitted))
 
     def test_zero_input(self):
-        hybrid = huber_periodogram(np.zeros(128), 3)
-        np.testing.assert_array_equal(hybrid.power, np.zeros(64))
-        assert hybrid.band is None
+        hybrid = huber_periodogram(np.zeros((1, 128)), [3])
+        np.testing.assert_array_equal(hybrid.power, np.zeros((1, 64)))
+        assert hybrid.band == [None] and hybrid.iterations is None
 
     def test_huge_zeta_equals_vanilla(self):
         rng = np.random.default_rng(9)
         x = zero_pad(rng.normal(size=200))
-        hybrid = huber_periodogram(x, 2, 1e9)
+        hybrid = huber_periodogram(x[None], [2], 1e9)
         vanilla = vanilla_periodogram(x)[:200]
         vanilla[0] = 0.0
-        band = slice(hybrid.band[0], hybrid.band[1] + 1)
+        band = slice(hybrid.band[0][0], hybrid.band[0][1] + 1)
         denom = np.maximum(vanilla[band], 1e-300)
-        assert np.max(np.abs(hybrid.power[band] - vanilla[band]) / denom) < 1e-5
+        assert np.max(np.abs(hybrid.power[0, band] - vanilla[band]) / denom) < 1e-5
 
     def test_gaussian_bins_shrink_moderately(self):
         # The Huber fit at zeta=1 on pure noise shrinks bin power vs the plain
@@ -461,10 +533,10 @@ class TestHuberPeriodogram:
         rels = []
         for _ in range(10):
             x = zero_pad(rng.normal(size=256))
-            hybrid = huber_periodogram(x, 2)
+            hybrid = huber_periodogram(x[None], [2])
             vanilla = vanilla_periodogram(x)[:256]
-            band = slice(hybrid.band[0], hybrid.band[1] + 1)
-            rels.append(np.abs(hybrid.power[band] - vanilla[band]) / vanilla[band])
+            band = slice(hybrid.band[0][0], hybrid.band[0][1] + 1)
+            rels.append(np.abs(hybrid.power[0, band] - vanilla[band]) / vanilla[band])
         mean_rel = float(np.concatenate(rels).mean())
         assert 0.2 < mean_rel < 0.8
 
@@ -474,11 +546,11 @@ class TestHuberPeriodogram:
         n_series, period = 200, 20
         t = np.arange(n_series)
         w = np.sin(2 * np.pi * t / period)
-        base = huber_periodogram(zero_pad(w), 4).power
+        base = huber_periodogram(zero_pad(w)[None], [4]).power[0]
         k_tone = 2 * n_series // period
         assert np.argmax(base) == k_tone
         for shift in (1, 7, 50):
-            rolled = huber_periodogram(zero_pad(np.roll(w, shift)), 4).power
+            rolled = huber_periodogram(zero_pad(np.roll(w, shift))[None], [4]).power[0]
             assert np.argmax(rolled) == k_tone
             assert abs(rolled[k_tone] - base[k_tone]) / base[k_tone] < 1e-3
 
@@ -503,7 +575,7 @@ class TestHuberPeriodogram:
             x = zero_pad(rng.normal(size=n_series))
             tracemalloc.start()
             try:
-                huber_periodogram(x, 1)
+                huber_periodogram(x[None], [1])
                 peaks[n_series] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -583,7 +655,18 @@ class TestConfigValidation:
             huber_fit(x, [3], zeta)
         for robust in (True, False):
             with pytest.raises(InvalidInputError):
-                huber_periodogram(x, 3, zeta, robust=robust)
+                huber_periodogram(x[None], [3], zeta, robust=robust)
+
+    def test_stack_takes_one_band_or_level_per_row(self):
+        x = zero_pad(np.random.default_rng(18).normal(size=64))
+        stack = np.stack([x, x])
+        with pytest.raises(InvalidInputError):
+            huber_fit(stack, [[3]])
+        with pytest.raises(InvalidInputError):
+            huber_fit(stack[None], [[[3]]])
+        for x, levels in ((stack, [3]), (stack, [3, 0]), (x, [3])):
+            with pytest.raises(InvalidInputError):
+                huber_periodogram(x, levels)
 
     @pytest.mark.parametrize("value", [0, 2.5, math.nan, 1e9, "50"])
     def test_huber_fit_rejects_non_integer_max_steps(self, value):
