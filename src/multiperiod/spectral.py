@@ -127,10 +127,10 @@ def huber_fit(x: np.ndarray, ks, zeta: float = DEFAULT_ZETA, *, max_steps: int =
     zeta. A stack ``x`` (L, n) takes one ``ks`` array per row, and its
     results are concatenated in row order. The loss is piecewise quadratic,
     so the solver takes Newton steps on its active set (Huber 1981, sec.
-    7.8). It starts from the least-squares beta. At each iterate it finds
-    the clip pattern of the residuals r = x - phi beta (each sample active,
-    or clipped above or below), the active Gram H = sum_{|r| <= zeta} phi
-    phi' and the gradient g = sum psi phi of the clipped residual psi =
+    7.8), starting from beta = 0. At each iterate it finds the clip
+    pattern of the residuals r = x - phi beta (each sample active, or
+    clipped above or below), the active Gram H = sum_{|r| <= zeta} phi phi'
+    and the gradient g = sum psi phi of the clipped residual psi =
     clip(r, -zeta, zeta), and moves to beta + H^-1 g: the exact minimizer
     of F while the pattern stays as it is. A bin has converged once a full
     step lands on the pattern it was computed from (that step was then
@@ -143,9 +143,10 @@ def huber_fit(x: np.ndarray, ks, zeta: float = DEFAULT_ZETA, *, max_steps: int =
     unconverged.
 
     A step reads few samples. The reference pattern is the clip state at
-    beta = 0; its statistics come for every bin from three FFTs of its row:
-    of x (the least-squares start), of psi(x) (g at beta = 0) and of the
-    active mask, whose DFT at 2k gives H, as cos^2 = (1 + cos 2a)/2.
+    beta = 0; its statistics come for every bin from two FFTs of its row:
+    of psi(x) (g at beta = 0) and of the active mask, whose DFT at 2k gives
+    H, as cos^2 = (1 + cos 2a)/2. So the first step, to H^-1 g, reads no
+    sample; a bin whose H there is singular starts with the IRLS step.
     Because |phi_t beta| <= ||beta||, sample t can leave its reference
     state only if its slack ||x_t| - zeta| is at most ||beta||. Each row's
     samples are sorted by slack once, and a bin whose iterates stay within
@@ -158,7 +159,7 @@ def huber_fit(x: np.ndarray, ks, zeta: float = DEFAULT_ZETA, *, max_steps: int =
 
     Frequencies are independent. Those of all rows are solved together in
     chunks of at most ``_FIT_BUDGET`` bin-sample pairs (or one bin), sorted
-    by the radius of their least-squares start, so a row's last few bins
+    by the radius of their first iterate, so a row's last few bins
     share a chunk with another row's; a bin whose iterate leaves its
     chunk's radius is fit again later, over the samples within twice its
     norm. Each frequency's result is bit-identical to fitting it alone.
@@ -167,9 +168,11 @@ def huber_fit(x: np.ndarray, ks, zeta: float = DEFAULT_ZETA, *, max_steps: int =
     frequencies of every row.
     """
     _check_zeta(zeta)
-    if not isinstance(max_steps, numbers.Integral) or max_steps < 1:
+    if isinstance(max_steps, bool) or not isinstance(max_steps, numbers.Integral) or max_steps < 1:
         raise InvalidInputError("max_steps must be an integer of at least 1")
     x = np.asarray(x, dtype=np.float64)
+    if not np.isfinite(x).all():
+        raise InvalidInputError("the series must be finite")
     if x.ndim == 1:
         x, ks = x[None], [ks]
     if x.ndim != 2 or len(ks) != x.shape[0]:
@@ -186,15 +189,18 @@ def huber_fit(x: np.ndarray, ks, zeta: float = DEFAULT_ZETA, *, max_steps: int =
     per_row = []
     for row, k, row_slack, row_margin in zip(x, ks, slack, margin):
         # Statistics of the reference pattern per bin: g at beta = 0, then H.
-        spec = np.fft.rfft(np.stack([row, np.clip(row, -zeta, zeta), np.abs(row) <= zeta]))
+        spec = np.fft.rfft(np.stack([np.clip(row, -zeta, zeta), np.abs(row) <= zeta]))
         two = 2 * k
-        mask2 = spec[2, np.minimum(two, n - two)]  # the mask's DFT at 2k, conjugated past n/2
-        count = spec[2, 0].real
+        mask2 = spec[1, np.minimum(two, n - two)]  # the mask's DFT at 2k, conjugated past n/2
+        count = spec[1, 0].real
         reference = np.column_stack([
-            spec[1, k].real, -spec[1, k].imag, 0.5 * (count + mask2.real),
+            spec[0, k].real, -spec[0, k].imag, 0.5 * (count + mask2.real),
             np.where(two > n // 2, 0.5, -0.5) * mask2.imag, 0.5 * (count - mask2.real),
         ])
-        start = (2.0 / n) * np.column_stack([spec[0, k].real, -spec[0, k].imag])
+        # the Newton step from beta = 0, or beta = 0 itself where H is singular
+        with np.errstate(all="ignore"):
+            start = _newton_step(reference[:, 2:], reference[:, :2])
+        start[_singular(reference[:, 2:])] = 0.0
         reach = np.searchsorted(
             row_slack, np.hypot(start[:, 0], start[:, 1]) + row_margin, side="right"
         )
@@ -223,6 +229,19 @@ def huber_fit(x: np.ndarray, ks, zeta: float = DEFAULT_ZETA, *, max_steps: int =
     return out
 
 
+def _singular(h):
+    """Whether each active Gram block, a row (cc, cs, ss) of ``h``, is singular."""
+    cc, cs, ss = h.T
+    return ~(cc * ss - cs * cs > _SINGULAR * (cc + ss) ** 2)
+
+
+def _newton_step(h, g):
+    """H^-1 g per bin, for H = [[cc, cs], [cs, ss]] a row (cc, cs, ss) of ``h``."""
+    cc, cs, ss = h.T
+    step = np.column_stack([ss * g[:, 0] - cs * g[:, 1], cc * g[:, 1] - cs * g[:, 0]])
+    return step / (cc * ss - cs * cs)[:, None]
+
+
 def _harmonics(ks, t, table, n):
     """cos and sin of 2*pi*k*t/n as (bin, 2, sample), read from ``table``.
 
@@ -242,7 +261,8 @@ def _newton_huber_chunk(fit, bins, stats, b_cur, out):
     """Run the Newton solver of ``huber_fit`` for the frequencies ``ks[bins]``.
 
     ``stats`` holds per bin the reference pattern's g at beta = 0 and H
-    (cc, cs, ss), ``b_cur`` the least-squares starts. Each bin reads the
+    (cc, cs, ss), ``b_cur`` the first iterates: the Newton step from beta
+    = 0, or beta = 0 itself where that H is singular. Each bin reads the
     first k samples of its row in slack order, k = ``reach`` of the chunk's
     last bin; a bin whose iterate leaves the radius those samples cover in
     its row gets a larger ``reach`` and keeps ``iterations`` 0. Results go
@@ -260,7 +280,7 @@ def _newton_huber_chunk(fit, bins, stats, b_cur, out):
     phi = _harmonics(ks[bins], order[row, :k], table, n)
     pat_acc = (xt > zeta).view(np.int8) - (xt < -zeta).view(np.int8)
     live, b_acc = bins, np.zeros_like(b_cur)
-    full = np.zeros(bins.size, dtype=bool)  # b_cur is a full Newton step from b_acc
+    full = ~_singular(stats[:, 2:])  # b_cur is a full Newton step from b_acc
 
     for it in range(1, max_steps + 1):
         norm = np.hypot(b_cur[:, 0], b_cur[:, 1])
@@ -323,20 +343,16 @@ def _newton_huber_chunk(fit, bins, stats, b_cur, out):
         rise = d[:, 0] - np.einsum("ij,ij->i", b_acc, d[:, 1:3] - 0.5 * d_hess_b)
         rise -= 0.5 * np.einsum("ij,ij->i", b_cur - b_acc, g[:, :, 0] + g[:, :, 1])
 
-        worse = (rise > 0) & (it > 1)
+        worse = rise > 0
         accept = ~worse
         stats[accept], pat_acc[accept], b_acc[accept] = cur[accept], pat[accept], b_cur[accept]
-        cc, cs, ss = cur[:, 2], cur[:, 3], cur[:, 4]
-        singular = ~(cc * ss - cs * cs > _SINGULAR * (cc + ss) ** 2)
+        singular = _singular(cur[:, 2:])
         for b in np.flatnonzero(singular):
             c, s = _harmonics(ks[live[b : b + 1]], np.arange(n), table, n)[0]
             residual = x[row[b]] - b_cur[b, 0] * c - b_cur[b, 1] * s
             weights = zeta / np.maximum(np.abs(residual), zeta)
-            cc[b], cs[b], ss[b] = weights @ (c * c), weights @ (c * s), weights @ (s * s)
-        grad = g[:, :, 1]
-        step = np.column_stack(
-            [ss * grad[:, 0] - cs * grad[:, 1], cc * grad[:, 1] - cs * grad[:, 0]]
-        ) / (cc * ss - cs * cs)[:, None]
+            cur[b, 2:] = weights @ (c * c), weights @ (c * s), weights @ (s * s)
+        step = _newton_step(cur[:, 2:], g[:, :, 1])
         small = np.hypot(step[:, 0], step[:, 1]) <= tol[row]
         full = ~singular & accept
         if worse.any():  # a step that raised F is halved back
@@ -380,6 +396,8 @@ def huber_periodogram(
     degenerate all-zero row for itself.
     """
     x = np.asarray(x, dtype=np.float64)
+    if not np.isfinite(x).all():
+        raise InvalidInputError("the series must be finite")
     if x.ndim != 2 or x.shape[1] < 4 or x.shape[1] % 2:
         raise InvalidInputError("expected a stack of even-length padded series of >= 4 samples")
     if len(levels) != x.shape[0] or any(level < 1 for level in levels):
