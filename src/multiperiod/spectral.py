@@ -87,10 +87,19 @@ def huber_objective(residual: np.ndarray, zeta: float) -> float:
     )
 
 
-# Bin-sample pairs solved together: a chunk's work arrays (each bin's at-risk
-# samples, their cos and sin, the residual and two clip patterns, about 43
-# bytes a pair) stay near 1.5 MB whatever the series length.
-_FIT_BUDGET = 32_768
+# Bin-sample pairs solved together. A chunk's work arrays (each bin's run of
+# at-risk samples, their cos and sin, the residual, two clip patterns and the
+# indices that gather them) grow with its pairs, and the pairs of a band grow
+# faster than N: the level-1 band of a normal series reads 9.8k samples at
+# N = 1000 and 37k at N = 2000. At this budget its fit traces 1.2 and 2.8 MiB
+# there (x2.3); at 32 768 pairs the second would trace x2.9, more than linear.
+_FIT_BUDGET = 24_576
+
+# A bin's run holds the samples of slack up to this many times the norm of its
+# first iterate. Over the golden detections no bin's norm ends above 1.01
+# times its first value; with no headroom 819 of their 55 468 bins outgrow
+# their run and are fit twice, with this one none.
+_HEADROOM = 1.05
 
 # A Newton step no longer than _ROUNDOFF * max|x| is round-off: the bin is at
 # its minimizer.
@@ -157,12 +166,14 @@ def huber_fit(x: np.ndarray, ks, zeta: float = DEFAULT_ZETA, *, max_steps: int =
     quadratic between the two iterates, never as the difference of two
     full sums, whose round-off could stall a bin.
 
-    Frequencies are independent. Those of all rows are solved together in
-    chunks of at most ``_FIT_BUDGET`` bin-sample pairs (or one bin), sorted
-    by the radius of their first iterate, so a row's last few bins
-    share a chunk with another row's; a bin whose iterate leaves its
-    chunk's radius is fit again later, over the samples within twice its
-    norm. Each frequency's result is bit-identical to fitting it alone.
+    Frequencies are independent. Each bin reads the samples of slack up to
+    ``_HEADROOM`` times the norm of its first iterate. The bins of all rows,
+    sorted by that count, are solved together in chunks of consecutive bins
+    that read at most ``_FIT_BUDGET`` samples in all (a bin that reads more
+    has a chunk of its own), so a row's last few bins share a chunk with
+    another row's. A bin whose iterate leaves its radius is fit again
+    later, over the samples within twice its norm. Each frequency's result
+    is bit-identical to fitting it alone.
 
     Returns (beta (B, 2), iterations (B,), converged (B,)), B counting the
     frequencies of every row.
@@ -179,6 +190,13 @@ def huber_fit(x: np.ndarray, ks, zeta: float = DEFAULT_ZETA, *, max_steps: int =
         raise InvalidInputError("expected a 1-d series or a 2-d stack with one ks per row")
     n = x.shape[1]
     ks = [_frequency_indices(k, n) for k in ks]
+    sizes = np.array([k.size for k in ks], dtype=np.int64)
+    rows = np.repeat(np.arange(sizes.size), sizes)
+    out = (np.zeros((rows.size, 2)), np.zeros(rows.size, dtype=np.int64),
+           np.zeros(rows.size, dtype=bool))
+    if not rows.size:
+        return out
+    ks = np.concatenate(ks)
 
     slack = np.abs(np.abs(x) - zeta)
     order = np.argsort(slack, axis=1, kind="stable")
@@ -186,47 +204,55 @@ def huber_fit(x: np.ndarray, ks, zeta: float = DEFAULT_ZETA, *, max_steps: int =
     # A sample whose slack exceeds ||beta|| by this margin keeps its reference
     # state whatever the round-off of its residual.
     margin = 1e-9 * (zeta + slack[:, -1])
-    per_row = []
-    for row, k, row_slack, row_margin in zip(x, ks, slack, margin):
-        # Statistics of the reference pattern per bin: g at beta = 0, then H.
-        spec = np.fft.rfft(np.stack([np.clip(row, -zeta, zeta), np.abs(row) <= zeta]))
-        two = 2 * k
-        mask2 = spec[1, np.minimum(two, n - two)]  # the mask's DFT at 2k, conjugated past n/2
-        count = spec[1, 0].real
-        reference = np.column_stack([
-            spec[0, k].real, -spec[0, k].imag, 0.5 * (count + mask2.real),
-            np.where(two > n // 2, 0.5, -0.5) * mask2.imag, 0.5 * (count - mask2.real),
-        ])
-        # the Newton step from beta = 0, or beta = 0 itself where H is singular
-        with np.errstate(all="ignore"):
-            start = _newton_step(reference[:, 2:], reference[:, :2])
-        start[_singular(reference[:, 2:])] = 0.0
-        reach = np.searchsorted(
-            row_slack, np.hypot(start[:, 0], start[:, 1]) + row_margin, side="right"
-        )
-        per_row.append((reference, start, reach))
-    reference, start, reach = (np.concatenate(a) for a in zip(*per_row))
-    rows = np.repeat(np.arange(x.shape[0]), [k.size for k in ks])
+    # Per bin, the DFTs of its row's psi(x) at k and active mask at 2k
+    # (conjugated past n/2) and 0: one FFT pair per row, O(n) memory.
+    two = 2 * ks
+    psi, mask2, count = np.empty(ks.size, complex), np.empty(ks.size, complex), np.empty(ks.size)
+    ends = np.cumsum(sizes)
+    for row, lo, hi in zip(x, ends - sizes, ends):
+        if lo < hi:
+            spec = np.fft.rfft(np.stack([np.clip(row, -zeta, zeta), np.abs(row) <= zeta]))
+            psi[lo:hi] = spec[0, ks[lo:hi]]
+            mask2[lo:hi] = spec[1, np.minimum(two[lo:hi], n - two[lo:hi])]
+            count[lo:hi] = spec[1, 0].real
+    # the reference pattern's g at beta = 0, then H
+    reference = np.column_stack([
+        psi.real, -psi.imag, 0.5 * (count + mask2.real),
+        np.where(two > n // 2, 0.5, -0.5) * mask2.imag, 0.5 * (count - mask2.real),
+    ])
+    # the Newton step from beta = 0, or beta = 0 itself where H is singular
+    with np.errstate(all="ignore"):
+        start = _newton_step(reference[:, 2:], reference[:, :2])
+    full = ~_singular(reference[:, 2:])  # the start is a full Newton step
+    start[~full] = 0.0
+    reach = _reach(slack, rows, _HEADROOM * np.hypot(start[:, 0], start[:, 1]) + margin[rows])
     angle = (2.0 * np.pi / n) * np.arange(n)  # cos/sin of 2*pi*j/n, read at j = k*t mod n
     tol = _ROUNDOFF * np.max(np.abs(x), axis=1, initial=0.0)
     xs = np.take_along_axis(x, order, axis=1)
-    fit = (x, xs, np.concatenate(ks), rows, (np.cos(angle), np.sin(angle)), order, slack,
-           margin, reach, zeta, max_steps, tol)
-    out = (np.zeros((rows.size, 2)), np.zeros(rows.size, dtype=np.int64),
-           np.zeros(rows.size, dtype=bool))
+    fit = (x, xs, ks, rows, np.column_stack([np.cos(angle), np.sin(angle)]), order, slack,
+           margin, reach, full, zeta, max_steps, tol)
     todo = np.arange(rows.size)  # a bin with iterations 0 is still to fit
     while todo.size:
         todo = todo[np.argsort(reach[todo], kind="stable")]
+        pairs = np.cumsum(reach[todo])
         lo = 0
         while lo < todo.size:
-            widths = np.maximum(reach[todo[lo : lo + _FIT_BUDGET]], 1)
-            pairs = np.arange(1, widths.size + 1) * widths
-            hi = lo + max(1, int(np.searchsorted(pairs, _FIT_BUDGET, side="right")))
+            below = pairs[lo] - reach[todo[lo]]
+            hi = max(lo + 1, int(np.searchsorted(pairs, below + _FIT_BUDGET, side="right")))
             bins = todo[lo:hi]
             _newton_huber_chunk(fit, bins, reference[bins], start[bins], out)
             lo = hi
         todo = np.flatnonzero(out[1] == 0)
     return out
+
+
+def _reach(slack, rows, radius):
+    """Per bin, how many samples of its row ``rows`` have slack within ``radius``."""
+    reach = np.empty(rows.size, dtype=np.int64)
+    for row in range(slack.shape[0]):
+        on = rows == row
+        reach[on] = np.searchsorted(slack[row], radius[on], side="right")
+    return reach
 
 
 def _singular(h):
@@ -242,19 +268,43 @@ def _newton_step(h, g):
     return step / (cc * ss - cs * cs)[:, None]
 
 
-def _harmonics(ks, t, table, n):
-    """cos and sin of 2*pi*k*t/n as (bin, 2, sample), read from ``table``.
+def _harmonics(j, table, n):
+    """cos and sin of 2*pi*j/n as rows (cos, sin), for the integers j = k*t.
 
-    ``t`` holds the samples of every bin (1-d) or one row of them per bin.
-    The index k*t mod n is formed up to a multiple of n, which the "wrap"
-    lookup removes: a float quotient costs less than an integer remainder.
+    They are read from ``table``, whose row j holds the cos and sin of
+    2*pi*j/n, so one lookup fetches both. ``j`` is reduced in place, mod n
+    up to a multiple of n, which the "wrap" lookup removes: a float
+    quotient costs less than an integer remainder.
     """
-    j = ks[:, None] * t
-    j -= n * (j * (1.0 / n)).astype(np.int64)
-    out = np.empty((ks.size, 2, j.shape[1]))
-    np.take(table[0], j, out=out[:, 0], mode="wrap")
-    np.take(table[1], j, out=out[:, 1], mode="wrap")
-    return out
+    quotient = (j * (1.0 / n)).astype(np.int64)
+    quotient *= n
+    j -= quotient
+    return np.ascontiguousarray(table.take(j, axis=0, mode="wrap").T)
+
+
+def _runs(xs, order, table, row, width, ks):
+    """Each bin's first ``width`` samples of row ``row`` of ``xs``, one run after
+    another, and their cos and sin at frequency ``ks`` as rows (cos, sin).
+    """
+    n = xs.shape[1]
+    at = np.repeat(row * n - np.cumsum(width) + width, width)  # flat index into xs
+    at += np.arange(at.size)
+    j = np.repeat(ks, width)
+    j *= order.take(at)
+    return xs.take(at), _harmonics(j, table, n)
+
+
+def _clip_pattern(r, zeta):
+    """The clip state of each residual: 1 above zeta, -1 below -zeta, else 0."""
+    return (r > zeta).view(np.int8) - (r < -zeta).view(np.int8)
+
+
+def _residual(xt, cs, b, width):
+    """x - phi b over the runs: row i of ``b`` fits the next ``width[i]`` samples."""
+    r = np.repeat(b.T, width, axis=1)
+    r *= cs
+    r = np.add(r[0], r[1], out=r[0])
+    return np.subtract(xt, r, out=r)
 
 
 def _newton_huber_chunk(fit, bins, stats, b_cur, out):
@@ -262,78 +312,68 @@ def _newton_huber_chunk(fit, bins, stats, b_cur, out):
 
     ``stats`` holds per bin the reference pattern's g at beta = 0 and H
     (cc, cs, ss), ``b_cur`` the first iterates: the Newton step from beta
-    = 0, or beta = 0 itself where that H is singular. Each bin reads the
-    first k samples of its row in slack order, k = ``reach`` of the chunk's
-    last bin; a bin whose iterate leaves the radius those samples cover in
-    its row gets a larger ``reach`` and keeps ``iterations`` 0. Results go
-    to rows ``bins`` of ``out`` = (beta, iterations, converged). Per bin the
-    chunk keeps its row, its samples and their cos and sin, the clip
-    pattern at the last accepted iterate, and that pattern's g at beta = 0
-    and H; a done bin leaves them.
+    = 0, or beta = 0 itself where that H is singular. Each bin reads one
+    run: the first ``reach`` samples of its row in slack order, held with
+    their cos and sin and the clip pattern at the last accepted iterate in
+    flat arrays, one run after another. A bin whose iterate leaves the
+    radius its run covers gets a larger ``reach`` and keeps ``iterations``
+    0. Results go to rows ``bins`` of ``out`` = (beta, iterations,
+    converged); a done bin's run leaves the arrays.
     """
-    x, xs, ks, rows, table, order, slack, margin, reach, zeta, max_steps, tol = fit
+    x, xs, ks, rows, table, order, slack, margin, reach, full, zeta, max_steps, tol = fit
     beta, iterations, converged = out
-    n, k = x.shape[1], int(reach[bins[-1]])
-    radius = slack[:, k] - margin if k < n else np.full(x.shape[0], np.inf)
-    row = rows[bins]
-    xt = xs[row, :k]
-    phi = _harmonics(ks[bins], order[row, :k], table, n)
-    pat_acc = (xt > zeta).view(np.int8) - (xt < -zeta).view(np.int8)
-    live, b_acc = bins, np.zeros_like(b_cur)
-    full = ~_singular(stats[:, 2:])  # b_cur is a full Newton step from b_acc
+    n = x.shape[1]
+    live, row, width = bins, rows[bins], reach[bins]
+    radius = np.full(bins.size, np.inf)
+    inside = width < n
+    radius[inside] = slack[row[inside], width[inside]] - margin[row[inside]]
+    xt, cs = _runs(xs, order, table, row, width, ks[bins])
+    pat_acc = _clip_pattern(xt, zeta)
+    b_acc, full = np.zeros_like(b_cur), full[bins]  # b_cur is a full Newton step from b_acc
 
     for it in range(1, max_steps + 1):
         norm = np.hypot(b_cur[:, 0], b_cur[:, 1])
-        left = norm > radius[row]
+        left = norm > radius
         if left.any():
-            for row_id in np.unique(row[left]):
-                moved = left & (row == row_id)
-                reach[live[moved]] = np.searchsorted(
-                    slack[row_id], 2 * norm[moved] + margin[row_id], side="right"
-                )
+            reach[live[left]] = _reach(slack, row[left], 2 * norm[left] + margin[row[left]])
             if left.all():
                 return
-            live, row, xt, phi, pat_acc, stats, b_cur, b_acc, full = (
-                a[~left] for a in (live, row, xt, phi, pat_acc, stats, b_cur, b_acc, full)
+            keep = np.repeat(~left, width).nonzero()[0]
+            xt, cs, pat_acc = xt.take(keep), cs.take(keep, axis=1), pat_acc.take(keep)
+            live, row, width, radius, stats, b_cur, b_acc, full = (
+                a[~left] for a in (live, row, width, radius, stats, b_cur, b_acc, full)
             )
-        r = np.matmul(b_cur[:, None, :], phi)[:, 0]
-        np.subtract(xt, r, out=r)
-        pat = (r > zeta).view(np.int8) - (r < -zeta).view(np.int8)
-        flip = pat != pat_acc
-
-        # a full step that kept the pattern it was computed from was exact
-        done = full & ~flip.any(axis=1)
+        pat = _clip_pattern(_residual(xt, cs, b_cur, width), zeta)
+        f = (pat != pat_acc).nonzero()[0]
+        bounds = np.zeros(live.size + 1, dtype=np.int64)
+        np.cumsum(width, out=bounds[1:])
+        edges = np.searchsorted(f, bounds)  # bin b's flips are f[edges[b]:edges[b + 1]]
+        count = edges[1:] - edges[:-1]
+        # a full step that kept the pattern it was computed from was exact; a
+        # done bin's run leaves with the others at the end of the step
+        done = full & (count == 0)
         if done.any():
             settled = live[done]
             beta[settled], iterations[settled], converged[settled] = b_cur[done], it, True
             if done.all():
                 return
-            live, row, xt, phi, pat, pat_acc, stats, b_cur, b_acc, flip = (
-                a[~done] for a in (live, row, xt, phi, pat, pat_acc, stats, b_cur, b_acc, flip)
-            )
         # A pattern's F is c - beta'l + beta'H beta / 2 (plus a constant): l is
         # g at beta = 0. A sample that changes its active flag by da and its
         # clip sign by dp adds (x^2 + zeta^2) da / 2 + zeta x dp to c,
         # (x da + zeta dp) phi to l and da phi phi' to H.
-        # f = i*k + j flags bin i's sample j; its cos and sin sit at flat
-        # (i, 0, j) and (i, 1, j) of phi
-        f = np.flatnonzero(flip)
-        i = f // k
-        new, old = pat.take(f), pat_acc.take(f)
-        da, dp = np.abs(old) - np.abs(new), new - old
-        xj, c, s = xt.take(f), phi.take(f + i * k), phi.take(f + (i + 1) * k)
-        w = xj * da + zeta * dp
-        terms = np.stack(
-            [
-                0.5 * (xj * xj + zeta * zeta) * da + zeta * xj * dp,
-                w * c, w * s, da * c * c, da * c * s, da * s * s,
-            ],
-            axis=1,
-        )
         d = np.zeros((live.size, 6))
-        if i.size:
-            first = np.flatnonzero(np.diff(i, prepend=-1))
-            d[i[first]] = np.add.reduceat(terms, first, axis=0)
+        if f.size:
+            new, old = pat.take(f), pat_acc.take(f)
+            da, dp = np.abs(old) - np.abs(new), new - old
+            xj, phi = xt.take(f), cs.take(f, axis=1)
+            terms = np.empty((6, f.size))
+            terms[0] = 0.5 * (xj * xj + zeta * zeta) * da + zeta * xj * dp
+            np.multiply(xj * da + zeta * dp, phi, out=terms[1:3])
+            dphi = da * phi
+            np.multiply(dphi[0], phi, out=terms[3:5])
+            np.multiply(dphi[1], phi[1], out=terms[5])
+            hit = count > 0
+            d[hit] = np.add.reduceat(terms, edges[:-1][hit], axis=1).T
         cur = stats + d[:, 1:]
         hess = cur[:, [2, 3, 3, 4]].reshape(-1, 2, 2)
         g = cur[:, 0:2, None] - np.matmul(hess, np.stack([b_acc, b_cur], axis=2))
@@ -345,15 +385,18 @@ def _newton_huber_chunk(fit, bins, stats, b_cur, out):
 
         worse = rise > 0
         accept = ~worse
-        stats[accept], pat_acc[accept], b_acc[accept] = cur[accept], pat[accept], b_cur[accept]
-        singular = _singular(cur[:, 2:])
-        for b in np.flatnonzero(singular):
-            c, s = _harmonics(ks[live[b : b + 1]], np.arange(n), table, n)[0]
+        stats[accept], b_acc[accept] = cur[accept], b_cur[accept]
+        if f.size:
+            taken = np.repeat(accept, count)
+            pat_acc[f[taken]] = new[taken]
+        singular = _singular(cur[:, 2:])  # never a done bin, whose H was not singular
+        for b in singular.nonzero()[0]:
+            c, s = _harmonics(ks[live[b]] * np.arange(n), table, n)
             residual = x[row[b]] - b_cur[b, 0] * c - b_cur[b, 1] * s
             weights = zeta / np.maximum(np.abs(residual), zeta)
             cur[b, 2:] = weights @ (c * c), weights @ (c * s), weights @ (s * s)
         step = _newton_step(cur[:, 2:], g[:, :, 1])
-        small = np.hypot(step[:, 0], step[:, 1]) <= tol[row]
+        small = (np.hypot(step[:, 0], step[:, 1]) <= tol[row]) & ~done
         full = ~singular & accept
         if worse.any():  # a step that raised F is halved back
             step[worse] = 0.5 * (b_cur[worse] - b_acc[worse])
@@ -362,10 +405,14 @@ def _newton_huber_chunk(fit, bins, stats, b_cur, out):
         if small.any():
             settled = live[small]
             beta[settled], iterations[settled], converged[settled] = b_acc[small], it, True
-            if small.all():
-                return
-            live, row, xt, phi, pat_acc, stats, b_cur, b_acc, full = (
-                a[~small] for a in (live, row, xt, phi, pat_acc, stats, b_cur, b_acc, full)
+        gone = done | small
+        if gone.all():
+            return
+        if gone.any():
+            keep = np.repeat(~gone, width).nonzero()[0]
+            xt, cs, pat_acc = xt.take(keep), cs.take(keep, axis=1), pat_acc.take(keep)
+            live, row, width, radius, stats, b_cur, b_acc, full = (
+                a[~gone] for a in (live, row, width, radius, stats, b_cur, b_acc, full)
             )
     beta[live], iterations[live] = b_acc, max_steps
 
@@ -398,10 +445,15 @@ def huber_periodogram(
     x = np.asarray(x, dtype=np.float64)
     if not np.isfinite(x).all():
         raise InvalidInputError("the series must be finite")
-    if x.ndim != 2 or x.shape[1] < 4 or x.shape[1] % 2:
-        raise InvalidInputError("expected a stack of even-length padded series of >= 4 samples")
-    if len(levels) != x.shape[0] or any(level < 1 for level in levels):
-        raise InvalidInputError("expected one level of at least 1 per series")
+    if x.ndim != 2 or not x.shape[0] or x.shape[1] < 4 or x.shape[1] % 2:
+        raise InvalidInputError(
+            "expected a nonempty stack of even-length padded series of >= 4 samples"
+        )
+    if len(levels) != x.shape[0] or not all(
+        isinstance(level, numbers.Integral) and not isinstance(level, bool) and level >= 1
+        for level in levels
+    ):
+        raise InvalidInputError("expected one integer level of at least 1 per series")
     _check_zeta(zeta)
 
     n = x.shape[1]

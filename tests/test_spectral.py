@@ -276,13 +276,20 @@ class TestAdmmHuberFit:
         # bins converge at different iterations, so chunks compact unevenly;
         # at max_steps=2 most bins stop at the cap. A budget of 1000
         # bin-sample pairs splits the wider bands into several chunks.
+        chunk, passed = spectral._newton_huber_chunk, []
+
+        def recorded(fit, bins, *args):
+            passed.append(bins.size)
+            return chunk(fit, bins, *args)
+
+        monkeypatch.setattr(spectral, "_newton_huber_chunk", recorded)
         rng = np.random.default_rng(size)
         noise = rng.standard_t(2, size=CHUNK_SERIES)
         ks = np.arange(3, 3 + size)
         # At zeta = 0.3 the first iterates of the last bins, Newton steps
-        # from beta = 0, lie past ||beta|| = zeta, so their chunks read the
-        # padding; the middle tone's highest samples are pulled down, so the
-        # last bin's iterates grow past its chunk's radius and it is fit
+        # from beta = 0, lie past ||beta|| = zeta, so they read the padding;
+        # the middle tone's highest samples are pulled down, so at least one
+        # bin's iterates grow past the radius of its samples and it is fit
         # again. The padding is a fifth of the series.
         n, t = 5 * CHUNK_SERIES // 4, np.arange(CHUNK_SERIES)
         tone = np.cos(2 * np.pi * ks[size // 2] * t / n)
@@ -308,6 +315,40 @@ class TestAdmmHuberFit:
             ):
                 for max_steps in (50, 7, 2):
                     assert_band_matches_single_fits(x, band, max_steps=max_steps, zeta=zeta)
+            for max_steps in (50, 7, 2):  # the guard's fit takes the refit path
+                passed.clear()
+                huber_fit(guard, ks, 0.3, max_steps=max_steps)
+                assert sum(passed) > ks.size
+
+    def test_chunk_holds_a_wide_bin_alone_and_bins_of_no_samples(self, monkeypatch):
+        # A unit tone at k = 5 under light noise: its first iterate has norm
+        # near 1, above the slack of nearly every sample, so its bin alone
+        # reads more samples than a budget of 1000 pairs and gets a chunk of
+        # its own. The second row holds only +-0.2 and +-2.5, slack 0.8 and
+        # 1.5 at zeta = 1, while its bins' norms stay far below: they read no
+        # sample and are done at their first iterate.
+        chunks = []
+        chunk = spectral._newton_huber_chunk
+
+        def recorded(fit, bins, *args):
+            chunks.append(bins.tolist())
+            return chunk(fit, bins, *args)
+
+        monkeypatch.setattr(spectral, "_newton_huber_chunk", recorded)
+        rng = np.random.default_rng(20)
+        n = 1250
+        tone = np.cos(2 * np.pi * 5 * np.arange(n) / n) + 0.05 * rng.normal(size=n)
+        quiet = rng.choice([-2.5, -0.2, 0.2, 2.5], size=n)
+        stack, bands = np.stack([tone, quiet]), [np.arange(4, 7), np.arange(3, 11)]
+        beta, iterations, _ = huber_fit(stack, bands)
+        assert spectral._HEADROOM * np.hypot(*beta[3:].T).max() < 0.8
+        assert np.all(iterations[3:] == 1)
+        for budget in (spectral._FIT_BUDGET, 1000):
+            monkeypatch.setattr(spectral, "_FIT_BUDGET", budget)
+            chunks.clear()
+            huber_fit(stack, bands)
+            assert ([1] in chunks) == (budget == 1000)
+            assert_band_matches_single_fits(stack, bands)
 
     @pytest.mark.parametrize(
         "make, zeta",
@@ -361,8 +402,8 @@ class TestAdmmHuberFit:
         # steps per bin on average (IRLS took 7 to 8; a least-squares start
         # took 3); at N = 10 000 a level holds up to 5000 bins, and a halving
         # test that lost the change of F to round-off would leave some of
-        # them halving until max_steps. At most 1% of the bins leave their
-        # chunk's radius and are fit again.
+        # them halving until max_steps. At most 0.1% of the bins leave the
+        # radius of their samples and are fit again.
         chunk, passed = spectral._newton_huber_chunk, []
 
         def recorded(fit, bins, *args):
@@ -374,7 +415,7 @@ class TestAdmmHuberFit:
         _, levels, hybrid = _detect(series, DetectorConfig())
         assert levels
         assert hybrid.converged.all()
-        assert sum(passed) <= 1.01 * hybrid.iterations.size
+        assert sum(passed) <= 1.001 * hybrid.iterations.size
         sizes = [hi - lo + 1 for lo, hi in hybrid.band]
         for level, iterations in zip(levels, np.split(hybrid.iterations, np.cumsum(sizes)[:-1])):
             assert iterations.mean() <= 2.5, level
@@ -683,9 +724,15 @@ class TestConfigValidation:
             huber_fit(stack, [[3]])
         with pytest.raises(InvalidInputError):
             huber_fit(stack[None], [[[3]]])
-        for x, levels in ((stack, [3]), (stack, [3, 0]), (x, [3])):
+        for x, levels in (
+            (stack, [3]), (stack, [3, 0]), (x, [3]), (stack[:0], []),
+            (stack, [3, True]), (stack, [3, np.True_]), (stack, [3, 1.5]), (stack, [3, "1"]),
+        ):
             with pytest.raises(InvalidInputError):
                 huber_periodogram(x, levels)
+        # an empty stack has no bin to fit
+        beta, iterations, converged = huber_fit(stack[:0], [])
+        assert beta.shape == (0, 2) and iterations.shape == converged.shape == (0,)
 
     @pytest.mark.parametrize("value", [0, 2.5, math.nan, 1e9, "50", True, np.True_])
     def test_huber_fit_rejects_non_integer_max_steps(self, value):
