@@ -181,7 +181,7 @@ def _detect(
     found: list[PeriodRecord] = []
     if levels:
         # Ranked levels have positive variance, so no padded row is all zeros.
-        padded = np.stack([zero_pad(decomp.level(j).w) for j in levels])
+        padded = zero_pad(np.stack([decomp.level(j).w for j in levels]))
         hybrid = huber_periodogram(padded, levels, cfg.zeta, robust=cfg.robust_mode)
         for row, j in enumerate(levels):
             record = detect_level(hybrid, row, j, cfg, variance_share=decomp.level(j).share)

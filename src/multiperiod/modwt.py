@@ -13,9 +13,11 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .series import InternalError, InvalidInputError, TimeSeries
 
@@ -157,11 +159,13 @@ def _circular_filter_pair(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Both out[t] = sum_l f[l] * signal[(t - stride*l) mod n], for f = h and g.
 
-    The circular block signal[(t - stride*l) mod n] is gathered once for both.
+    The circular block signal[(t - stride*l) mod n] is gathered once for both,
+    from windows of the signal led by its last m = stride*(L1 - 1) samples;
+    ``max_level`` keeps m below n.
     """
-    n = signal.size
-    idx = (np.arange(n)[:, None] - stride * np.arange(filters.L1)[None, :]) % n
-    block = signal[idx]
+    m = stride * (filters.L1 - 1)
+    ext = np.concatenate([signal[signal.size - m :], signal])
+    block = np.ascontiguousarray(sliding_window_view(ext, m + 1)[:, ::-stride])
     return block @ filters.h, block @ filters.g
 
 
@@ -177,6 +181,8 @@ def biweight_midvariance(w: np.ndarray, width: int) -> float:
     normality and insensitive to heavy contamination. MAD of zero (more than
     half the values identical) returns 0.
     """
+    if isinstance(width, bool) or not isinstance(width, numbers.Integral) or width < 1:
+        raise InvalidInputError(f"width must be an integer of at least 1, got {width!r}")
     w = np.asarray(w, dtype=np.float64)
     tail = w[width - 1 :]
     m = tail.size

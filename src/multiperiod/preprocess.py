@@ -8,10 +8,12 @@ handles everything this coarse stage leaves behind.
 
 from __future__ import annotations
 
+import functools
 import math
+import numbers
 
 import numpy as np
-from scipy.linalg import solveh_banded
+from scipy.linalg import cho_solve_banded, cholesky_banded
 
 from .series import InvalidInputError, TimeSeries
 
@@ -59,29 +61,39 @@ def hp_trend(series: TimeSeries, hp_lambda: float) -> TimeSeries:
 
     The unique minimizer solves the pentadiagonal normal equations
     ``(I + 2*lambda*D'D) tau = y`` with D the second-difference operator;
-    the system is symmetric positive definite and solved in O(N) with a
-    banded Cholesky factorization. lambda=0 returns the input; as
+    the system is symmetric positive definite and solved in O(N) with its
+    banded Cholesky factor, which is built once per length and lambda and
+    shared by every series of that length. lambda=0 returns the input; as
     lambda -> inf the trend tends to the least-squares line.
     """
     x = series.values
     n = x.size
     if n < 3:
         raise InvalidInputError("trend filtering requires at least 3 samples")
+    if isinstance(hp_lambda, bool) or not isinstance(hp_lambda, numbers.Real):
+        raise InvalidInputError(f"hp_lambda must be a real number, got {hp_lambda!r}")
     if not 0 <= hp_lambda < math.inf:
         raise InvalidInputError("hp_lambda must be finite and nonnegative")
     if hp_lambda == 0:
         return TimeSeries(x.copy())
+    factor = _hp_factor(n, float(hp_lambda))
+    return TimeSeries(cho_solve_banded((factor, False), x, check_finite=False))
 
+
+@functools.lru_cache(maxsize=8)
+def _hp_factor(n: int, hp_lambda: float) -> np.ndarray:
+    """Upper banded Cholesky factor of I + 2*lambda*D'D for length n; read-only."""
     # Each of D's n-2 rows (1, -2, 1) adds its outer product to D'D, so the
     # diagonals are sums of (1, 4, 1), (-2, -2) and (1) over the rows.
     rows = np.ones(n - 2)
-    # LAPACK upper-banded layout for solveh_banded: row 0 = 2nd superdiagonal.
+    # LAPACK upper-banded layout: row 0 = 2nd superdiagonal.
     ab = np.zeros((3, n))
     ab[0, 2:] = 2.0 * hp_lambda * rows
     ab[1, 1:] = 2.0 * hp_lambda * np.convolve(rows, [-2.0, -2.0])
     ab[2, :] = 1.0 + 2.0 * hp_lambda * np.convolve(rows, [1.0, 4.0, 1.0])
-    trend = solveh_banded(ab, x, lower=False)
-    return TimeSeries(trend)
+    factor = cholesky_banded(ab, lower=False)
+    factor.flags.writeable = False
+    return factor
 
 
 def clip_extremes(x: np.ndarray, bound: float, mad_floor: float) -> TimeSeries:

@@ -11,6 +11,7 @@ dominant-frequency candidate and its tail p-value.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -55,27 +56,29 @@ class FisherOutcome:
 def zero_pad(w: np.ndarray) -> np.ndarray:
     """Standardize (population moments) and append N zeros, doubling length.
 
-    A zero-spread input yields an all-zero padded vector, the degenerate
-    case every downstream consumer checks for.
+    A stack (L, N) pads each row on its own. A zero-spread row yields an
+    all-zero padded row, the degenerate case every downstream consumer
+    checks for.
     """
     w = np.asarray(w, dtype=np.float64)
-    if w.ndim != 1 or w.size == 0:
-        raise InvalidInputError("expected a nonempty 1-d sequence")
-    n = w.size
-    out = np.zeros(2 * n)
-    std = w.std()
-    if std > 0:
-        out[:n] = (w - w.mean()) / std
+    if w.ndim not in (1, 2) or w.size == 0:
+        raise InvalidInputError("expected a nonempty 1-d sequence or 2-d stack")
+    if not np.isfinite(w).all():
+        raise InvalidInputError("the series must be finite")
+    n = w.shape[-1]
+    out = np.zeros(w.shape[:-1] + (2 * n,))
+    std = w.std(axis=-1, keepdims=True)
+    np.divide(w - w.mean(axis=-1, keepdims=True), std, out=out[..., :n], where=std > 0)
     return out
 
 
 def vanilla_periodogram(x: np.ndarray) -> np.ndarray:
-    """P_k = |DFT(x)_k|^2 / n over all n bins; sum_k P_k == sum_t x_t^2."""
+    """P_k = |DFT(x)_k|^2 / n over all n bins of the last axis; sum_k P_k == sum_t x_t^2."""
     x = np.asarray(x, dtype=np.float64)
-    if x.size < 2:
+    if x.ndim == 0 or x.shape[-1] < 2:
         raise InvalidInputError("periodogram requires at least 2 samples")
-    spec = np.fft.fft(x)
-    return (spec.real**2 + spec.imag**2) / x.size
+    spec = np.fft.fft(x, axis=-1)
+    return (spec.real**2 + spec.imag**2) / x.shape[-1]
 
 
 def huber_objective(residual: np.ndarray, zeta: float) -> float:
@@ -198,23 +201,20 @@ def huber_fit(x: np.ndarray, ks, zeta: float = DEFAULT_ZETA, *, max_steps: int =
         return out
     ks = np.concatenate(ks)
 
+    # Per bin, the DFTs of its row's psi(x) at k and active mask at 2k
+    # (conjugated past n/2) and 0, from one FFT of every row's pair, freed
+    # before the sort below allocates.
+    two = 2 * ks
+    spec = np.fft.rfft(np.stack([np.clip(x, -zeta, zeta), np.abs(x) <= zeta], axis=1))
+    psi, mask2 = spec[rows, 0, ks], spec[rows, 1, np.minimum(two, n - two)]
+    count = spec[rows, 1, 0].real
+    del spec
     slack = np.abs(np.abs(x) - zeta)
     order = np.argsort(slack, axis=1, kind="stable")
     slack = np.take_along_axis(slack, order, axis=1)
     # A sample whose slack exceeds ||beta|| by this margin keeps its reference
     # state whatever the round-off of its residual.
     margin = 1e-9 * (zeta + slack[:, -1])
-    # Per bin, the DFTs of its row's psi(x) at k and active mask at 2k
-    # (conjugated past n/2) and 0: one FFT pair per row, O(n) memory.
-    two = 2 * ks
-    psi, mask2, count = np.empty(ks.size, complex), np.empty(ks.size, complex), np.empty(ks.size)
-    ends = np.cumsum(sizes)
-    for row, lo, hi in zip(x, ends - sizes, ends):
-        if lo < hi:
-            spec = np.fft.rfft(np.stack([np.clip(row, -zeta, zeta), np.abs(row) <= zeta]))
-            psi[lo:hi] = spec[0, ks[lo:hi]]
-            mask2[lo:hi] = spec[1, np.minimum(two[lo:hi], n - two[lo:hi])]
-            count[lo:hi] = spec[1, 0].real
     # the reference pattern's g at beta = 0, then H
     reference = np.column_stack([
         psi.real, -psi.imag, 0.5 * (count + mask2.real),
@@ -226,11 +226,9 @@ def huber_fit(x: np.ndarray, ks, zeta: float = DEFAULT_ZETA, *, max_steps: int =
     full = ~_singular(reference[:, 2:])  # the start is a full Newton step
     start[~full] = 0.0
     reach = _reach(slack, rows, _HEADROOM * np.hypot(start[:, 0], start[:, 1]) + margin[rows])
-    angle = (2.0 * np.pi / n) * np.arange(n)  # cos/sin of 2*pi*j/n, read at j = k*t mod n
     tol = _ROUNDOFF * np.max(np.abs(x), axis=1, initial=0.0)
     xs = np.take_along_axis(x, order, axis=1)
-    fit = (x, xs, ks, rows, np.column_stack([np.cos(angle), np.sin(angle)]), order, slack,
-           margin, reach, full, zeta, max_steps, tol)
+    fit = (x, xs, ks, rows, _table(n), order, slack, margin, reach, full, zeta, max_steps, tol)
     todo = np.arange(rows.size)  # a bin with iterations 0 is still to fit
     while todo.size:
         todo = todo[np.argsort(reach[todo], kind="stable")]
@@ -244,6 +242,15 @@ def huber_fit(x: np.ndarray, ks, zeta: float = DEFAULT_ZETA, *, max_steps: int =
             lo = hi
         todo = np.flatnonzero(out[1] == 0)
     return out
+
+
+@functools.lru_cache(maxsize=8)
+def _table(n):
+    """Row j holds cos and sin of 2*pi*j/n, read at j = k*t mod n; read-only."""
+    angle = (2.0 * np.pi / n) * np.arange(n)
+    table = np.column_stack([np.cos(angle), np.sin(angle)])
+    table.flags.writeable = False
+    return table
 
 
 def _reach(slack, rows, radius):
@@ -457,7 +464,11 @@ def huber_periodogram(
     _check_zeta(zeta)
 
     n = x.shape[1]
-    power = np.stack([vanilla_periodogram(row)[: n // 2] for row in x])
+    # vanilla_periodogram of every row, squared only over the bins kept; the
+    # full spectrum is freed before the fit
+    spec = np.fft.fft(x, axis=-1)[:, : n // 2]
+    power = (spec.real**2 + spec.imag**2) / n
+    del spec
     power[:, 0] = 0.0
     band = [
         robust_band(n, level) if robust and np.any(row) else None

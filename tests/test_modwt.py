@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from multiperiod.modwt import (
+    MAX_FAMILY_ORDER,
+    _circular_filter_pair,
     biweight_midvariance,
     daubechies_filters,
     level_width,
@@ -186,6 +188,33 @@ class TestBiweightMidvariance:
     def test_too_few_coefficients(self):
         with pytest.raises(InvalidInputError):
             biweight_midvariance(np.ones(10), 8)
+
+    @pytest.mark.parametrize("width", [0, -5, True, np.True_, 2.5, 3.0, "3", None])
+    def test_width_must_be_a_positive_integer(self, width):
+        with pytest.raises(InvalidInputError):
+            biweight_midvariance(np.arange(20.0), width)
+
+    def test_numpy_integer_width_is_accepted(self):
+        w = np.random.default_rng(6).normal(size=50)
+        assert biweight_midvariance(w, np.int64(3)) == biweight_midvariance(w, 3)
+
+
+class TestCircularFilterPair:
+    @pytest.mark.parametrize("order", range(1, MAX_FAMILY_ORDER + 1))
+    def test_equals_the_modulo_index_definition(self, order):
+        pair = daubechies_filters(order)
+        rng = np.random.default_rng(order)
+        j_deep = max_level(512, pair.L1)
+        # odd, a power of two, and exactly the deepest level's filter width
+        for n in (257, 512, level_width(j_deep, pair.L1)):
+            signal = rng.normal(size=n)
+            for j in range(1, max_level(n, pair.L1) + 1):
+                stride = 2 ** (j - 1)
+                idx = (np.arange(n)[:, None] - stride * np.arange(pair.L1)[None, :]) % n
+                block = signal[idx]
+                w, v = _circular_filter_pair(pair, signal, stride)
+                np.testing.assert_array_equal(w, block @ pair.h)
+                np.testing.assert_array_equal(v, block @ pair.g)
 
 
 class TestRanking:

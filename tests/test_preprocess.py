@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from scipy.linalg import solveh_banded
 
 from multiperiod.preprocess import (
+    _hp_factor,
     clip_extremes,
     hp_trend,
     preprocess,
@@ -187,6 +189,44 @@ class TestPreprocess:
 
 class TestConfig:
     def test_validation(self):
-        for value in (-1.0, np.nan, np.inf):
+        for value in (-1.0, np.nan, np.inf, True, np.True_, 1j, 1 + 0j, "1e6", None):
             with pytest.raises(InvalidInputError):
                 hp_trend(TimeSeries(np.arange(8.0)), value)
+
+
+def solveh_reference(x, hp_lambda):
+    """The trend by one banded solve of (I + 2*lambda*D'D) tau = x, factor and all."""
+    n = x.size
+    rows = np.ones(n - 2)
+    ab = np.zeros((3, n))
+    ab[0, 2:] = 2.0 * hp_lambda * rows
+    ab[1, 1:] = 2.0 * hp_lambda * np.convolve(rows, [-2.0, -2.0])
+    ab[2, :] = 1.0 + 2.0 * hp_lambda * np.convolve(rows, [1.0, 4.0, 1.0])
+    return solveh_banded(ab, x, lower=False)
+
+
+class TestTrendFactor:
+    @pytest.mark.parametrize("n", [3, 64, 100, 1000, 4000])
+    @pytest.mark.parametrize("hp_lambda", [0.5, 1e3, 1e6, 1e9])
+    def test_cached_factor_solve_is_bit_identical(self, n, hp_lambda):
+        rng = np.random.default_rng(n)
+        for _ in range(2):  # the second series reuses the cached factor
+            x = rng.normal(size=n) + np.linspace(0.0, 5.0, n)
+            trend = hp_trend(TimeSeries(x), hp_lambda).values
+            np.testing.assert_array_equal(trend, solveh_reference(x, hp_lambda))
+
+    def test_integer_and_float_lambda_give_the_same_trend(self):
+        x = np.sin(np.arange(50.0))
+        np.testing.assert_array_equal(
+            hp_trend(TimeSeries(x), 1000).values, hp_trend(TimeSeries(x), np.float64(1e3)).values
+        )
+
+    def test_factor_is_read_only_and_the_cache_bounded(self):
+        for n in range(10, 30):
+            factor = _hp_factor(n, 1e6)
+            assert not factor.flags.writeable
+            with pytest.raises(ValueError):
+                factor[0, 0] = 1.0
+        info = _hp_factor.cache_info()
+        assert info.maxsize is not None
+        assert info.currsize <= info.maxsize

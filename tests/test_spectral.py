@@ -142,6 +142,31 @@ class TestZeroPad:
         assert abs(out[:100].mean()) < 1e-12
         assert abs(out[:100].std() - 1.0) < 1e-12
 
+    def test_stack_rows_equal_the_one_row_call(self):
+        rng = np.random.default_rng(3)
+        for n in (2, 7, 1000):
+            stack = rng.normal(3.0, 10.0, size=(5, n))
+            stack[2] = 4.0  # zero spread
+            out = zero_pad(stack)
+            assert out.shape == (5, 2 * n)
+            for row, padded in zip(stack, out):
+                np.testing.assert_array_equal(padded, zero_pad(row))
+            np.testing.assert_array_equal(out[2], np.zeros(2 * n))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_is_rejected(self, bad):
+        with pytest.raises(InvalidInputError):
+            zero_pad([1.0, bad, 2.0])
+        stack = np.ones((3, 4))
+        stack[1, 2] = bad
+        with pytest.raises(InvalidInputError):
+            zero_pad(stack)
+
+    @pytest.mark.parametrize("shape", [(0,), (3, 0), (0, 4), (), (2, 2, 2)])
+    def test_shape_must_be_a_nonempty_row_or_stack(self, shape):
+        with pytest.raises(InvalidInputError):
+            zero_pad(np.ones(shape))
+
 
 class TestVanillaPeriodogram:
     def test_zero_series(self):
@@ -159,6 +184,25 @@ class TestVanillaPeriodogram:
         x = rng.normal(size=250)
         p = vanilla_periodogram(x)
         assert p.sum() == pytest.approx(np.dot(x, x), rel=1e-8)
+
+    def test_stack_rows_equal_the_one_row_call(self):
+        stack = np.random.default_rng(4).normal(size=(4, 250))
+        p = vanilla_periodogram(stack)
+        for row, power in zip(stack, p):
+            np.testing.assert_array_equal(power, vanilla_periodogram(row))
+
+
+class TestHarmonicTable:
+    def test_table_is_read_only_and_the_cache_bounded(self):
+        for n in range(100, 120):
+            table = spectral._table(n)
+            assert table.shape == (n, 2)
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[0, 0] = 1.0
+        info = spectral._table.cache_info()
+        assert info.maxsize is not None
+        assert info.currsize <= info.maxsize
 
 
 class TestAdmmHuberFit:
