@@ -1,10 +1,10 @@
 """Autocorrelation from the spectrum, peak detection, and period validation.
 
-The half-spectrum plus its Nyquist ordinate (DC to Nyquist) is inverted to
-the autocorrelation with a real inverse FFT, corrected per lag for the
-shrinking overlap count, and rescaled so lag 0 is exactly 1. The median
-spacing of qualifying peaks is accepted as the period only when it falls
-inside the resolution window of the dominant frequency bin.
+The one-sided spectrum (DC to Nyquist) is inverted to the autocorrelation
+with a real inverse FFT, corrected per lag for the shrinking overlap count,
+and rescaled so lag 0 is exactly 1. The median spacing of qualifying peaks
+is accepted as the period only when it falls inside the resolution window
+of the dominant frequency bin.
 """
 
 from __future__ import annotations
@@ -46,8 +46,8 @@ class ValidationRange:
 
 
 def full_range_periodogram(hybrid: HybridPeriodogram, row: int) -> np.ndarray:
-    """One row's one-sided spectrum: bins 0..N, its half-spectrum power then Nyquist ordinate."""
-    return np.append(hybrid.power[row], hybrid.nyquist[row])
+    """One row's one-sided spectrum, bins 0..N: a view, not a copy."""
+    return hybrid.power[row]
 
 
 def huber_acf(spectrum: np.ndarray) -> np.ndarray | None:
@@ -84,11 +84,9 @@ def find_peaks(acf: np.ndarray, height: float = DEFAULT_PEAK_HEIGHT) -> list[int
     if not (0.0 < height < 1.0):
         raise InvalidInputError("height must lie in (0, 1)")
     last = min(acf.size // 2, acf.size - 2)
-    if last < 1:
-        return []
-    t = np.arange(1, last + 1)
-    is_peak = (acf[t] > acf[t - 1]) & (acf[t] >= acf[t + 1]) & (acf[t] >= height)
-    return t[is_peak].tolist()
+    mid = acf[1 : last + 1]
+    is_peak = (mid > acf[:last]) & (mid >= acf[2 : last + 2]) & (mid >= height)
+    return (is_peak.nonzero()[0] + 1).tolist()
 
 
 def period_from_peaks(peaks: list[int], k_star: int, n: int) -> float | None:

@@ -137,16 +137,18 @@ def _detector_config(args: argparse.Namespace) -> DetectorConfig:
 
 
 def _dump_diagnostics(
-    levels: list[int], hybrid: HybridPeriodogram | None, cfg: DetectorConfig, directory: str
+    hybrid: HybridPeriodogram | None, cfg: DetectorConfig, directory: str
 ) -> None:
     """Per-level periodogram and autocorrelation CSVs for external plotting.
 
-    The periodograms are the detection's own, one row per examined level;
-    the ACF is recomputed because the detection skips it on levels whose
-    g-test failed.
+    The periodograms are the detection's own, bins 0..N-1 of one row per
+    examined level (none without spectra); the ACF is recomputed because
+    the detection skips it on levels whose g-test failed.
     """
     os.makedirs(directory, exist_ok=True)
-    for row, level in enumerate(levels):
+    if hybrid is None:
+        return
+    for row, level in enumerate(hybrid.levels):
         acf = huber_acf(full_range_periodogram(hybrid, row))
         if acf is None:  # degenerate level: its ACF is written as zeros
             acf = np.zeros(hybrid.n_padded // 2)
@@ -156,7 +158,7 @@ def _dump_diagnostics(
         with open(path, "w", newline="") as handle:
             writer = csv.writer(handle)
             writer.writerow(["index", "power", "robust", "acf", "acf_peak"])
-            for k, power in enumerate(hybrid.power[row]):
+            for k, power in enumerate(hybrid.power[row, :-1]):
                 writer.writerow(
                     [
                         k,
@@ -171,9 +173,9 @@ def _dump_diagnostics(
 def _cmd_detect(args: argparse.Namespace) -> int:
     series = read_csv(args.input, args.column)
     cfg = _detector_config(args)
-    report, levels, hybrid = _detect(series, cfg)
+    report, hybrid = _detect(series, cfg)
     if args.dump_diagnostics:
-        _dump_diagnostics(levels, hybrid, cfg, args.dump_diagnostics)
+        _dump_diagnostics(hybrid, cfg, args.dump_diagnostics)
     _emit(json.dumps(report_to_dict(report), indent=2), args.output)
     return EXIT_OK
 

@@ -92,19 +92,18 @@ class PeriodReport:
 def detect_level(
     hybrid: HybridPeriodogram,
     row: int,
-    level: int,
     cfg: DetectorConfig,
     variance_share: float = 0.0,
 ) -> PeriodRecord | None:
-    """Validate one level's dominant period from row ``row`` of the hybrid periodogram.
+    """Validate the dominant period of level ``hybrid.levels[row]`` from its spectrum.
 
-    Pipeline: g-test (bins 1..N-1 of the half spectrum); insignificant
+    Pipeline: g-test (bins 1..N-1 of the one-sided spectrum); insignificant
     levels return None. Otherwise the dominant bin must be corroborated:
     the autocorrelation's qualifying-peak median spacing has to land inside
     the bin's resolution window, and that median is the reported period
     length.
     """
-    outcome = fisher_test(hybrid.power[row], cfg.fisher_alpha)
+    outcome = fisher_test(hybrid.power[row, :-1], cfg.fisher_alpha)
     if not outcome.significant:
         return None
     acf = huber_acf(full_range_periodogram(hybrid, row))
@@ -116,7 +115,7 @@ def detect_level(
         return None
     return PeriodRecord(
         length=period,
-        level=level,
+        level=hybrid.levels[row],
         p_value=outcome.p_value,
         variance_share=variance_share,
     )
@@ -159,8 +158,8 @@ def robust_period(series: TimeSeries, cfg: DetectorConfig | None = None) -> Peri
 
 def _detect(
     series: TimeSeries, cfg: DetectorConfig
-) -> tuple[PeriodReport, list[int], HybridPeriodogram | None]:
-    """The whole pipeline, walked once; also returns the examined levels and their spectra.
+) -> tuple[PeriodReport, HybridPeriodogram | None]:
+    """The whole pipeline, walked once; also returns the examined levels' spectra.
 
     Levels are examined largest variance first, so row r of the spectra is
     the r-th examined level. A series that preprocesses to all zeros
@@ -172,7 +171,7 @@ def _detect(
         )
     cleaned = preprocess(series, cfg.hp_lambda)
     if not np.any(cleaned.values):
-        return PeriodReport(periods=(), levels_examined=0, degenerate=True, config=cfg), [], None
+        return PeriodReport(periods=(), levels_examined=0, degenerate=True, config=cfg), None
     filters = daubechies_filters(cfg.wavelet_order)
     j0 = max_level(series.length, filters.L1)
     decomp = modwt_decompose(cleaned, filters, j0, robust=cfg.robust_mode)
@@ -180,13 +179,14 @@ def _detect(
     hybrid = None
     found: list[PeriodRecord] = []
     if levels:
+        rows = np.subtract(levels, 1)
         # Ranked levels have positive variance, so no padded row is all zeros.
-        padded = zero_pad(np.stack([decomp.level(j).w for j in levels]))
+        padded = zero_pad(decomp.w[rows])
         hybrid = huber_periodogram(padded, levels, cfg.zeta, robust=cfg.robust_mode)
-        for row, j in enumerate(levels):
-            record = detect_level(hybrid, row, j, cfg, variance_share=decomp.level(j).share)
+        for row, share in enumerate(decomp.share[rows].tolist()):
+            record = detect_level(hybrid, row, cfg, variance_share=share)
             if record is not None:
                 found.append(record)
     merged = tuple(merge_periods(found))
     report = PeriodReport(merged, levels_examined=len(levels), degenerate=False, config=cfg)
-    return report, levels, hybrid
+    return report, hybrid

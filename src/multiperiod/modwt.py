@@ -39,22 +39,18 @@ class WaveletFilterPair:
 
 
 @dataclass(frozen=True)
-class WaveletLevel:
-    """One decomposition level: coefficients plus ranking statistics."""
-
-    j: int
-    w: np.ndarray
-    variance: float | None
-    share: float
-
-
-@dataclass(frozen=True)
 class WaveletDecomposition:
-    levels: tuple[WaveletLevel, ...]
-    scaling: np.ndarray
+    """Row j - 1 of ``w`` (j0, N), ``variance`` and ``share`` (j0,) is level j.
 
-    def level(self, j: int) -> WaveletLevel:
-        return self.levels[j - 1]
+    ``variance`` is NaN for a level with fewer than 4 nonboundary
+    coefficients, and ``share`` is each variance over the sum of the known
+    ones (0 where unknown). ``scaling`` is the final scaling coefficients.
+    """
+
+    w: np.ndarray
+    variance: np.ndarray
+    share: np.ndarray
+    scaling: np.ndarray
 
 
 def _daubechies_scaling(order: int) -> np.ndarray:
@@ -215,7 +211,7 @@ def modwt_decompose(
 
     Per-level variances use the biweight midvariance over nonboundary
     coefficients (or the plain sample variance when ``robust=False``).
-    Levels with fewer than 4 nonboundary coefficients get variance None and
+    Levels with fewer than 4 nonboundary coefficients get variance NaN and
     are excluded from shares and ranking.
     """
     x = series.values
@@ -225,41 +221,33 @@ def modwt_decompose(
             f"decomposition depth {j0} exceeds the maximum for length {n}"
         )
 
-    coeffs = []
+    w = np.empty((j0, n))
+    variance = np.full(j0, np.nan)
     v = x
     for j in range(1, j0 + 1):
-        w, v = _circular_filter_pair(filters, v, 2 ** (j - 1))
-        coeffs.append(w)
-
-    variances: list[float | None] = []
-    for j, w in enumerate(coeffs, start=1):
+        w[j - 1], v = _circular_filter_pair(filters, v, 2 ** (j - 1))
         width = level_width(j, filters.L1)
         if n - width + 1 < 4:
-            variances.append(None)
-        elif robust:
-            variances.append(biweight_midvariance(w, width))
+            continue
+        if robust:
+            variance[j - 1] = biweight_midvariance(w[j - 1], width)
         else:
-            variances.append(float(np.var(w[width - 1 :], ddof=1)))
+            variance[j - 1] = np.var(w[j - 1, width - 1 :], ddof=1)
 
-    total = sum(var for var in variances if var is not None)
-    levels = tuple(
-        WaveletLevel(
-            j=j,
-            w=w,
-            variance=var,
-            share=(var / total) if (var is not None and total > 0) else 0.0,
-        )
-        for j, (w, var) in enumerate(zip(coeffs, variances), start=1)
-    )
-    return WaveletDecomposition(levels=levels, scaling=v)
+    known = ~np.isnan(variance)
+    # left to right, as numpy's pairwise sum rounds differently from 8 levels on
+    total = sum(variance[known].tolist())
+    share = np.zeros(j0)
+    if total > 0:
+        share[known] = variance[known] / total
+    return WaveletDecomposition(w=w, variance=variance, share=share, scaling=v)
 
 
 def rank_levels(decomp: WaveletDecomposition, share_threshold: float) -> list[int]:
-    """Level indices sorted by variance descending, keeping shares >= threshold."""
-    scored = [
-        (lev.variance, lev.j)
-        for lev in decomp.levels
-        if lev.variance is not None and lev.variance > 0 and lev.share >= share_threshold
-    ]
-    scored.sort(key=lambda item: (-item[0], item[1]))
-    return [j for _, j in scored]
+    """Levels sorted by variance descending, keeping shares >= threshold.
+
+    Only positive variances qualify; equal variances rank the lower level first.
+    """
+    rows = np.flatnonzero((decomp.variance > 0) & (decomp.share >= share_threshold))
+    rows = rows[np.argsort(-decomp.variance[rows], kind="stable")]
+    return (rows + 1).tolist()

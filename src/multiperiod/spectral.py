@@ -27,20 +27,20 @@ DEFAULT_ZETA = 1.0
 
 @dataclass
 class HybridPeriodogram:
-    """Half-spectrum power of a stack of levels, each with its robustly fit band.
+    """One-sided spectra of a stack of levels, each with its robustly fit band.
 
-    Row r of ``power`` covers k = 0..N-1 of the padded length ``n_padded``
-    = 2N spectrum of level r (DC forced to 0); ``nyquist[r]`` is its plain
-    ordinate of bin N. The Huber fit was used exactly on the bins
-    ``band[r][0]..band[r][1]``; ``band[r]`` is None when no bin of row r
-    was fit robustly. ``iterations`` and ``converged`` hold the solver
-    diagnostics of every fit bin, in row order, or None when no bin was fit.
+    Row r of ``power`` covers k = 0..N of the padded length ``n_padded``
+    = 2N spectrum of wavelet level ``levels[r]`` (DC forced to 0). The
+    Huber fit was used exactly on the bins ``band[r][0]..band[r][1]``;
+    ``band[r]`` is None when no bin of row r was fit robustly.
+    ``iterations`` and ``converged`` hold the solver diagnostics of every
+    fit bin, in row order, or None when no bin was fit.
     """
 
     power: np.ndarray
+    levels: list[int]
     band: list[tuple[int, int] | None]
     n_padded: int
-    nyquist: np.ndarray
     iterations: np.ndarray | None = None
     converged: np.ndarray | None = None
 
@@ -322,10 +322,11 @@ def _newton_huber_chunk(fit, bins, stats, b_cur, out):
     = 0, or beta = 0 itself where that H is singular. Each bin reads one
     run: the first ``reach`` samples of its row in slack order, held with
     their cos and sin and the clip pattern at the last accepted iterate in
-    flat arrays, one run after another. A bin whose iterate leaves the
-    radius its run covers gets a larger ``reach`` and keeps ``iterations``
-    0. Results go to rows ``bins`` of ``out`` = (beta, iterations,
-    converged); a done bin's run leaves the arrays.
+    flat arrays, one run after another. A first iterate lies inside the
+    radius its run covers; a bin whose next iterate leaves it gets a larger
+    ``reach`` and keeps ``iterations`` 0. Results go to rows ``bins`` of
+    ``out`` = (beta, iterations, converged); a done bin's run leaves the
+    arrays.
     """
     x, xs, ks, rows, table, order, slack, margin, reach, full, zeta, max_steps, tol = fit
     beta, iterations, converged = out
@@ -339,17 +340,6 @@ def _newton_huber_chunk(fit, bins, stats, b_cur, out):
     b_acc, full = np.zeros_like(b_cur), full[bins]  # b_cur is a full Newton step from b_acc
 
     for it in range(1, max_steps + 1):
-        norm = np.hypot(b_cur[:, 0], b_cur[:, 1])
-        left = norm > radius
-        if left.any():
-            reach[live[left]] = _reach(slack, row[left], 2 * norm[left] + margin[row[left]])
-            if left.all():
-                return
-            keep = np.repeat(~left, width).nonzero()[0]
-            xt, cs, pat_acc = xt.take(keep), cs.take(keep, axis=1), pat_acc.take(keep)
-            live, row, width, radius, stats, b_cur, b_acc, full = (
-                a[~left] for a in (live, row, width, radius, stats, b_cur, b_acc, full)
-            )
         pat = _clip_pattern(_residual(xt, cs, b_cur, width), zeta)
         f = (pat != pat_acc).nonzero()[0]
         bounds = np.zeros(live.size + 1, dtype=np.int64)
@@ -413,6 +403,12 @@ def _newton_huber_chunk(fit, bins, stats, b_cur, out):
             settled = live[small]
             beta[settled], iterations[settled], converged[settled] = b_acc[small], it, True
         gone = done | small
+        # a next iterate outside the radius of its run is fit again later
+        norm = np.hypot(b_cur[:, 0], b_cur[:, 1])
+        left = (norm > radius) & ~gone & (it < max_steps)
+        if left.any():
+            reach[live[left]] = _reach(slack, row[left], 2 * norm[left] + margin[row[left]])
+            gone |= left
         if gone.all():
             return
         if gone.any():
@@ -439,15 +435,14 @@ def huber_periodogram(
     zeta: float = DEFAULT_ZETA,
     robust: bool = True,
 ) -> HybridPeriodogram:
-    """Hybrid half-spectra of a stack of padded series, one wavelet level per row.
+    """Hybrid one-sided spectra of a stack of padded series, one wavelet level per row.
 
     Bins inside each row's nominal band for its level in ``levels`` get the
     robust power (n/4)*||beta||^2 from the Huber fit, every row's band
-    solved in one ``huber_fit`` call; all other bins reuse the plain
-    periodogram; ``zeta`` is the fit's Huber threshold. DC is forced to
-    zero, and the Nyquist ordinate is (sum_k x_{2k} - x_{2k+1})^2 / n.
-    ``robust=False`` skips the robust fits entirely, and so does a
-    degenerate all-zero row for itself.
+    solved in one ``huber_fit`` call; all other bins, Nyquist included,
+    reuse the plain periodogram; ``zeta`` is the fit's Huber threshold. DC
+    is forced to zero. ``robust=False`` skips the robust fits entirely, and
+    so does a degenerate all-zero row for itself.
     """
     x = np.asarray(x, dtype=np.float64)
     if not np.isfinite(x).all():
@@ -466,7 +461,7 @@ def huber_periodogram(
     n = x.shape[1]
     # vanilla_periodogram of every row, squared only over the bins kept; the
     # full spectrum is freed before the fit
-    spec = np.fft.fft(x, axis=-1)[:, : n // 2]
+    spec = np.fft.fft(x, axis=-1)[:, : n // 2 + 1]
     power = (spec.real**2 + spec.imag**2) / n
     del spec
     power[:, 0] = 0.0
@@ -480,8 +475,7 @@ def huber_periodogram(
         beta, iterations, converged = huber_fit(x, ks, zeta)
         rows = np.repeat(np.arange(len(ks)), [k.size for k in ks])
         power[rows, np.concatenate(ks)] = (n / 4.0) * np.einsum("ij,ij->i", beta, beta)
-    nyquist = (x[:, 0::2] - x[:, 1::2]).sum(axis=1) ** 2 / n
-    return HybridPeriodogram(power, band, n, nyquist, iterations, converged)
+    return HybridPeriodogram(power, list(levels), band, n, iterations, converged)
 
 
 def _signed_log_add(log_a: float, sign_a: float, log_b: float, sign_b: float):

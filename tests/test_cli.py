@@ -132,6 +132,18 @@ class TestDetectCommand:
         assert report["degenerate"] is True
         assert report["periods"] == []
 
+    def test_constant_series_dumps_nothing(self, tmp_path, capsys):
+        # a degenerate series has no spectra: the directory is made and stays empty
+        path = tmp_path / "const.csv"
+        path.write_text("\n".join(["5.0"] * 100) + "\n")
+        diag = tmp_path / "diag"
+        code, out, _ = run_cli(
+            capsys, "detect", "--input", str(path), "--dump-diagnostics", str(diag)
+        )
+        assert code == 0
+        assert json.loads(out)["degenerate"] is True
+        assert diag.is_dir() and os.listdir(diag) == []
+
     def test_missing_file_exits_1(self, capsys):
         code, _, err = run_cli(capsys, "detect", "--input", "/nonexistent/x.csv")
         assert code == 1

@@ -19,37 +19,37 @@ from multiperiod.synthbench import SCENARIOS, generate
 
 
 def three_period_level(level, seed=0):
-    """Wavelet coefficients of the preprocessed mild three-period series."""
+    """Wavelet coefficients and variance share of the preprocessed mild three-period series."""
     series = generate(replace(SCENARIOS["mild"], seed=seed))
     cleaned = preprocess(series)
     decomp = modwt_decompose(cleaned, daubechies_filters(4), 7)
-    return decomp.level(level)
+    return decomp.w[level - 1], decomp.share[level - 1]
 
 
 def validate_level(w, level, cfg=DetectorConfig(), variance_share=0.0):
     """detect_level on the periodogram the pipeline builds."""
     hybrid = huber_periodogram(zero_pad(w)[None], [level], cfg.zeta, robust=cfg.robust_mode)
-    return detect_level(hybrid, 0, level, cfg, variance_share)
+    return detect_level(hybrid, 0, cfg, variance_share)
 
 
 class TestDetectLevel:
     def test_level6_finds_period_100(self):
-        lev = three_period_level(6)
-        record = validate_level(lev.w, 6, DetectorConfig(), lev.share)
-        assert record is not None
+        w, share = three_period_level(6)
+        record = validate_level(w, 6, DetectorConfig(), share)
+        assert record is not None and record.level == 6
         assert abs(record.length - 100.0) <= 2.0
         assert record.p_value < 1e-10
 
     def test_level5_finds_period_50(self):
-        lev = three_period_level(5)
-        record = validate_level(lev.w, 5, DetectorConfig(), lev.share)
-        assert record is not None
+        w, share = three_period_level(5)
+        record = validate_level(w, 5, DetectorConfig(), share)
+        assert record is not None and record.level == 5
         assert abs(record.length - 50.0) <= 1.0
 
     def test_level4_finds_period_20(self):
-        lev = three_period_level(4)
-        record = validate_level(lev.w, 4, DetectorConfig(), lev.share)
-        assert record is not None
+        w, share = three_period_level(4)
+        record = validate_level(w, 4, DetectorConfig(), share)
+        assert record is not None and record.level == 4
         assert abs(record.length - 20.0) <= 0.4
 
     @pytest.mark.parametrize("seed", range(12))

@@ -5,6 +5,7 @@ import pytest
 
 from multiperiod.modwt import (
     MAX_FAMILY_ORDER,
+    WaveletDecomposition,
     _circular_filter_pair,
     biweight_midvariance,
     daubechies_filters,
@@ -115,15 +116,15 @@ class TestDecomposition:
             y = rng.normal(size=n)
             j0 = max_level(n, pair.L1)
             dec = modwt_decompose(TimeSeries(y), pair, j0)
-            total = sum(np.dot(lev.w, lev.w) for lev in dec.levels)
+            total = sum(np.dot(w, w) for w in dec.w)
             total += np.dot(dec.scaling, dec.scaling)
             assert abs(total - np.dot(y, y)) <= 1e-8 * np.dot(y, y)
 
     def test_constant_series_has_zero_wavelet_coefficients(self):
         pair = daubechies_filters(4)
         dec = modwt_decompose(TimeSeries(np.full(128, 3.7)), pair, 3)
-        for lev in dec.levels:
-            assert np.max(np.abs(lev.w)) < 1e-12
+        for w in dec.w:
+            assert np.max(np.abs(w)) < 1e-12
 
     def test_pyramid_matches_direct_convolution(self):
         rng = np.random.default_rng(1)
@@ -134,7 +135,7 @@ class TestDecomposition:
             h_j, g_j = upsampled_level_filters(pair, j)
             assert h_j.size == level_width(j, pair.L1)
             expected = direct_modwt_level(y, h_j)
-            np.testing.assert_allclose(dec.level(j).w, expected, atol=1e-10)
+            np.testing.assert_allclose(dec.w[j - 1], expected, atol=1e-10)
         _, g_2 = upsampled_level_filters(pair, 2)
         np.testing.assert_allclose(dec.scaling, direct_modwt_level(y, g_2), atol=1e-10)
 
@@ -147,7 +148,7 @@ class TestDecomposition:
         dec_shifted = modwt_decompose(TimeSeries(np.roll(y, shift)), pair, 3)
         for j in (1, 2, 3):
             np.testing.assert_allclose(
-                dec_shifted.level(j).w, np.roll(dec.level(j).w, shift), atol=1e-10
+                dec_shifted.w[j - 1], np.roll(dec.w[j - 1], shift), atol=1e-10
             )
 
     def test_depth_beyond_max_is_rejected(self):
@@ -224,8 +225,7 @@ class TestRanking:
         t = np.arange(1000, dtype=float)
         pair = daubechies_filters(4)
         dec = modwt_decompose(TimeSeries(np.sin(2 * np.pi * t / period)), pair, 7)
-        variances = {lev.j: lev.variance for lev in dec.levels}
-        assert max(variances, key=variances.get) == level
+        assert np.argmax(dec.variance) + 1 == level
 
     def test_three_period_mixture_ranks_its_levels_first(self):
         t = np.arange(1000, dtype=float)
@@ -255,8 +255,25 @@ class TestRanking:
         assert rank_levels(dec, 0.5) == [6]
         assert rank_levels(dec, 0.99) == []
 
+    def test_ties_rank_the_lower_level_first(self):
+        # NaN, zero and below-threshold variances are never ranked
+        variance = np.array([1.0, 2.0, 1.0, np.nan, 0.0, 2.0])
+        share = np.array([1.0, 2.0, 1.0, 0.0, 0.0, 2.0]) / 6.0
+        dec = WaveletDecomposition(np.zeros((6, 8)), variance, share, np.zeros(8))
+        assert rank_levels(dec, 0.0) == [2, 6, 1, 3]
+        assert rank_levels(dec, 0.2) == [2, 6]
+
+    def test_level_with_too_few_nonboundary_coefficients_is_not_ranked(self):
+        # at n = 50 the level-3 filter is 50 taps wide: one nonboundary coefficient
+        pair = daubechies_filters(4)
+        dec = modwt_decompose(TimeSeries(np.random.default_rng(7).normal(size=50)), pair, 3)
+        assert dec.w.shape == (3, 50)
+        assert np.isnan(dec.variance[2]) and dec.share[2] == 0.0
+        assert dec.share[:2].sum() == pytest.approx(1.0)
+        assert 3 not in rank_levels(dec, 0.0)
+
     def test_shares_sum_to_at_most_one(self):
         rng = np.random.default_rng(6)
         pair = daubechies_filters(4)
         dec = modwt_decompose(TimeSeries(rng.normal(size=512)), pair, 5)
-        assert sum(lev.share for lev in dec.levels) <= 1.0 + 1e-12
+        assert sum(dec.share) <= 1.0 + 1e-12

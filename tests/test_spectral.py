@@ -456,12 +456,13 @@ class TestAdmmHuberFit:
 
         monkeypatch.setattr(spectral, "_newton_huber_chunk", recorded)
         series = generate(replace(SCENARIOS[scenario], length=length, seed=0))
-        _, levels, hybrid = _detect(series, DetectorConfig())
-        assert levels
+        _, hybrid = _detect(series, DetectorConfig())
+        assert hybrid.levels
         assert hybrid.converged.all()
         assert sum(passed) <= 1.001 * hybrid.iterations.size
         sizes = [hi - lo + 1 for lo, hi in hybrid.band]
-        for level, iterations in zip(levels, np.split(hybrid.iterations, np.cumsum(sizes)[:-1])):
+        per_level = np.split(hybrid.iterations, np.cumsum(sizes)[:-1])
+        for level, iterations in zip(hybrid.levels, per_level):
             assert iterations.mean() <= 2.5, level
 
     def test_golden_detections_stack_fits_like_single_rows(self, monkeypatch):
@@ -578,7 +579,7 @@ class TestHuberPeriodogram:
         assert hybrid.iterations.size == hybrid.converged.size == hi - lo + 1
         # every bin outside the band keeps the plain periodogram
         power, plain = hybrid.power[0], huber_periodogram(x[None], [3], robust=False).power[0]
-        outside = np.ones(256, dtype=bool)
+        outside = np.ones(257, dtype=bool)
         outside[lo : hi + 1] = False
         np.testing.assert_array_equal(power[outside], plain[outside])
         assert np.all(power[lo : hi + 1] != plain[lo : hi + 1])
@@ -598,16 +599,16 @@ class TestHuberPeriodogram:
         singles = [huber_periodogram(row[None], [level]) for row, level in zip(x, levels)]
         for r, single in enumerate(singles):
             np.testing.assert_array_equal(hybrid.power[r], single.power[0])
-            assert hybrid.nyquist[r] == single.nyquist[0]
             assert hybrid.band[r] == single.band[0]
-        assert hybrid.band[1] is None and singles[1].iterations is None
+        assert hybrid.levels == levels and hybrid.band[1] is None
+        assert singles[1].iterations is None
         for name in ("iterations", "converged"):
             fitted = [getattr(singles[r], name) for r in (0, 2)]
             np.testing.assert_array_equal(getattr(hybrid, name), np.concatenate(fitted))
 
     def test_zero_input(self):
         hybrid = huber_periodogram(np.zeros((1, 128)), [3])
-        np.testing.assert_array_equal(hybrid.power, np.zeros((1, 64)))
+        np.testing.assert_array_equal(hybrid.power, np.zeros((1, 65)))
         assert hybrid.band == [None] and hybrid.iterations is None
 
     def test_huge_zeta_equals_vanilla(self):
