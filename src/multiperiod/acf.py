@@ -2,9 +2,11 @@
 
 The one-sided spectrum (DC to Nyquist) is inverted to the autocorrelation
 with a real inverse FFT, corrected per lag for the shrinking overlap count,
-and rescaled so lag 0 is exactly 1. The median spacing of qualifying peaks
-is accepted as the period only when it falls inside the resolution window
-of the dominant frequency bin.
+and rescaled so lag 0 is exactly 1. ``huber_acf`` and ``find_peaks`` take
+one row or a stack of rows, so every level of a series is inverted by one
+FFT and searched with one mask. The median spacing of qualifying peaks is
+accepted as the period only when it falls inside the resolution window of
+the dominant frequency bin.
 """
 
 from __future__ import annotations
@@ -50,43 +52,60 @@ def full_range_periodogram(hybrid: HybridPeriodogram, row: int) -> np.ndarray:
     return hybrid.power[row]
 
 
-def huber_acf(spectrum: np.ndarray) -> np.ndarray | None:
-    """Normalized autocorrelation of the unpadded series from its one-sided spectrum.
+def huber_acf(spectra: np.ndarray) -> np.ndarray:
+    """Normalized autocorrelation of each unpadded series from its one-sided spectrum.
 
-    ``spectrum`` holds bins 0..N of a real, even spectrum over n = 2N
-    samples, so p_t = sum_k p_k exp(i 2 pi k t / n) is the real inverse FFT
-    of those bins (up to a constant factor, which the normalization
-    cancels). Each lag t < N is divided by (N - t) * p_0 to undo the
-    shrinking overlap, then the whole curve is rescaled by its lag-0 value
-    so it starts at exactly 1. Nonpositive total power is degenerate and
-    yields None.
+    Each row of ``spectra`` (a 1-d row or an (S, N + 1) stack) holds bins
+    0..N of a real, even spectrum over n = 2N samples, so
+    p_t = sum_k p_k exp(i 2 pi k t / n) is the real inverse FFT of those
+    bins (up to a constant factor, which the normalization cancels); one
+    inverse FFT covers the stack. Each lag t < N is divided by
+    (N - t) * p_0 to undo the shrinking overlap, then the whole curve is
+    rescaled by its lag-0 value so it starts at exactly 1. A row with
+    nonpositive total power is degenerate and comes back as N zeros, which
+    no peak can reach. The result has the input's shape with N lags per row.
     """
-    spectrum = np.asarray(spectrum, dtype=np.float64)
-    if spectrum.ndim != 1 or spectrum.size < 2:
-        raise InvalidInputError("expected a 1-d spectrum of at least 2 bins (DC to Nyquist)")
-    n_series = spectrum.size - 1
-    p = np.fft.irfft(spectrum, 2 * n_series)
-    if p[0] <= 0:
-        return None
-    raw = p[:n_series] / ((n_series - np.arange(n_series)) * p[0])
-    return raw / raw[0]
+    spectra = np.asarray(spectra, dtype=np.float64)
+    if spectra.ndim not in (1, 2) or spectra.shape[-1] < 2:
+        raise InvalidInputError("expected a spectrum or stack of spectra of at least 2 bins")
+    if not np.isfinite(spectra).all():
+        raise InvalidInputError("the spectra must be finite")
+    n_series = spectra.shape[-1] - 1
+    p = np.fft.irfft(spectra, 2 * n_series, axis=-1)[..., :n_series]
+    lag0 = p[..., :1]
+    live = lag0 > 0
+    raw = p / ((n_series - np.arange(n_series)) * np.where(live, lag0, 1.0))
+    return np.divide(raw, raw[..., :1], out=np.zeros_like(raw), where=live)
 
 
-def find_peaks(acf: np.ndarray, height: float = DEFAULT_PEAK_HEIGHT) -> list[int]:
-    """Lags of local maxima at or above ``height`` up to lag ``acf.size // 2``.
+def find_peaks(
+    acf: np.ndarray, height: float = DEFAULT_PEAK_HEIGHT
+) -> list[int] | list[list[int]]:
+    """Lags of local maxima at or above ``height`` up to lag ``size // 2``.
 
-    Lags beyond half the series are not searched: the 1/(N-t) overlap
-    correction blows up there. A lag t qualifies when acf[t] > acf[t-1],
-    acf[t] >= acf[t+1] and acf[t] >= height, so a flat plateau reports its
-    first lag. No two peaks are adjacent: lag t + 1 cannot rise strictly
-    above a peak at t. Lag 0 is never a peak.
+    ``acf`` is one curve of ``size`` lags, or an (S, size) stack searched
+    with one mask, giving one lag list per row. Lags beyond half the series
+    are not searched: the 1/(N-t) overlap correction blows up there. A lag
+    t qualifies when acf[t] > acf[t-1], acf[t] >= acf[t+1] and
+    acf[t] >= height, so a flat plateau reports its first lag. No two peaks
+    are adjacent: lag t + 1 cannot rise strictly above a peak at t. Lag 0
+    is never a peak.
     """
     if not (0.0 < height < 1.0):
         raise InvalidInputError("height must lie in (0, 1)")
-    last = min(acf.size // 2, acf.size - 2)
-    mid = acf[1 : last + 1]
-    is_peak = (mid > acf[:last]) & (mid >= acf[2 : last + 2]) & (mid >= height)
-    return (is_peak.nonzero()[0] + 1).tolist()
+    acf = np.asarray(acf, dtype=np.float64)
+    if acf.ndim not in (1, 2):
+        raise InvalidInputError("expected a 1-d autocorrelation or a 2-d stack of them")
+    size = acf.shape[-1]
+    last = min(size // 2, size - 2)
+    mid = acf[..., 1 : last + 1]
+    is_peak = (mid > acf[..., :last]) & (mid >= acf[..., 2 : last + 2]) & (mid >= height)
+    if acf.ndim == 1:
+        return (is_peak.nonzero()[0] + 1).tolist()
+    rows, lags = is_peak.nonzero()
+    lags = (lags + 1).tolist()
+    ends = np.cumsum(np.bincount(rows, minlength=acf.shape[0])).tolist()
+    return [lags[start:end] for start, end in zip([0] + ends, ends)]
 
 
 def period_from_peaks(peaks: list[int], k_star: int, n: int) -> float | None:
@@ -102,7 +121,12 @@ def period_from_peaks(peaks: list[int], k_star: int, n: int) -> float | None:
         raise InvalidInputError("frequency index must be >= 1")
     if len(peaks) < 2:
         return None
-    spacings = np.diff(np.sort(np.asarray(peaks)))
-    median = float(np.median(spacings))
+    peaks = sorted(peaks)
+    spacings = sorted(b - a for a, b in zip(peaks, peaks[1:]))
+    half = len(spacings) // 2
+    if len(spacings) % 2:
+        median = float(spacings[half])
+    else:
+        median = (spacings[half - 1] + spacings[half]) / 2
     window = ValidationRange.from_index(k_star, n)
     return median if window.contains(median) else None

@@ -17,7 +17,7 @@ import tempfile
 
 import numpy as np
 
-from .acf import find_peaks, full_range_periodogram, huber_acf
+from .acf import find_peaks, huber_acf
 from .detector import DetectorConfig, PeriodReport, _detect
 from .series import InvalidInputError, TimeSeries
 from .spectral import HybridPeriodogram
@@ -142,17 +142,18 @@ def _dump_diagnostics(
     """Per-level periodogram and autocorrelation CSVs for external plotting.
 
     The periodograms are the detection's own, bins 0..N-1 of one row per
-    examined level (none without spectra); the ACF is recomputed because
-    the detection skips it on levels whose g-test failed.
+    examined level (none without spectra). Every row's ACF and peaks come
+    from one ``huber_acf`` and one ``find_peaks`` call over the whole
+    stack, since the detection takes them only for levels whose g-test
+    passed; a degenerate row's ACF is all zeros, with no peaks.
     """
     os.makedirs(directory, exist_ok=True)
     if hybrid is None:
         return
+    acfs = huber_acf(hybrid.power)
+    peak_lists = find_peaks(acfs, height=cfg.acf_height)
     for row, level in enumerate(hybrid.levels):
-        acf = huber_acf(full_range_periodogram(hybrid, row))
-        if acf is None:  # degenerate level: its ACF is written as zeros
-            acf = np.zeros(hybrid.n_padded // 2)
-        peaks = set(find_peaks(acf, height=cfg.acf_height))
+        acf, peaks = acfs[row], set(peak_lists[row])
         lo, hi = hybrid.band[row] or (0, -1)
         path = os.path.join(directory, f"level{level:02d}.csv")
         with open(path, "w", newline="") as handle:

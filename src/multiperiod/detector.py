@@ -2,9 +2,11 @@
 
 Preprocess, decompose into wavelet levels, rank levels by robust variance
 share, pad the qualifying levels and build their hybrid periodograms in one
-stack, then per level: test spectral significance, and validate the
-dominant candidate against the autocorrelation peak structure. Validated
-periods from different levels are deduplicated before reporting.
+stack, and g-test each level's spectrum. The levels that pass share one
+autocorrelation pass (one inverse FFT and one peak mask over their stack);
+each level's dominant candidate is then validated against its peak
+structure. Validated periods from different levels are deduplicated before
+reporting.
 """
 
 from __future__ import annotations
@@ -25,7 +27,14 @@ from .acf import (
 from .modwt import check_family_order, daubechies_filters, max_level, modwt_decompose, rank_levels
 from .preprocess import DEFAULT_HP_LAMBDA, preprocess
 from .series import InvalidInputError, TimeSeries
-from .spectral import DEFAULT_ZETA, HybridPeriodogram, fisher_test, huber_periodogram, zero_pad
+from .spectral import (
+    DEFAULT_ZETA,
+    FisherOutcome,
+    HybridPeriodogram,
+    fisher_test,
+    huber_periodogram,
+    zero_pad,
+)
 
 MIN_DETECTION_LENGTH = 64
 
@@ -92,24 +101,19 @@ class PeriodReport:
 def detect_level(
     hybrid: HybridPeriodogram,
     row: int,
-    cfg: DetectorConfig,
+    outcome: FisherOutcome,
+    peaks: list[int],
     variance_share: float = 0.0,
 ) -> PeriodRecord | None:
-    """Validate the dominant period of level ``hybrid.levels[row]`` from its spectrum.
+    """Validate the dominant period of level ``hybrid.levels[row]``.
 
-    Pipeline: g-test (bins 1..N-1 of the one-sided spectrum); insignificant
-    levels return None. Otherwise the dominant bin must be corroborated:
-    the autocorrelation's qualifying-peak median spacing has to land inside
-    the bin's resolution window, and that median is the reported period
-    length.
+    ``outcome`` is the row's g-test and ``peaks`` its ACF's qualifying peak
+    lags. An insignificant level returns None. Otherwise the dominant bin
+    must be corroborated: the peaks' median spacing has to land inside the
+    bin's resolution window, and that median is the reported period length.
     """
-    outcome = fisher_test(hybrid.power[row, :-1], cfg.fisher_alpha)
     if not outcome.significant:
         return None
-    acf = huber_acf(full_range_periodogram(hybrid, row))
-    if acf is None:
-        return None
-    peaks = find_peaks(acf, height=cfg.acf_height)
     period = period_from_peaks(peaks, outcome.k_star, hybrid.n_padded)
     if period is None:
         return None
@@ -183,8 +187,14 @@ def _detect(
         # Ranked levels have positive variance, so no padded row is all zeros.
         padded = zero_pad(decomp.w[rows])
         hybrid = huber_periodogram(padded, levels, cfg.zeta, robust=cfg.robust_mode)
+        outcomes = [fisher_test(power[:-1], cfg.fisher_alpha) for power in hybrid.power]
+        passed = [row for row, outcome in enumerate(outcomes) if outcome.significant]
+        peaks: dict[int, list[int]] = {}
+        if passed:
+            spectra = np.stack([full_range_periodogram(hybrid, row) for row in passed])
+            peaks = dict(zip(passed, find_peaks(huber_acf(spectra), height=cfg.acf_height)))
         for row, share in enumerate(decomp.share[rows].tolist()):
-            record = detect_level(hybrid, row, cfg, variance_share=share)
+            record = detect_level(hybrid, row, outcomes[row], peaks.get(row, []), share)
             if record is not None:
                 found.append(record)
     merged = tuple(merge_periods(found))

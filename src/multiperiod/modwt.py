@@ -17,7 +17,6 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .series import InternalError, InvalidInputError, TimeSeries
 
@@ -156,13 +155,39 @@ def _circular_filter_pair(
     """Both out[t] = sum_l f[l] * signal[(t - stride*l) mod n], for f = h and g.
 
     The circular block signal[(t - stride*l) mod n] is gathered once for both,
-    from windows of the signal led by its last m = stride*(L1 - 1) samples;
+    from the signal led by its last m = stride*(L1 - 1) samples: row t of
+    the strided view starts at ext[t + m] and steps back by ``stride``.
     ``max_level`` keeps m below n.
     """
+    n = signal.size
     m = stride * (filters.L1 - 1)
-    ext = np.concatenate([signal[signal.size - m :], signal])
-    block = np.ascontiguousarray(sliding_window_view(ext, m + 1)[:, ::-stride])
+    ext = np.concatenate([signal[n - m :], signal])
+    step = ext.itemsize
+    view = np.ndarray(
+        (n, filters.L1), ext.dtype, buffer=ext, offset=step * m, strides=(step, -step * stride)
+    )
+    block = np.ascontiguousarray(view)
     return block @ filters.h, block @ filters.g
+
+
+def _median(values: np.ndarray) -> float:
+    """``np.median`` of a nonempty 1-d array, partitioned in place.
+
+    Equal to numpy's value; only a median of -0.0, which numpy returns as
+    0.0, keeps its sign here.
+    """
+    half = values.size // 2
+    if values.size % 2:
+        values.partition(half)
+        return values[half]
+    values.partition((half - 1, half))
+    return (values[half - 1] + values[half]) / 2
+
+
+def _sample_variance(values: np.ndarray) -> float:
+    """``np.var(values, ddof=1)`` without its per-call overhead."""
+    dev = values - values.sum() / values.size
+    return (dev * dev).sum() / (values.size - 1)
 
 
 def biweight_midvariance(w: np.ndarray, width: int) -> float:
@@ -184,9 +209,9 @@ def biweight_midvariance(w: np.ndarray, width: int) -> float:
     m = tail.size
     if m < 4:
         raise InvalidInputError("too few nonboundary coefficients for variance estimation")
-    med = np.median(tail)
+    med = _median(tail.copy())
     dev = tail - med
-    mad = np.median(np.abs(dev))
+    mad = _median(np.abs(dev))
     if mad == 0.0:
         return 0.0
     u = dev / (9.0 * mad)
@@ -232,7 +257,7 @@ def modwt_decompose(
         if robust:
             variance[j - 1] = biweight_midvariance(w[j - 1], width)
         else:
-            variance[j - 1] = np.var(w[j - 1, width - 1 :], ddof=1)
+            variance[j - 1] = _sample_variance(w[j - 1, width - 1 :])
 
     known = ~np.isnan(variance)
     # left to right, as numpy's pairwise sum rounds differently from 8 levels on

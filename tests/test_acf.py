@@ -102,7 +102,10 @@ class TestHuberAcf:
         np.testing.assert_allclose(scaled, base, atol=1e-12)
 
     def test_degenerate_zero_spectrum(self):
-        assert huber_acf(np.zeros(65)) is None
+        # no peak can reach an all-zero curve
+        acf = huber_acf(np.zeros(65))
+        np.testing.assert_array_equal(acf, np.zeros(64))
+        assert find_peaks(acf, 0.5) == []
 
     def test_usable_range_bound(self):
         # |acf| <= 1 + 1e-6 on the usable range for a full-cycle sinusoid
@@ -118,7 +121,70 @@ class TestHuberAcf:
         with pytest.raises(InvalidInputError):
             huber_acf(np.zeros(1))
         with pytest.raises(InvalidInputError):
-            huber_acf(np.zeros((4, 4)))
+            huber_acf(np.zeros((4, 1)))
+        with pytest.raises(InvalidInputError):
+            huber_acf(np.zeros((4, 4, 4)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_spectrum_rejected(self, bad):
+        spectra = np.ones((2, 9))
+        spectra[1, 4] = bad
+        with pytest.raises(InvalidInputError):
+            huber_acf(spectra)
+
+
+def stack_with_zero_row(rng, rows, bins):
+    """Random one-sided spectra with DC zeroed and row 1 all zeros."""
+    spectra = rng.normal(size=(rows, bins)) ** 2
+    spectra[:, 0] = 0.0
+    spectra[1] = 0.0
+    return spectra
+
+
+class TestStackedRows:
+    """Each row of a stacked call equals the 1-d call on that row, bit for bit."""
+
+    # 2-5 bins give N = 1-4 lags, where size - 2 bounds the peak search
+    # before size // 2 does.
+    @pytest.mark.parametrize("bins", [2, 3, 4, 5, 6, 9, 65, 501])
+    def test_huber_acf_rows(self, bins):
+        spectra = stack_with_zero_row(np.random.default_rng(bins), 5, bins)
+        stacked = huber_acf(spectra)
+        assert stacked.shape == (5, bins - 1)
+        for row, spectrum in enumerate(spectra):
+            np.testing.assert_array_equal(stacked[row], huber_acf(spectrum))
+        np.testing.assert_array_equal(stacked[1], np.zeros(bins - 1))
+
+    def test_negative_total_power_is_degenerate(self):
+        spectra = np.zeros((2, 9))
+        spectra[0, 3] = -1.0
+        spectra[1, 3] = 1.0
+        stacked = huber_acf(spectra)
+        np.testing.assert_array_equal(stacked[0], np.zeros(8))
+        assert stacked[1, 0] == 1.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        values=arrays(
+            np.float64,
+            st.tuples(st.integers(0, 4), st.integers(0, 12)),
+            elements=st.one_of(
+                st.sampled_from([0.0, 0.5, 0.9]),
+                st.floats(allow_nan=False, allow_infinity=False),
+            ),
+        ),
+        height=st.floats(0.01, 0.99),
+    )
+    def test_find_peaks_rows(self, values, height):
+        stacked = find_peaks(values, height)
+        assert stacked == [find_peaks(row, height) for row in values]
+
+    @pytest.mark.parametrize("bins", [2, 3, 4, 5, 6, 9, 65, 501])
+    def test_find_peaks_rows_of_an_acf_stack(self, bins):
+        acf = huber_acf(stack_with_zero_row(np.random.default_rng(bins), 5, bins))
+        stacked = find_peaks(acf, 0.1)
+        assert stacked == [find_peaks(row, 0.1) for row in acf]
+        assert stacked[1] == []
 
 
 class TestFindPeaks:
@@ -150,6 +216,15 @@ class TestFindPeaks:
             find_peaks(acf, 0.0)
         with pytest.raises(InvalidInputError):
             find_peaks(acf, 1.0)
+
+    def test_list_input(self):
+        assert find_peaks([0.1, 0.9, 0.2, 0.1, 0.0], 0.5) == [1]
+        assert find_peaks([[0.1, 0.9, 0.2, 0.1, 0.0], [0.0] * 5], 0.5) == [[1], []]
+
+    @pytest.mark.parametrize("acf", [0.5, np.zeros((2, 3, 8))])
+    def test_shapes_other_than_a_row_or_stack_rejected(self, acf):
+        with pytest.raises(InvalidInputError):
+            find_peaks(acf, 0.5)
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -207,6 +282,21 @@ class TestPeriodFromPeaks:
     def test_invalid_index(self):
         with pytest.raises(InvalidInputError):
             period_from_peaks([10, 20], 0, 1000)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        peaks=st.lists(st.integers(1, 5000), min_size=2, max_size=12),
+        k_star=st.integers(1, 60),
+    )
+    def test_equals_the_numpy_median(self, peaks, k_star):
+        # odd and even spacing counts, repeated lags and unsorted input
+        median = float(np.median(np.diff(np.sort(np.asarray(peaks)))))
+        window = ValidationRange.from_index(k_star, 2000)
+        expected = median if window.contains(median) else None
+        assert period_from_peaks(peaks, k_star, 2000) == expected
+        # a window centred on the median accepts it
+        n = max(1, round(median)) * k_star
+        assert period_from_peaks(peaks, k_star, n) == median
 
 
 class TestRobustnessToOutlierBursts:

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from multiperiod.acf import find_peaks, full_range_periodogram, huber_acf
 from multiperiod.detector import (
     DetectorConfig,
     PeriodRecord,
@@ -14,7 +15,7 @@ from multiperiod.detector import (
 from multiperiod.modwt import daubechies_filters, modwt_decompose
 from multiperiod.preprocess import preprocess
 from multiperiod.series import InvalidInputError, TimeSeries
-from multiperiod.spectral import huber_periodogram, zero_pad
+from multiperiod.spectral import fisher_test, huber_periodogram, zero_pad
 from multiperiod.synthbench import SCENARIOS, generate
 
 
@@ -27,9 +28,11 @@ def three_period_level(level, seed=0):
 
 
 def validate_level(w, level, cfg=DetectorConfig(), variance_share=0.0):
-    """detect_level on the periodogram the pipeline builds."""
+    """detect_level on the periodogram, g-test and ACF peaks the pipeline builds."""
     hybrid = huber_periodogram(zero_pad(w)[None], [level], cfg.zeta, robust=cfg.robust_mode)
-    return detect_level(hybrid, 0, cfg, variance_share)
+    outcome = fisher_test(hybrid.power[0, :-1], cfg.fisher_alpha)
+    peaks = find_peaks(huber_acf(full_range_periodogram(hybrid, 0)), cfg.acf_height)
+    return detect_level(hybrid, 0, outcome, peaks, variance_share)
 
 
 class TestDetectLevel:

@@ -2,11 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from multiperiod.modwt import (
     MAX_FAMILY_ORDER,
     WaveletDecomposition,
     _circular_filter_pair,
+    _median,
+    _sample_variance,
     biweight_midvariance,
     daubechies_filters,
     level_width,
@@ -198,6 +203,34 @@ class TestBiweightMidvariance:
     def test_numpy_integer_width_is_accepted(self):
         w = np.random.default_rng(6).normal(size=50)
         assert biweight_midvariance(w, np.int64(3)) == biweight_midvariance(w, 3)
+
+
+class TestPlainReductions:
+    """The hand-written median and sample variance equal numpy's bit for bit."""
+
+    values = arrays(
+        np.float64,
+        st.integers(4, 60),  # odd and even lengths
+        # repeated values, so ties and a zero spread occur
+        elements=st.one_of(
+            st.sampled_from([0.0, -1.5, 2.0]),
+            st.floats(-1e6, 1e6, allow_nan=False),
+        ),
+    )
+
+    @settings(max_examples=300, deadline=None)
+    @given(values=values)
+    def test_partition_median(self, values):
+        expected = np.median(values)
+        kept = values.copy()
+        assert _median(values) == expected
+        # the values are only reordered
+        np.testing.assert_array_equal(np.sort(values), np.sort(kept))
+
+    @settings(max_examples=300, deadline=None)
+    @given(values=values)
+    def test_sample_variance(self, values):
+        assert _sample_variance(values) == np.var(values, ddof=1)
 
 
 class TestCircularFilterPair:
