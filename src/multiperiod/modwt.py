@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .reductions import center, median
 from .series import InternalError, InvalidInputError, TimeSeries
 
 _SQRT2 = math.sqrt(2.0)
@@ -170,26 +171,6 @@ def _circular_filter_pair(
     return block @ filters.h, block @ filters.g
 
 
-def _median(values: np.ndarray) -> float:
-    """``np.median`` of a nonempty 1-d array, partitioned in place.
-
-    Equal to numpy's value; only a median of -0.0, which numpy returns as
-    0.0, keeps its sign here.
-    """
-    half = values.size // 2
-    if values.size % 2:
-        values.partition(half)
-        return values[half]
-    values.partition((half - 1, half))
-    return (values[half - 1] + values[half]) / 2
-
-
-def _sample_variance(values: np.ndarray) -> float:
-    """``np.var(values, ddof=1)`` without its per-call overhead."""
-    dev = values - values.sum() / values.size
-    return (dev * dev).sum() / (values.size - 1)
-
-
 def biweight_midvariance(w: np.ndarray, width: int) -> float:
     """Robust variance of the nonboundary coefficients w[width-1:].
 
@@ -209,9 +190,9 @@ def biweight_midvariance(w: np.ndarray, width: int) -> float:
     m = tail.size
     if m < 4:
         raise InvalidInputError("too few nonboundary coefficients for variance estimation")
-    med = _median(tail.copy())
+    med = median(tail.copy())
     dev = tail - med
-    mad = _median(np.abs(dev))
+    mad = median(np.abs(dev))
     if mad == 0.0:
         return 0.0
     u = dev / (9.0 * mad)
@@ -257,7 +238,7 @@ def modwt_decompose(
         if robust:
             variance[j - 1] = biweight_midvariance(w[j - 1], width)
         else:
-            variance[j - 1] = _sample_variance(w[j - 1, width - 1 :])
+            variance[j - 1] = center(w[j - 1, width - 1 :], 1)[2]
 
     known = ~np.isnan(variance)
     # left to right, as numpy's pairwise sum rounds differently from 8 levels on

@@ -4,6 +4,11 @@ The entry point is :func:`preprocess`, which standardizes a series, removes a
 smooth trend estimated by a second-difference-penalized least-squares fit,
 and clips gross outliers in median/MAD units. Downstream robust estimation
 handles everything this coarse stage leaves behind.
+
+Each step is O(N) and takes no generic numpy reduction: the moments are
+one sum and one sum of squared deviations, the trend one LAPACK banded
+solve against a Cholesky factor cached per length and smoothing, and the
+clip two partition medians.
 """
 
 from __future__ import annotations
@@ -13,9 +18,11 @@ import math
 import numbers
 
 import numpy as np
-from scipy.linalg import cho_solve_banded, cholesky_banded
+from scipy.linalg import cholesky_banded
+from scipy.linalg.lapack import dpbtrs
 
-from .series import InvalidInputError, TimeSeries
+from .reductions import center, median
+from .series import InternalError, InvalidInputError, TimeSeries, _real_array
 
 # Smoothing default keeps periods up to ~N/4 of a 1000-point series intact
 # (half-power cutoff near period 236) while absorbing slower trend. For much
@@ -37,23 +44,26 @@ def standardize(series: TimeSeries) -> tuple[TimeSeries, float, float]:
     magnitudes from subnormal to near the float maximum standardize alike.
     """
     x = series.values
-    if not np.max(x) > np.min(x):
+    if not x.max() > x.min():
         return TimeSeries(np.zeros_like(x)), float(x[0]), 0.0
-    mean, std = _moments(x)
+    mean, dev, std = _moments(x)
     scale = 1.0
     if not 0.0 < std < math.inf:
         # At extreme magnitudes the sample variance underflows or overflows
         # though the series varies; x / max|x| has representable moments.
         scale = float(np.max(np.abs(x)))
-        x = x / scale
-        mean, std = _moments(x)
-    return TimeSeries((x - mean) / std), mean * scale, std * scale
+        mean, dev, std = _moments(x / scale)
+    return TimeSeries(dev / std), mean * scale, std * scale
 
 
-def _moments(x: np.ndarray) -> tuple[float, float]:
-    """Mean and sample (ddof=1) standard deviation; inf or nan on overflow."""
+def _moments(x: np.ndarray) -> tuple[float, np.ndarray, float]:
+    """Mean, deviations and sample (ddof=1) std; inf or nan on overflow.
+
+    Bit for bit ``np.mean(x)``, ``x - mean`` and ``np.std(x, ddof=1)``.
+    """
     with np.errstate(over="ignore", invalid="ignore"):
-        return float(np.mean(x)), float(np.std(x, ddof=1))
+        mean, dev, var = center(x, 1)
+    return float(mean), dev, math.sqrt(var)
 
 
 def hp_trend(series: TimeSeries, hp_lambda: float) -> TimeSeries:
@@ -76,8 +86,11 @@ def hp_trend(series: TimeSeries, hp_lambda: float) -> TimeSeries:
         raise InvalidInputError("hp_lambda must be finite and nonnegative")
     if hp_lambda == 0:
         return TimeSeries(x.copy())
-    factor = _hp_factor(n, float(hp_lambda))
-    return TimeSeries(cho_solve_banded((factor, False), x, check_finite=False))
+    # The LAPACK solve that cho_solve_banded wraps, without its batching.
+    trend, info = dpbtrs(_hp_factor(n, float(hp_lambda)), x, lower=0)
+    if info != 0:
+        raise InternalError(f"banded trend solve failed (LAPACK info {info})")
+    return TimeSeries(trend)
 
 
 @functools.lru_cache(maxsize=8)
@@ -102,13 +115,28 @@ def clip_extremes(x: np.ndarray, bound: float, mad_floor: float) -> TimeSeries:
     MAD is the raw median absolute deviation about the median (no normal
     consistency factor). Output values lie in [-bound, bound]. A MAD at or below
     ``mad_floor`` is degenerate (not an error): the output is all zeros.
+    ``x`` must be a nonempty finite 1-d sequence, ``bound`` a positive finite
+    real and ``mad_floor`` a nonnegative finite real; ``x`` is not modified.
     """
-    med = float(np.median(x))
-    mad = float(np.median(np.abs(x - med)))
+    x = _real_array(x)
+    if x.ndim != 1 or x.size == 0:
+        raise InvalidInputError("clipping needs a nonempty 1-d sequence")
+    if not np.isfinite(x).all():
+        raise InvalidInputError("clipping needs finite values")
+    if isinstance(bound, bool) or not isinstance(bound, numbers.Real) or not 0 < bound < math.inf:
+        raise InvalidInputError(f"bound must be a positive finite real, got {bound!r}")
+    if (
+        isinstance(mad_floor, bool)
+        or not isinstance(mad_floor, numbers.Real)
+        or not 0 <= mad_floor < math.inf
+    ):
+        raise InvalidInputError(f"mad_floor must be a nonnegative finite real, got {mad_floor!r}")
+    med = median(x.copy())
+    dev = x - med
+    mad = median(np.abs(dev))
     if mad <= mad_floor:
         return TimeSeries(np.zeros_like(x))
-    u = (x - med) / mad
-    return TimeSeries(np.clip(u, -bound, bound))
+    return TimeSeries(np.clip(dev / mad, -bound, bound))
 
 
 def preprocess(series: TimeSeries, hp_lambda: float = DEFAULT_HP_LAMBDA) -> TimeSeries:

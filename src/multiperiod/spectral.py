@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .reductions import center
 from .series import InvalidInputError
 
 
@@ -67,8 +68,9 @@ def zero_pad(w: np.ndarray) -> np.ndarray:
         raise InvalidInputError("the series must be finite")
     n = w.shape[-1]
     out = np.zeros(w.shape[:-1] + (2 * n,))
-    std = w.std(axis=-1, keepdims=True)
-    np.divide(w - w.mean(axis=-1, keepdims=True), std, out=out[..., :n], where=std > 0)
+    _, dev, var = center(w, 0)
+    std = np.sqrt(var)[..., None]
+    np.divide(dev, std, out=out[..., :n], where=std > 0)
     return out
 
 
@@ -535,8 +537,10 @@ def fisher_test(power: np.ndarray, alpha: float) -> FisherOutcome:
 
     g is the largest tested ordinate over the tested total, at k_star (ties
     break toward the smallest index). Zero tested power is degenerate and
-    never significant.
+    never significant. ``alpha`` must be a real number in (0, 1).
     """
+    if isinstance(alpha, bool) or not isinstance(alpha, numbers.Real) or not 0 < alpha < 1:
+        raise InvalidInputError(f"alpha must be a real number in (0, 1), got {alpha!r}")
     vals = np.asarray(power, dtype=np.float64)[1:]
     if vals.size < 2:
         raise InvalidInputError("Fisher's test needs at least 2 frequency bins")

@@ -1,9 +1,15 @@
+import math
+
 import numpy as np
 import pytest
-from scipy.linalg import solveh_banded
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.linalg import cho_solve_banded, solveh_banded
 
 from multiperiod.preprocess import (
     _hp_factor,
+    _moments,
     clip_extremes,
     hp_trend,
     preprocess,
@@ -43,6 +49,27 @@ class TestStandardize:
         out, _, _ = standardize(TimeSeries(rng.normal(10, 7, size=333)))
         assert abs(out.values.mean()) < 1e-12
         assert np.std(out.values, ddof=1) == pytest.approx(1.0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        values=arrays(
+            np.float64,
+            st.integers(2, 80),
+            elements=st.one_of(st.sampled_from([0.0, -0.0, 1.5]), st.floats(-10.0, 10.0)),
+        ),
+        # magnitudes whose sums or squares under- or overflow
+        scale=st.sampled_from([1e-320, 1e-300, 1e-160, 1.0, 1e150, 1e300, 1.7e308]),
+    )
+    def test_moments_equal_numpy(self, values, scale):
+        with np.errstate(over="ignore", under="ignore"):
+            x = values * scale
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean = np.mean(x)
+            expected = (float(mean), x - mean, float(np.std(x, ddof=1)))
+        got = _moments(x)
+        for a, b in zip(got, expected):
+            np.testing.assert_array_equal(a, b)
+            np.testing.assert_array_equal(np.signbit(a), np.signbit(b))
 
 
 class TestHpTrend:
@@ -119,6 +146,61 @@ class TestClipExtremes:
         base = clip_extremes(y, 3.0, 0.0).values
         shifted = clip_extremes(y + 123.456, 3.0, 0.0).values
         np.testing.assert_allclose(shifted, base, atol=1e-9)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        x=arrays(
+            np.float64,
+            st.integers(1, 60),  # odd and even lengths
+            elements=st.one_of(st.sampled_from([0.0, -0.0, 1.0, -2.0]), st.floats(-1e6, 1e6)),
+        ),
+        bound=st.sampled_from([0.5, 2.5, 3.0]),
+    )
+    def test_equals_the_numpy_median_formula(self, x, bound):
+        kept = x.copy()
+        med = float(np.median(x))
+        mad = float(np.median(np.abs(x - med)))
+        if mad <= 0.0:
+            expected = np.zeros_like(x)
+        else:
+            expected = np.clip((x - med) / mad, -bound, bound)
+        out = clip_extremes(x, bound, 0.0).values
+        np.testing.assert_array_equal(out, expected)
+        np.testing.assert_array_equal(np.signbit(out), np.signbit(expected))
+        np.testing.assert_array_equal(x, kept)  # the input is not reordered
+
+    def test_list_input(self):
+        values = [1.0, 2.0, 3.0, 4.0, 100.0]
+        np.testing.assert_array_equal(
+            clip_extremes(values, 3.0, 0.0).values, clip_extremes(np.array(values), 3.0, 0.0).values
+        )
+
+    @pytest.mark.parametrize(
+        "x",
+        [
+            np.array([]),
+            np.ones((3, 3)),
+            np.array(1.0),
+            np.array([1.0, math.inf, 2.0]),
+            np.array([1.0, -math.inf, 2.0]),
+            np.array([1.0, math.nan, 2.0]),
+            ["a", "b"],
+            np.array([1j, 2j]),
+        ],
+    )
+    def test_bad_values_rejected(self, x):
+        with pytest.raises(InvalidInputError):
+            clip_extremes(x, 3.0, 0.0)
+
+    @pytest.mark.parametrize("bound", [0.0, -1.0, math.nan, math.inf, True, "3", None])
+    def test_bound_must_be_a_positive_finite_real(self, bound):
+        with pytest.raises(InvalidInputError):
+            clip_extremes(np.arange(5.0), bound, 0.0)
+
+    @pytest.mark.parametrize("mad_floor", [-1e-12, math.nan, math.inf, False, "0", None])
+    def test_mad_floor_must_be_a_nonnegative_finite_real(self, mad_floor):
+        with pytest.raises(InvalidInputError):
+            clip_extremes(np.arange(5.0), 3.0, mad_floor)
 
 
 class TestPreprocess:
@@ -203,6 +285,16 @@ def solveh_reference(x, hp_lambda):
     ab[1, 1:] = 2.0 * hp_lambda * np.convolve(rows, [-2.0, -2.0])
     ab[2, :] = 1.0 + 2.0 * hp_lambda * np.convolve(rows, [1.0, 4.0, 1.0])
     return solveh_banded(ab, x, lower=False)
+
+
+class TestTrendSolve:
+    @pytest.mark.parametrize("n", [3, 64, 1000, 4000])
+    @pytest.mark.parametrize("hp_lambda", [0.5, 1e3, 1e6, 1e9])
+    def test_equals_cho_solve_banded(self, n, hp_lambda):
+        x = np.random.default_rng(n).normal(size=n) + np.linspace(0.0, 5.0, n)
+        factor = _hp_factor(n, hp_lambda)
+        expected = cho_solve_banded((factor, False), x)
+        np.testing.assert_array_equal(hp_trend(TimeSeries(x), hp_lambda).values, expected)
 
 
 class TestTrendFactor:

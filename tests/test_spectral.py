@@ -167,6 +167,26 @@ class TestZeroPad:
         with pytest.raises(InvalidInputError):
             zero_pad(np.ones(shape))
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        stack=arrays(
+            np.float64,
+            st.tuples(st.integers(1, 5), st.integers(1, 40)),
+            elements=st.one_of(st.sampled_from([0.0, -0.0, 4.0]), st.floats(-1e6, 1e6)),
+        ),
+        flat=st.integers(0, 4),
+    )
+    def test_rows_equal_the_numpy_formula(self, stack, flat):
+        stack[flat % len(stack)] = 4.0  # a zero-spread row
+        n = stack.shape[-1]
+        expected = np.zeros((len(stack), 2 * n))
+        std = stack.std(axis=-1, keepdims=True)
+        centered = stack - stack.mean(axis=-1, keepdims=True)
+        np.divide(centered, std, out=expected[:, :n], where=std > 0)
+        for out, ref in ((zero_pad(stack), expected), (zero_pad(stack[0]), expected[0])):
+            np.testing.assert_array_equal(out, ref)
+            np.testing.assert_array_equal(np.signbit(out), np.signbit(ref))
+
 
 class TestVanillaPeriodogram:
     def test_zero_series(self):
@@ -733,6 +753,12 @@ class TestFisher:
     def test_range_needs_two_bins(self):
         with pytest.raises(InvalidInputError):
             fisher_test(np.ones(2), alpha=1e-10)
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 2.0, -0.1, math.nan, True, np.True_, "0.05", None])
+    def test_alpha_must_lie_in_the_open_unit_interval(self, alpha):
+        power = np.ones(8)
+        with pytest.raises(InvalidInputError):
+            fisher_test(power, alpha)
 
 
 class TestConfigValidation:
