@@ -136,7 +136,11 @@ def clip_extremes(x: np.ndarray, bound: float, mad_floor: float) -> TimeSeries:
     mad = median(np.abs(dev))
     if mad <= mad_floor:
         return TimeSeries(np.zeros_like(x))
-    return TimeSeries(np.clip(dev / mad, -bound, bound))
+    # A subnormal MAD can overflow the quotient to +-inf; the clip maps that
+    # to +-bound, which is the exact answer.
+    with np.errstate(over="ignore"):
+        u = dev / mad
+    return TimeSeries(np.clip(u, -bound, bound))
 
 
 def preprocess(series: TimeSeries, hp_lambda: float = DEFAULT_HP_LAMBDA) -> TimeSeries:

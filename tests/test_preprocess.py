@@ -163,11 +163,17 @@ class TestClipExtremes:
         if mad <= 0.0:
             expected = np.zeros_like(x)
         else:
-            expected = np.clip((x - med) / mad, -bound, bound)
+            with np.errstate(over="ignore"):  # +-inf clips to +-bound
+                expected = np.clip((x - med) / mad, -bound, bound)
         out = clip_extremes(x, bound, 0.0).values
         np.testing.assert_array_equal(out, expected)
         np.testing.assert_array_equal(np.signbit(out), np.signbit(expected))
         np.testing.assert_array_equal(x, kept)  # the input is not reordered
+
+    def test_subnormal_mad_clips_without_overflow_warning(self):
+        x = np.array([0.0, 5e-324, 0.0, 1.0, 1.0])  # MAD is the least subnormal
+        out = clip_extremes(x, 0.5, 0.0).values
+        np.testing.assert_array_equal(out, [-0.5, 0.0, -0.5, 0.5, 0.5])
 
     def test_list_input(self):
         values = [1.0, 2.0, 3.0, 4.0, 100.0]
