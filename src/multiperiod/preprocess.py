@@ -5,10 +5,11 @@ smooth trend estimated by a second-difference-penalized least-squares fit,
 and clips gross outliers in median/MAD units. Downstream robust estimation
 handles everything this coarse stage leaves behind.
 
-Each step is O(N) and takes no generic numpy reduction: the moments are
-one sum and one sum of squared deviations, the trend one LAPACK banded
-solve against a Cholesky factor cached per length and smoothing, and the
-clip two partition medians.
+The moments are one sum and one sum of squared deviations, the clip two
+partition medians, and the trend two real FFTs: the second-difference
+matrix is diagonalized by the DST-I, so the trend solve needs no linear
+algebra beyond numpy's FFT and a 2x2 correction cached per length and
+smoothing.
 """
 
 from __future__ import annotations
@@ -18,11 +19,9 @@ import math
 import numbers
 
 import numpy as np
-from scipy.linalg import cholesky_banded
-from scipy.linalg.lapack import dpbtrs
 
 from .reductions import center, median
-from .series import InternalError, InvalidInputError, TimeSeries, _real_array
+from .series import InvalidInputError, TimeSeries, _real_array
 
 # Smoothing default keeps periods up to ~N/4 of a 1000-point series intact
 # (half-power cutoff near period 236) while absorbing slower trend. For much
@@ -70,43 +69,73 @@ def hp_trend(series: TimeSeries, hp_lambda: float) -> TimeSeries:
     """Smooth trend minimizing (1/2)*sum((y-tau)^2) + lambda*sum((d2 tau)^2).
 
     The unique minimizer solves the pentadiagonal normal equations
-    ``(I + 2*lambda*D'D) tau = y`` with D the second-difference operator;
-    the system is symmetric positive definite and solved in O(N) with its
-    banded Cholesky factor, which is built once per length and lambda and
-    shared by every series of that length. lambda=0 returns the input; as
-    lambda -> inf the trend tends to the least-squares line.
+    ``(I + 2*lambda*D'D) tau = y`` with D the second-difference operator.
+    The trend is y less the residual ``D'(DD' + I/(2*lambda))^-1 D y``, and
+    DD' is the square of the tridiagonal L = tridiag(-1, 2, -1) plus one
+    unit at each end of its diagonal; L is diagonalized by the DST-I
+    (Strang, "The Discrete Cosine Transform", SIAM Review 1999), so
+    the inverse costs two real FFTs and a rank-2 correction, O(N log N),
+    with a plan built once per length and lambda and shared by every series
+    of that length. lambda=0 returns the input; as lambda -> inf the trend
+    tends to the least-squares line.
     """
     x = series.values
-    n = x.size
-    if n < 3:
+    return TimeSeries(x - _hp_residual(x, hp_lambda))
+
+
+def _hp_residual(x: np.ndarray, hp_lambda: float) -> np.ndarray:
+    """``x`` less its trend, formed without subtracting the trend; zeros for lambda = 0.
+
+    With A = L^2 + I/(2*lambda) and U = [e_1, e_m] (m = n - 2),
+    DD' + I/(2*lambda) = A + UU', so by Woodbury its inverse applied to D x
+    is w - A^-1 U (I + U'A^-1 U)^-1 U'w with w = A^-1 D x.
+    """
+    if x.size < 3:
         raise InvalidInputError("trend filtering requires at least 3 samples")
     if isinstance(hp_lambda, bool) or not isinstance(hp_lambda, numbers.Real):
         raise InvalidInputError(f"hp_lambda must be a real number, got {hp_lambda!r}")
     if not 0 <= hp_lambda < math.inf:
         raise InvalidInputError("hp_lambda must be finite and nonnegative")
     if hp_lambda == 0:
-        return TimeSeries(x.copy())
-    # The LAPACK solve that cho_solve_banded wraps, without its batching.
-    trend, info = dpbtrs(_hp_factor(n, float(hp_lambda)), x, lower=0)
-    if info != 0:
-        raise InternalError(f"banded trend solve failed (LAPACK info {info})")
-    return TimeSeries(trend)
+        return np.zeros_like(x)
+    scale, columns, inverse = _hp_plan(x.size, float(hp_lambda))
+    w = _dst1(scale * _dst1(x[2:] - 2.0 * x[1:-1] + x[:-2]))
+    z = w - (inverse @ (w[0], w[-1])) @ columns
+    return np.convolve(z, (1.0, -2.0, 1.0))
+
+
+def _dst1(v: np.ndarray) -> np.ndarray:
+    """-2 * sum_j v_j sin(pi*j*k/(m+1)), k = 1..m: the DST-I of v, scaled.
+
+    One real FFT of the odd extension (0, v, 0, -reversed v), whose
+    spectrum is imaginary.
+    """
+    m = v.size
+    odd = np.zeros(2 * m + 2)
+    odd[1 : m + 1] = v
+    np.negative(v[::-1], out=odd[m + 2 :])
+    return np.fft.rfft(odd).imag[1 : m + 1]
 
 
 @functools.lru_cache(maxsize=8)
-def _hp_factor(n: int, hp_lambda: float) -> np.ndarray:
-    """Upper banded Cholesky factor of I + 2*lambda*D'D for length n; read-only."""
-    # Each of D's n-2 rows (1, -2, 1) adds its outer product to D'D, so the
-    # diagonals are sums of (1, 4, 1), (-2, -2) and (1) over the rows.
-    rows = np.ones(n - 2)
-    # LAPACK upper-banded layout: row 0 = 2nd superdiagonal.
-    ab = np.zeros((3, n))
-    ab[0, 2:] = 2.0 * hp_lambda * rows
-    ab[1, 1:] = 2.0 * hp_lambda * np.convolve(rows, [-2.0, -2.0])
-    ab[2, :] = 1.0 + 2.0 * hp_lambda * np.convolve(rows, [1.0, 4.0, 1.0])
-    factor = cholesky_banded(ab, lower=False)
-    factor.flags.writeable = False
-    return factor
+def _hp_plan(n: int, hp_lambda: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """What ``_hp_residual`` needs for length n, all read-only.
+
+    ``scale`` turns ``_dst1(scale * _dst1(v))`` into A^-1 v: L's eigenvalues
+    are 4*sin(pi*k/(2(m+1)))^2, and the scaled DST-I squares to 2(m+1)*I.
+    ``columns`` holds A^-1 e_1 and A^-1 e_m as rows and ``inverse`` is
+    (I + U'A^-1 U)^-1.
+    """
+    m = n - 2
+    eigen = 4.0 * np.sin(np.arange(1, m + 1) * (np.pi / (2 * m + 2))) ** 2
+    scale = 1.0 / ((2 * m + 2) * (eigen * eigen + 0.5 / hp_lambda))
+    ends = np.zeros((2, m))
+    ends[0, 0] = ends[1, -1] = 1.0
+    columns = np.stack([_dst1(scale * _dst1(end)) for end in ends])
+    inverse = np.linalg.inv(np.eye(2) + columns[:, [0, -1]].T)
+    for array in (scale, columns, inverse):
+        array.flags.writeable = False
+    return scale, columns, inverse
 
 
 def clip_extremes(x: np.ndarray, bound: float, mad_floor: float) -> TimeSeries:
@@ -157,10 +186,11 @@ def preprocess(series: TimeSeries, hp_lambda: float = DEFAULT_HP_LAMBDA) -> Time
     standardized, _, std = standardize(series)
     if std == 0.0:
         return standardized
-    trend = hp_trend(standardized, hp_lambda)
-    detrended = standardized.values - trend.values
-    # The banded solve's error on a unit-std series is at most about
-    # cond(I + 2*lambda*D'D) * eps <= (1 + 32*lambda) * eps. A MAD below that
-    # is round-off, not spread: an exact line leaves nothing else.
+    detrended = _hp_residual(standardized.values, hp_lambda)
+    # A solve of (I + 2*lambda*D'D) has error on a unit-std series of at most
+    # about its condition number times eps, and that is at most
+    # (1 + 32*lambda) * eps. A MAD below that is round-off, not spread: an
+    # exact line leaves nothing else. The DST solve's error is far smaller,
+    # so the floor is conservative.
     mad_floor = (1.0 + 32.0 * hp_lambda) * np.finfo(np.float64).eps
     return clip_extremes(detrended, CLIP_C, mad_floor)

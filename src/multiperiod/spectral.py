@@ -68,8 +68,15 @@ def zero_pad(w: np.ndarray) -> np.ndarray:
         raise InvalidInputError("the series must be finite")
     n = w.shape[-1]
     out = np.zeros(w.shape[:-1] + (2 * n,))
-    _, dev, var = center(w, 0)
-    std = np.sqrt(var)[..., None]
+    mean, dev, var = center(w, 0)
+    std = np.sqrt(var)
+    # A constant row's rounded mean can leave deviations of a few ulps, which
+    # a positive std would rescale to +-1. Only a row whose std is at
+    # round-off of its mean can be one, so only those are checked.
+    suspect = (std > 0) & (std <= n * np.finfo(np.float64).eps * np.abs(mean))
+    if np.any(suspect):
+        std = np.where(suspect & (w.max(axis=-1) == w.min(axis=-1)), 0.0, std)
+    std = std[..., None]
     np.divide(dev, std, out=out[..., :n], where=std > 0)
     return out
 
@@ -461,9 +468,9 @@ def huber_periodogram(
     _check_zeta(zeta)
 
     n = x.shape[1]
-    # vanilla_periodogram of every row, squared only over the bins kept; the
-    # full spectrum is freed before the fit
-    spec = np.fft.fft(x, axis=-1)[:, : n // 2 + 1]
+    # the plain periodogram of every row over bins 0..N, from a real FFT; the
+    # spectrum is freed before the fit
+    spec = np.fft.rfft(x, axis=-1)
     power = (spec.real**2 + spec.imag**2) / n
     del spec
     power[:, 0] = 0.0

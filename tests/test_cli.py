@@ -1,5 +1,6 @@
 import json
 import os
+import subprocess
 import sys
 
 import numpy as np
@@ -260,3 +261,30 @@ class TestBenchCommand:
         code, _, err = run_cli(capsys, "bench", "--scenario", "nope", "--runs", "1")
         assert code == 1
         assert "unknown scenario" in err
+
+
+# Imports the package and its CLI and detects one series each way, then
+# prints every scipy module the interpreter has loaded.
+NO_SCIPY_SCRIPT = """
+import sys
+import numpy as np
+import multiperiod
+import multiperiod.cli
+from multiperiod import DetectorConfig, TimeSeries, robust_period
+t = np.arange(512)
+series = TimeSeries(np.sin(2 * np.pi * t / 24) + 0.3 * np.random.default_rng(0).normal(size=512))
+for robust in (True, False):
+    assert robust_period(series, DetectorConfig(robust_mode=robust)).periods
+print(sorted(name for name in sys.modules if name == "scipy" or name.startswith("scipy.")))
+"""
+
+
+def test_runtime_loads_no_scipy():
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    done = subprocess.run(
+        [sys.executable, "-c", NO_SCIPY_SCRIPT], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

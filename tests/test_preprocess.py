@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
-from scipy.linalg import cho_solve_banded, solveh_banded
+from scipy.linalg import cho_solve_banded, cholesky_banded, solveh_banded
 
 from multiperiod.preprocess import (
-    _hp_factor,
+    _hp_plan,
+    _hp_residual,
     _moments,
     clip_extremes,
     hp_trend,
@@ -114,6 +115,15 @@ class TestHpTrend:
         line = np.polyval(coef, t)
         out = hp_trend(TimeSeries(y), 1e12)
         assert np.max(np.abs(out.values - line)) < 1e-3
+
+    @pytest.mark.parametrize("hp_lambda", [1e300, np.finfo(np.float64).max])
+    def test_finite_lambda_near_the_float_maximum_gives_the_ols_line(self, hp_lambda):
+        # 2*lambda*D'D overflows here, so no solve may form it
+        t = np.arange(100, dtype=float)
+        y = 0.5 + 0.2 * t + np.random.default_rng(5).normal(scale=0.3, size=100)
+        line = np.polyval(np.polyfit(t, y, 1), t)
+        out = hp_trend(TimeSeries(y), hp_lambda)
+        assert np.max(np.abs(out.values - line)) < 1e-9
 
     def test_too_short(self):
         with pytest.raises(InvalidInputError):
@@ -282,36 +292,89 @@ class TestConfig:
                 hp_trend(TimeSeries(np.arange(8.0)), value)
 
 
-def solveh_reference(x, hp_lambda):
-    """The trend by one banded solve of (I + 2*lambda*D'D) tau = x, factor and all."""
-    n = x.size
+def banded_normal_equations(n, hp_lambda):
+    """I + 2*lambda*D'D in LAPACK's upper-banded layout (row 0 = 2nd superdiagonal)."""
     rows = np.ones(n - 2)
     ab = np.zeros((3, n))
     ab[0, 2:] = 2.0 * hp_lambda * rows
     ab[1, 1:] = 2.0 * hp_lambda * np.convolve(rows, [-2.0, -2.0])
     ab[2, :] = 1.0 + 2.0 * hp_lambda * np.convolve(rows, [1.0, 4.0, 1.0])
-    return solveh_banded(ab, x, lower=False)
+    return ab
+
+
+def solveh_reference(x, hp_lambda):
+    """The trend by one banded solve of (I + 2*lambda*D'D) tau = x, factor and all."""
+    return solveh_banded(banded_normal_equations(x.size, hp_lambda), x, lower=False)
+
+
+def conditioning_bound(x, hp_lambda):
+    """cond(I + 2*lambda*D'D) * eps * max|x|, with the condition number bounded by 1 + 32*lambda."""
+    return (1.0 + 32.0 * hp_lambda) * np.finfo(np.float64).eps * np.max(np.abs(x))
+
+
+def refined_residual(x, hp_lambda):
+    """x less its trend, by six rounds of iterative refinement in long double.
+
+    Each round takes the residual of the normal equations in long double and
+    solves for the correction with LAPACK's banded Cholesky factor; the
+    trend accumulates in long double.
+    """
+    n = x.size
+    factor = cholesky_banded(banded_normal_equations(n, hp_lambda), lower=False)
+    xl = x.astype(np.longdouble)
+    tau = np.zeros(n, np.longdouble)
+    two_lambda = 2 * np.longdouble(hp_lambda)
+    for _ in range(6):
+        d2 = tau[2:] - 2 * tau[1:-1] + tau[:-2]
+        dtd = np.zeros(n, np.longdouble)
+        dtd[:-2] += d2
+        dtd[1:-1] -= 2 * d2
+        dtd[2:] += d2
+        correction = cho_solve_banded((factor, False), (xl - tau - two_lambda * dtd).astype(float))
+        tau += correction.astype(np.longdouble)
+    return xl - tau
 
 
 class TestTrendSolve:
     @pytest.mark.parametrize("n", [3, 64, 1000, 4000])
     @pytest.mark.parametrize("hp_lambda", [0.5, 1e3, 1e6, 1e9])
     def test_equals_cho_solve_banded(self, n, hp_lambda):
+        """Equal to LAPACK's banded Cholesky solve up to that solve's error bound."""
         x = np.random.default_rng(n).normal(size=n) + np.linspace(0.0, 5.0, n)
-        factor = _hp_factor(n, hp_lambda)
+        factor = cholesky_banded(banded_normal_equations(n, hp_lambda), lower=False)
         expected = cho_solve_banded((factor, False), x)
-        np.testing.assert_array_equal(hp_trend(TimeSeries(x), hp_lambda).values, expected)
+        gap = np.max(np.abs(hp_trend(TimeSeries(x), hp_lambda).values - expected))
+        assert gap <= conditioning_bound(x, hp_lambda)
+
+    @pytest.mark.skipif(
+        np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps,
+        reason="the reference needs a long double wider than float64",
+    )
+    @pytest.mark.parametrize("n", [8, 64, 1000, 4000])
+    @pytest.mark.parametrize("hp_lambda", [1e3, 1e6, 1e9])
+    def test_detrended_error_is_no_larger_than_the_banded_solves(self, n, hp_lambda):
+        x = np.random.default_rng(n).normal(size=n) + np.linspace(0.0, 5.0, n)
+        exact = refined_residual(x, hp_lambda)
+        error = np.max(np.abs(_hp_residual(x, hp_lambda) - exact))
+        banded_error = np.max(np.abs(x - solveh_reference(x, hp_lambda) - exact))
+        assert error <= banded_error
 
 
 class TestTrendFactor:
     @pytest.mark.parametrize("n", [3, 64, 100, 1000, 4000])
     @pytest.mark.parametrize("hp_lambda", [0.5, 1e3, 1e6, 1e9])
     def test_cached_factor_solve_is_bit_identical(self, n, hp_lambda):
+        """A series solved with the cached plan equals the same series solved
+        with a fresh one, bit for bit, and agrees with solveh_banded."""
         rng = np.random.default_rng(n)
-        for _ in range(2):  # the second series reuses the cached factor
+        for _ in range(2):  # the second series reuses the cached plan
             x = rng.normal(size=n) + np.linspace(0.0, 5.0, n)
             trend = hp_trend(TimeSeries(x), hp_lambda).values
-            np.testing.assert_array_equal(trend, solveh_reference(x, hp_lambda))
+            assert np.max(np.abs(trend - solveh_reference(x, hp_lambda))) <= conditioning_bound(
+                x, hp_lambda
+            )
+        _hp_plan.cache_clear()
+        np.testing.assert_array_equal(hp_trend(TimeSeries(x), hp_lambda).values, trend)
 
     def test_integer_and_float_lambda_give_the_same_trend(self):
         x = np.sin(np.arange(50.0))
@@ -320,11 +383,12 @@ class TestTrendFactor:
         )
 
     def test_factor_is_read_only_and_the_cache_bounded(self):
+        """The plan (diagonal scale, correction columns, 2x2 inverse) is read-only."""
         for n in range(10, 30):
-            factor = _hp_factor(n, 1e6)
-            assert not factor.flags.writeable
-            with pytest.raises(ValueError):
-                factor[0, 0] = 1.0
-        info = _hp_factor.cache_info()
+            for array in _hp_plan(n, 1e6):
+                assert not array.flags.writeable
+                with pytest.raises(ValueError):
+                    array.flat[0] = 1.0
+        info = _hp_plan.cache_info()
         assert info.maxsize is not None
         assert info.currsize <= info.maxsize

@@ -153,6 +153,26 @@ class TestZeroPad:
                 np.testing.assert_array_equal(padded, zero_pad(row))
             np.testing.assert_array_equal(out[2], np.zeros(2 * n))
 
+    @pytest.mark.parametrize("value", [0.1, 1 / 3, 4.0, -7e-300, 123.456])
+    @pytest.mark.parametrize("n", [3, 7, 1000])
+    def test_constant_rows_pad_to_zeros(self, value, n):
+        # 3 * 0.1 rounds up, so 0.1's mean leaves deviations of about 1e-17
+        rng = np.random.default_rng(n)
+        stack = rng.normal(size=(3, n))
+        stack[1] = value
+        out = zero_pad(stack)
+        np.testing.assert_array_equal(out[1], np.zeros(2 * n))
+        np.testing.assert_array_equal(zero_pad(stack[1]), np.zeros(2 * n))
+        for row in (0, 2):  # the varying rows are untouched
+            np.testing.assert_array_equal(out[row], zero_pad(stack[row]))
+
+    def test_a_row_at_round_off_of_its_mean_still_varies(self):
+        row = np.full(4, 1e6)
+        row[2] = np.nextafter(1e6, 2e6)
+        out = zero_pad(row)
+        assert out.any()
+        np.testing.assert_array_equal(out[:4], (row - row.mean()) / row.std())
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_input_is_rejected(self, bad):
         with pytest.raises(InvalidInputError):
@@ -181,6 +201,9 @@ class TestZeroPad:
         n = stack.shape[-1]
         expected = np.zeros((len(stack), 2 * n))
         std = stack.std(axis=-1, keepdims=True)
+        # an exactly constant row pads to zeros even where the rounded mean
+        # leaves it a positive std
+        std[stack.max(axis=-1) == stack.min(axis=-1)] = 0.0
         centered = stack - stack.mean(axis=-1, keepdims=True)
         np.divide(centered, std, out=expected[:, :n], where=std > 0)
         for out, ref in ((zero_pad(stack), expected), (zero_pad(stack[0]), expected[0])):
