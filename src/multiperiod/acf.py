@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .series import InvalidInputError
+from .series import InvalidInputError, check_int, check_real, finite_array
 from .spectral import HybridPeriodogram
 
 DEFAULT_PEAK_HEIGHT = 0.5
@@ -37,8 +37,8 @@ class ValidationRange:
 
     @classmethod
     def from_index(cls, k: int, n: int) -> "ValidationRange":
-        if k < 1:
-            raise InvalidInputError("frequency index must be >= 1")
+        check_int("k", k, 1)
+        check_int("n", n, 1)
         lo = 0.5 * (n / (k + 1) + n / k) - 1.0
         hi = float(n + 1) if k == 1 else 0.5 * (n / k + n / (k - 1)) + 1.0
         return cls(k=k, lo=lo, hi=hi)
@@ -49,6 +49,7 @@ class ValidationRange:
 
 def full_range_periodogram(hybrid: HybridPeriodogram, row: int) -> np.ndarray:
     """One row's one-sided spectrum, bins 0..N: a view, not a copy."""
+    check_int("row", row, 0, len(hybrid.levels) - 1)
     return hybrid.power[row]
 
 
@@ -65,11 +66,9 @@ def huber_acf(spectra: np.ndarray) -> np.ndarray:
     nonpositive total power is degenerate and comes back as N zeros, which
     no peak can reach. The result has the input's shape with N lags per row.
     """
-    spectra = np.asarray(spectra, dtype=np.float64)
-    if spectra.ndim not in (1, 2) or spectra.shape[-1] < 2:
+    spectra = finite_array("spectra", spectra, (1, 2))
+    if spectra.shape[-1] < 2:
         raise InvalidInputError("expected a spectrum or stack of spectra of at least 2 bins")
-    if not np.isfinite(spectra).all():
-        raise InvalidInputError("the spectra must be finite")
     n_series = spectra.shape[-1] - 1
     p = np.fft.irfft(spectra, 2 * n_series, axis=-1)[..., :n_series]
     lag0 = p[..., :1]
@@ -91,11 +90,8 @@ def find_peaks(
     are adjacent: lag t + 1 cannot rise strictly above a peak at t. Lag 0
     is never a peak.
     """
-    if not (0.0 < height < 1.0):
-        raise InvalidInputError("height must lie in (0, 1)")
-    acf = np.asarray(acf, dtype=np.float64)
-    if acf.ndim not in (1, 2):
-        raise InvalidInputError("expected a 1-d autocorrelation or a 2-d stack of them")
+    check_real("height", height, 0, 1)
+    acf = finite_array("acf", acf, (1, 2))
     size = acf.shape[-1]
     last = min(size // 2, size - 2)
     mid = acf[..., 1 : last + 1]
@@ -117,8 +113,8 @@ def period_from_peaks(peaks: list[int], k_star: int, n: int) -> float | None:
     to k_star approximates the candidate period (the padded length when
     k_star indexes the padded spectrum).
     """
-    if k_star < 1:
-        raise InvalidInputError("frequency index must be >= 1")
+    window = ValidationRange.from_index(k_star, n)
+    finite_array("peaks", peaks, integer=True)
     if len(peaks) < 2:
         return None
     peaks = sorted(peaks)
@@ -128,5 +124,4 @@ def period_from_peaks(peaks: list[int], k_star: int, n: int) -> float | None:
         median = float(spacings[half])
     else:
         median = (spacings[half - 1] + spacings[half]) / 2
-    window = ValidationRange.from_index(k_star, n)
     return median if window.contains(median) else None

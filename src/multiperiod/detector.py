@@ -12,7 +12,6 @@ reporting.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,9 +23,9 @@ from .acf import (
     huber_acf,
     period_from_peaks,
 )
-from .modwt import check_family_order, daubechies_filters, max_level, modwt_decompose, rank_levels
+from .modwt import MAX_FAMILY_ORDER, daubechies_filters, max_level, modwt_decompose, rank_levels
 from .preprocess import DEFAULT_HP_LAMBDA, preprocess
-from .series import InvalidInputError, TimeSeries
+from .series import InvalidInputError, TimeSeries, check_int, check_real
 from .spectral import (
     DEFAULT_ZETA,
     FisherOutcome,
@@ -57,21 +56,12 @@ class DetectorConfig:
     robust_mode: bool = True
 
     def __post_init__(self) -> None:
-        for name in ("hp_lambda", "share_threshold", "zeta", "fisher_alpha", "acf_height"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise InvalidInputError(f"{name} must be a real number, got {value!r}")
-        if not 0 <= self.hp_lambda < math.inf:
-            raise InvalidInputError("hp_lambda must be finite and nonnegative")
-        check_family_order(self.wavelet_order)
-        if not self.zeta > 0:
-            raise InvalidInputError("zeta must be positive")
-        if not (0.0 < self.fisher_alpha < 1.0):
-            raise InvalidInputError("fisher_alpha must lie in (0, 1)")
-        if not (0.0 <= self.share_threshold <= 1.0):
-            raise InvalidInputError("share_threshold must lie in [0, 1]")
-        if not (0.0 < self.acf_height < 1.0):
-            raise InvalidInputError("acf_height must lie in (0, 1)")
+        check_real("hp_lambda", self.hp_lambda, 0, math.inf, "[)")
+        check_int("wavelet_order", self.wavelet_order, 1, MAX_FAMILY_ORDER)
+        check_real("share_threshold", self.share_threshold, 0, 1, "[]")
+        check_real("zeta", self.zeta, 0, math.inf, "(]")
+        check_real("fisher_alpha", self.fisher_alpha, 0, 1)
+        check_real("acf_height", self.acf_height, 0, 1)
         if not isinstance(self.robust_mode, (bool, np.bool_)):
             raise InvalidInputError(f"robust_mode must be a bool, got {self.robust_mode!r}")
 
@@ -112,6 +102,8 @@ def detect_level(
     must be corroborated: the peaks' median spacing has to land inside the
     bin's resolution window, and that median is the reported period length.
     """
+    check_int("row", row, 0, len(hybrid.levels) - 1)
+    check_real("variance_share", variance_share, 0, 1, "[]")
     if not outcome.significant:
         return None
     period = period_from_peaks(peaks, outcome.k_star, hybrid.n_padded)

@@ -13,13 +13,19 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .reductions import center, median
-from .series import InternalError, InvalidInputError, TimeSeries
+from .series import (
+    InternalError,
+    InvalidInputError,
+    TimeSeries,
+    check_int,
+    check_real,
+    finite_array,
+)
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -97,24 +103,12 @@ def _daubechies_scaling(order: int) -> np.ndarray:
     return coeffs
 
 
-def check_family_order(family_order: int) -> None:
-    """Reject anything but an integer Daubechies order in 1..MAX_FAMILY_ORDER."""
-    if (
-        isinstance(family_order, bool)
-        or not isinstance(family_order, (int, np.integer))
-        or not 1 <= family_order <= MAX_FAMILY_ORDER
-    ):
-        raise InvalidInputError(
-            f"family_order must be an integer in 1..{MAX_FAMILY_ORDER}, got {family_order!r}"
-        )
-
-
 def daubechies_filters(family_order: int = 4) -> WaveletFilterPair:
     """MODWT-rescaled Daubechies extremal-phase filters; tap count 2*order.
 
     Built once per order and shared: the taps are read-only.
     """
-    check_family_order(family_order)
+    check_int("family_order", family_order, 1, MAX_FAMILY_ORDER)
     return _filters(int(family_order))
 
 
@@ -183,9 +177,8 @@ def biweight_midvariance(w: np.ndarray, width: int) -> float:
     normality and insensitive to heavy contamination. MAD of zero (more than
     half the values identical) returns 0.
     """
-    if isinstance(width, bool) or not isinstance(width, numbers.Integral) or width < 1:
-        raise InvalidInputError(f"width must be an integer of at least 1, got {width!r}")
-    w = np.asarray(w, dtype=np.float64)
+    check_int("width", width, 1)
+    w = finite_array("w", w)
     tail = w[width - 1 :]
     m = tail.size
     if m < 4:
@@ -222,7 +215,8 @@ def modwt_decompose(
     """
     x = series.values
     n = x.size
-    if j0 < 1 or j0 > max_level(n, filters.L1):
+    check_int("j0", j0, 1)
+    if j0 > max_level(n, filters.L1):
         raise InvalidInputError(
             f"decomposition depth {j0} exceeds the maximum for length {n}"
         )
@@ -254,6 +248,7 @@ def rank_levels(decomp: WaveletDecomposition, share_threshold: float) -> list[in
 
     Only positive variances qualify; equal variances rank the lower level first.
     """
+    check_real("share_threshold", share_threshold, 0, 1, "[]")
     rows = np.flatnonzero((decomp.variance > 0) & (decomp.share >= share_threshold))
     rows = rows[np.argsort(-decomp.variance[rows], kind="stable")]
     return (rows + 1).tolist()

@@ -1,7 +1,13 @@
-"""Time series carrier and shared error types."""
+"""Time series carrier, shared error types and the package's argument checks.
+
+Every stage checks its arguments with ``check_real``, ``check_int`` and
+``finite_array``, which validate without converting a scalar.
+"""
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,15 +21,60 @@ class InternalError(RuntimeError):
     """A computed intermediate violates an internal invariant."""
 
 
-def _real_array(values) -> np.ndarray:
-    """``values`` as float64; complex or non-numeric input is an InvalidInputError."""
+def check_real(name: str, value, lo=-math.inf, hi=math.inf, ends: str = "()") -> None:
+    """Reject anything but a real number in the interval from ``lo`` to ``hi``.
+
+    ``ends`` marks each end open, "(" or ")", or closed, "[" or "]"; the
+    default interval holds every finite real. NaN lies in no interval.
+    """
+    # a float or an int (never a bool) skips the slower abstract-class test
+    if type(value) not in (float, int) and (
+        isinstance(value, bool) or not isinstance(value, numbers.Real)
+    ):
+        raise InvalidInputError(f"{name} must be a real number, got {value!r}")
+    if (lo < value if ends[0] == "(" else lo <= value) and (
+        value < hi if ends[1] == ")" else value <= hi
+    ):
+        return
+    admits_inf = (ends[0] == "[" and lo == -math.inf) or (ends[1] == "]" and hi == math.inf)
+    finite = "" if admits_inf or -math.inf < value < math.inf else "finite and "
+    raise InvalidInputError(
+        f"{name} must be {finite}in {ends[0]}{lo}, {hi}{ends[1]}, got {value!r}"
+    )
+
+
+def check_int(name: str, value, lo=-math.inf, hi=math.inf) -> None:
+    """Reject anything but an integer in [lo, hi]; a float such as 2.0 is rejected."""
+    if (
+        type(value) is not int
+        and (isinstance(value, bool) or not isinstance(value, numbers.Integral))
+    ) or not lo <= value <= hi:
+        raise InvalidInputError(f"{name} must be an integer in [{lo}, {hi}], got {value!r}")
+
+
+def finite_array(name: str, values, ndims=(1,), *, integer: bool = False) -> np.ndarray:
+    """``values`` as a finite float64 array with a dimension count in ``ndims``.
+
+    Complex, non-numeric and ragged input is rejected, and with ``integer``
+    so are bool arrays and fractional entries. A float64 array is not copied.
+    """
     try:
         array = np.asarray(values)
-        if array.dtype.kind in "biufO":  # bool, integer, float, or objects such as Decimal
-            return array.astype(np.float64, copy=False)
+        kind = array.dtype.kind
+        real = kind in ("iufO" if integer else "biufO")  # O: objects such as Decimal
+        array = array.astype(np.float64, copy=False) if real else None
     except (TypeError, ValueError):  # ragged nesting, or an object float() refuses
-        pass
-    raise InvalidInputError("time series values must be real numbers")
+        array = None
+    if array is None or array.ndim not in ndims:
+        dims = " or ".join(f"{d}-d" for d in ndims)
+        what = "integers" if integer else "real numbers"
+        raise InvalidInputError(f"{name} must be a {dims} array of {what}")
+    if kind in "fO":  # bool and integer entries are finite integers already
+        if not np.isfinite(array).all():
+            raise InvalidInputError(f"{name} contains NaN or infinite values")
+        if integer and np.any(array % 1):
+            raise InvalidInputError(f"{name} must hold integers")
+    return array
 
 
 @dataclass(frozen=True)
@@ -38,11 +89,9 @@ class TimeSeries:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        values = _real_array(self.values)
-        if values.ndim != 1 or values.size == 0:
+        values = finite_array("time series", self.values)
+        if values.size == 0:
             raise InvalidInputError("time series must be a nonempty 1-d sequence")
-        if not np.all(np.isfinite(values)):
-            raise InvalidInputError("time series contains NaN or infinite values")
         object.__setattr__(self, "values", values)
 
     @property

@@ -13,13 +13,12 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .reductions import center
-from .series import InvalidInputError
+from .series import InvalidInputError, check_int, check_real, finite_array
 
 
 # Huber threshold on the standardized residuals of the harmonic fit.
@@ -59,44 +58,31 @@ def zero_pad(w: np.ndarray) -> np.ndarray:
 
     A stack (L, N) pads each row on its own. A zero-spread row yields an
     all-zero padded row, the degenerate case every downstream consumer
-    checks for.
+    checks for. A varying row whose squared deviations under- or overflow
+    is standardized from its values over their max |value|, as
+    ``standardize`` does for a series.
     """
-    w = np.asarray(w, dtype=np.float64)
-    if w.ndim not in (1, 2) or w.size == 0:
+    w = finite_array("w", w, (1, 2))
+    if w.size == 0:
         raise InvalidInputError("expected a nonempty 1-d sequence or 2-d stack")
-    if not np.isfinite(w).all():
-        raise InvalidInputError("the series must be finite")
     n = w.shape[-1]
     out = np.zeros(w.shape[:-1] + (2 * n,))
-    mean, dev, var = center(w, 0)
+    rows = w.reshape(-1, n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, dev, var = center(rows, 0)
     std = np.sqrt(var)
-    # A constant row's rounded mean can leave deviations of a few ulps, which
-    # a positive std would rescale to +-1. Only a row whose std is at
-    # round-off of its mean can be one, so only those are checked.
-    suspect = (std > 0) & (std <= n * np.finfo(np.float64).eps * np.abs(mean))
-    if np.any(suspect):
-        std = np.where(suspect & (w.max(axis=-1) == w.min(axis=-1)), 0.0, std)
-    std = std[..., None]
-    np.divide(dev, std, out=out[..., :n], where=std > 0)
+    # Only an exactly constant row has zero spread: its rounded mean can leave
+    # deviations of a few ulps, which a positive std would rescale to +-1.
+    constant = rows.max(axis=-1) == rows.min(axis=-1)
+    extreme = ~constant & ((std == 0) | ~np.isfinite(std))
+    if np.any(extreme):
+        scaled = rows[extreme] / np.max(np.abs(rows[extreme]), axis=-1, keepdims=True)
+        _, dev[extreme], var_scaled = center(scaled, 0)
+        std[extreme] = np.sqrt(var_scaled)
+    std[constant] = 0.0
+    std = std[:, None]
+    np.divide(dev, std, out=out.reshape(-1, 2 * n)[:, :n], where=std > 0)
     return out
-
-
-def vanilla_periodogram(x: np.ndarray) -> np.ndarray:
-    """P_k = |DFT(x)_k|^2 / n over all n bins of the last axis; sum_k P_k == sum_t x_t^2."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 0 or x.shape[-1] < 2:
-        raise InvalidInputError("periodogram requires at least 2 samples")
-    spec = np.fft.fft(x, axis=-1)
-    return (spec.real**2 + spec.imag**2) / x.shape[-1]
-
-
-def huber_objective(residual: np.ndarray, zeta: float) -> float:
-    """sum of 0.5*r^2 for |r| <= zeta, else zeta*|r| - 0.5*zeta^2."""
-    a = np.abs(residual)
-    quad = a <= zeta
-    return float(
-        0.5 * np.sum(residual[quad] ** 2) + np.sum(zeta * a[~quad] - 0.5 * zeta**2)
-    )
 
 
 # Bin-sample pairs solved together. A chunk's work arrays (each bin's run of
@@ -122,24 +108,18 @@ _ROUNDOFF = 1e-12
 _SINGULAR = 1e-12
 
 
-def _check_zeta(zeta) -> None:
-    if isinstance(zeta, bool) or not isinstance(zeta, numbers.Real) or not zeta > 0:
-        raise InvalidInputError(f"zeta must be a positive real number, got {zeta!r}")
+# Newton steps a bin may take before its last accepted iterate is returned.
+_MAX_STEPS = 50
 
 
 def _frequency_indices(ks, n: int) -> np.ndarray:
-    ks = np.atleast_1d(np.asarray(ks))
-    if ks.ndim != 1 or not (
-        np.issubdtype(ks.dtype, np.integer)
-        or (np.issubdtype(ks.dtype, np.floating) and np.all(ks == np.floor(ks)))
-    ):
-        raise InvalidInputError("frequency indices must be a 1-d sequence of integers")
+    ks = np.atleast_1d(finite_array("frequency indices", ks, (0, 1), integer=True))
     if np.any(ks < 1) or np.any(2 * ks >= n):
         raise InvalidInputError("frequency indices must satisfy 1 <= k < n/2")
     return ks.astype(np.int64)
 
 
-def huber_fit(x: np.ndarray, ks, zeta: float = DEFAULT_ZETA, *, max_steps: int = 50):
+def huber_fit(x: np.ndarray, ks, zeta: float = DEFAULT_ZETA):
     """Solve the Huber harmonic regression of one or more series at each frequency.
 
     The series ``x`` (n,) is fit at every integer frequency index in ``ks``
@@ -160,7 +140,7 @@ def huber_fit(x: np.ndarray, ks, zeta: float = DEFAULT_ZETA, *, max_steps: int =
     step that raises F is halved back, and a bin whose active Gram is
     singular (every sample clipped) takes the IRLS step (Holland & Welsch
     1977), which weights the Gram by min(1, zeta/|r|) instead. After
-    ``max_steps`` steps the last accepted iterate is returned, flagged
+    ``_MAX_STEPS`` steps the last accepted iterate is returned, flagged
     unconverged.
 
     A step reads few samples. The reference pattern is the clip state at
@@ -190,15 +170,11 @@ def huber_fit(x: np.ndarray, ks, zeta: float = DEFAULT_ZETA, *, max_steps: int =
     Returns (beta (B, 2), iterations (B,), converged (B,)), B counting the
     frequencies of every row.
     """
-    _check_zeta(zeta)
-    if isinstance(max_steps, bool) or not isinstance(max_steps, numbers.Integral) or max_steps < 1:
-        raise InvalidInputError("max_steps must be an integer of at least 1")
-    x = np.asarray(x, dtype=np.float64)
-    if not np.isfinite(x).all():
-        raise InvalidInputError("the series must be finite")
+    check_real("zeta", zeta, 0, math.inf, "(]")
+    x = finite_array("x", x, (1, 2))
     if x.ndim == 1:
         x, ks = x[None], [ks]
-    if x.ndim != 2 or len(ks) != x.shape[0]:
+    if len(ks) != x.shape[0]:
         raise InvalidInputError("expected a 1-d series or a 2-d stack with one ks per row")
     n = x.shape[1]
     ks = [_frequency_indices(k, n) for k in ks]
@@ -237,7 +213,7 @@ def huber_fit(x: np.ndarray, ks, zeta: float = DEFAULT_ZETA, *, max_steps: int =
     reach = _reach(slack, rows, _HEADROOM * np.hypot(start[:, 0], start[:, 1]) + margin[rows])
     tol = _ROUNDOFF * np.max(np.abs(x), axis=1, initial=0.0)
     xs = np.take_along_axis(x, order, axis=1)
-    fit = (x, xs, ks, rows, _table(n), order, slack, margin, reach, full, zeta, max_steps, tol)
+    fit = (x, xs, ks, rows, _table(n), order, slack, margin, reach, full, zeta, _MAX_STEPS, tol)
     todo = np.arange(rows.size)  # a bin with iterations 0 is still to fit
     while todo.size:
         todo = todo[np.argsort(reach[todo], kind="stable")]
@@ -431,6 +407,8 @@ def _newton_huber_chunk(fit, bins, stats, b_cur, out):
 
 def robust_band(n_padded: int, level: int) -> tuple[int, int] | None:
     """Frequency indices [n/2^(j+1), n/2^j] clipped to the half spectrum."""
+    check_int("n_padded", n_padded, 1)
+    check_int("level", level, 1)
     k_lo = max(1, -(-n_padded // 2 ** (level + 1)))
     k_hi = min(n_padded // 2 - 1, n_padded // 2**level)
     if k_lo > k_hi:
@@ -453,19 +431,16 @@ def huber_periodogram(
     is forced to zero. ``robust=False`` skips the robust fits entirely, and
     so does a degenerate all-zero row for itself.
     """
-    x = np.asarray(x, dtype=np.float64)
-    if not np.isfinite(x).all():
-        raise InvalidInputError("the series must be finite")
-    if x.ndim != 2 or not x.shape[0] or x.shape[1] < 4 or x.shape[1] % 2:
+    x = finite_array("x", x, (2,))
+    if not x.shape[0] or x.shape[1] < 4 or x.shape[1] % 2:
         raise InvalidInputError(
             "expected a nonempty stack of even-length padded series of >= 4 samples"
         )
-    if len(levels) != x.shape[0] or not all(
-        isinstance(level, numbers.Integral) and not isinstance(level, bool) and level >= 1
-        for level in levels
-    ):
-        raise InvalidInputError("expected one integer level of at least 1 per series")
-    _check_zeta(zeta)
+    if len(levels) != x.shape[0]:
+        raise InvalidInputError("expected one level per series")
+    for level in levels:
+        check_int("level", level, 1)
+    check_real("zeta", zeta, 0, math.inf, "(]")
 
     n = x.shape[1]
     # the plain periodogram of every row over bins 0..N, from a real FFT; the
@@ -510,10 +485,8 @@ def fisher_pvalue(g0: float, m: int) -> float:
     truncated once a term falls below 1e-16 of the running sum. The result
     is clamped to [0, 1]; it tends to 0 as g0 -> 1 and to 1 as g0 -> 1/m.
     """
-    if not (0.0 < g0 <= 1.0):
-        raise InvalidInputError("g must lie in (0, 1]")
-    if m < 2:
-        raise InvalidInputError("at least 2 tested bins are required")
+    check_real("g", g0, 0, 1, "(]")
+    check_int("m", m, 2)
     k_max = min(int(math.floor(1.0 / g0)), m)
     log_sum = -math.inf
     sign_sum = 1.0
@@ -546,9 +519,8 @@ def fisher_test(power: np.ndarray, alpha: float) -> FisherOutcome:
     break toward the smallest index). Zero tested power is degenerate and
     never significant. ``alpha`` must be a real number in (0, 1).
     """
-    if isinstance(alpha, bool) or not isinstance(alpha, numbers.Real) or not 0 < alpha < 1:
-        raise InvalidInputError(f"alpha must be a real number in (0, 1), got {alpha!r}")
-    vals = np.asarray(power, dtype=np.float64)[1:]
+    check_real("alpha", alpha, 0, 1)
+    vals = finite_array("power", power)[1:]
     if vals.size < 2:
         raise InvalidInputError("Fisher's test needs at least 2 frequency bins")
     total = vals.sum()

@@ -10,14 +10,13 @@ fixed: noise first, then outlier positions, then outlier signs.
 from __future__ import annotations
 
 import math
-import numbers
 import time
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .detector import DetectorConfig, robust_period
-from .series import InvalidInputError, TimeSeries
+from .series import InvalidInputError, TimeSeries, check_int, check_real
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -29,6 +28,7 @@ class SplitMix64:
     """Minimal seedable 64-bit generator (Steele, Lea & Flood's SplitMix64)."""
 
     def __init__(self, seed: int):
+        check_int("seed", seed)
         self._state = seed & _MASK64
 
     def next_uint64(self) -> int:
@@ -44,8 +44,7 @@ class SplitMix64:
 
     def next_below(self, n: int) -> int:
         """Uniform integer in [0, n) without modulo bias."""
-        if n <= 0:
-            raise InvalidInputError("bound must be positive")
+        check_int("n", n, 1)
         limit = ((1 << 64) // n) * n
         while True:
             draw = self.next_uint64()
@@ -82,39 +81,28 @@ class SyntheticSpec:
     def __post_init__(self) -> None:
         if self.waveform not in WAVEFORMS:
             raise InvalidInputError(f"waveform must be one of {WAVEFORMS}")
-        if not all(isinstance(v, numbers.Integral) for v in (self.length, self.seed, *self.periods)):
-            raise InvalidInputError("length, seed and periods must be integers")
-        if self.length < 8:
-            raise InvalidInputError("length must be at least 8")
-        periods = tuple(int(p) for p in self.periods)
+        check_int("length", self.length, 8)
+        check_int("seed", self.seed, 0, _MASK64)
+        amplitudes = self.amplitudes
+        try:
+            periods = tuple(self.periods)
+            amplitudes = (1.0,) * len(periods) if amplitudes is None else tuple(amplitudes)
+        except TypeError:
+            raise InvalidInputError("periods and amplitudes must be sequences") from None
         if not periods:
             raise InvalidInputError("at least one period is required")
-        if any(p < 2 for p in periods):
-            raise InvalidInputError("periods must be >= 2")
-        if any(p > self.length / 4 for p in periods):
-            raise InvalidInputError("each period must be <= length/4 (>= 4 cycles)")
-        amplitudes = self.amplitudes
-        if amplitudes is None:
-            amplitudes = tuple(1.0 for _ in periods)
-        else:
-            amplitudes = tuple(float(a) for a in amplitudes)
+        for period in periods:  # the series holds at least 4 cycles of each
+            check_int("period", period, 2, self.length // 4)
+        for amplitude in amplitudes:
+            check_real("amplitude", amplitude)
         if len(amplitudes) != len(periods):
             raise InvalidInputError("amplitudes must match periods one-to-one")
-        for name in ("trend_amplitude", "noise_variance", "outlier_ratio", "outlier_amplitude"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise InvalidInputError(f"{name} must be a real number, got {value!r}")
-        magnitudes = (self.noise_variance, self.trend_amplitude, self.outlier_amplitude)
-        if not all(math.isfinite(a) for a in magnitudes + amplitudes):
-            raise InvalidInputError("amplitudes and noise variance must be finite")
-        if self.noise_variance < 0:
-            raise InvalidInputError("noise_variance must be nonnegative")
-        if not (0.0 <= self.outlier_ratio < 1.0):
-            raise InvalidInputError("outlier_ratio must lie in [0, 1)")
-        if not (0 <= self.seed <= _MASK64):
-            raise InvalidInputError("seed must fit in 64 bits")
-        object.__setattr__(self, "periods", periods)
-        object.__setattr__(self, "amplitudes", amplitudes)
+        check_real("trend_amplitude", self.trend_amplitude)
+        check_real("noise_variance", self.noise_variance, 0, math.inf, "[)")
+        check_real("outlier_ratio", self.outlier_ratio, 0, 1, "[)")
+        check_real("outlier_amplitude", self.outlier_amplitude)
+        object.__setattr__(self, "periods", tuple(int(p) for p in periods))
+        object.__setattr__(self, "amplitudes", tuple(float(a) for a in amplitudes))
 
 
 def _periodic_wave(waveform: str, t: np.ndarray, period: float) -> np.ndarray:
@@ -180,11 +168,6 @@ def _metrics(
     return Metrics(precision, recall, f1, tuple(matched), tolerance)
 
 
-def _check_tolerance(tolerance: float) -> None:
-    if not 0 <= tolerance < math.inf:
-        raise InvalidInputError("tolerance must be finite and nonnegative")
-
-
 def score(detected: list[float], truth: list[float], tolerance: float) -> Metrics:
     """Greedy one-to-one matching within a relative tolerance.
 
@@ -193,11 +176,11 @@ def score(detected: list[float], truth: list[float], tolerance: float) -> Metric
     1 when their denominator sets are empty. Detected values must be
     finite, truth values finite and positive.
     """
-    _check_tolerance(tolerance)
-    if not all(isinstance(d, numbers.Real) and math.isfinite(d) for d in detected):
-        raise InvalidInputError("detected values must be finite real numbers")
-    if not all(isinstance(t, numbers.Real) and math.isfinite(t) and t > 0 for t in truth):
-        raise InvalidInputError("truth values must be finite positive real numbers")
+    check_real("tolerance", tolerance, 0, math.inf, "[)")
+    for d in detected:
+        check_real("detected value", d)
+    for t in truth:
+        check_real("truth value", t, 0, math.inf)
     remaining = list(truth)
     matched: list[tuple[float, float]] = []
     for d in sorted(detected):
@@ -231,9 +214,8 @@ def run_benchmark(
     Precision is total matches over total detections, recall total matches
     over total truths; timing covers the detection call only.
     """
-    if runs < 1:
-        raise InvalidInputError("runs must be >= 1")
-    _check_tolerance(tolerance)
+    check_int("runs", runs, 1)
+    check_real("tolerance", tolerance, 0, math.inf, "[)")
     if cfg is None:
         cfg = DetectorConfig()
     truth = [float(p) for p in spec.periods]

@@ -22,10 +22,11 @@ from multiperiod.spectral import (
     fisher_test,
     huber_fit,
     huber_periodogram,
-    vanilla_periodogram,
     zero_pad,
 )
 from multiperiod.synthbench import SCENARIOS, SyntheticSpec, run_benchmark
+
+from oracles import vanilla_periodogram
 
 
 def report(criterion, ok, detail):

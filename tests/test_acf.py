@@ -15,9 +15,10 @@ from multiperiod.series import InvalidInputError
 from multiperiod.spectral import (
     huber_fit,
     huber_periodogram,
-    vanilla_periodogram,
     zero_pad,
 )
+
+from oracles import vanilla_periodogram
 
 
 def vanilla_pipeline_acf(w):

@@ -171,6 +171,22 @@ class TestRobustPeriod:
         assert report.periods == ()
         assert report.levels_examined == 0
 
+    def test_ramp_at_unit_lambda_is_degenerate(self):
+        report = robust_period(
+            TimeSeries(0.001 * np.arange(64.0) + 5), DetectorConfig(hp_lambda=1.0)
+        )
+        assert report.degenerate
+        assert report.periods == ()
+        assert report.levels_examined == 0
+
+    @pytest.mark.parametrize("hp_lambda", [1e15, 1e18])
+    def test_sine_at_a_huge_lambda_is_detected(self, hp_lambda):
+        t = np.arange(1000.0)
+        series = TimeSeries(np.sin(2 * np.pi * t / 50))
+        report = robust_period(series, DetectorConfig(hp_lambda=hp_lambda))
+        assert not report.degenerate
+        assert report.period_lengths == [50.0]
+
     @pytest.mark.parametrize("slope", [0.01, 1.0])
     def test_ramp_plus_sine_detects_the_sine(self, slope):
         t = np.arange(1000.0)

@@ -231,6 +231,22 @@ class TestPreprocess:
         drift_control = abs(np.diff(control.values).mean())
         assert drift < 10 * drift_control + 1e-3
 
+    @pytest.mark.parametrize("n", [64, 1000, 4093])
+    @pytest.mark.parametrize("hp_lambda", [1.0, 1e3, 1e9, 1e18])
+    @pytest.mark.parametrize("slope, offset", [(3.0, -2.0), (0.001, 5.0), (0.7, 1e4)])
+    def test_exact_line_is_degenerate_at_every_lambda(self, n, hp_lambda, slope, offset):
+        # the detrended line is round-off, which no lambda-scaled floor
+        # bounds: at lambda = 1, N = 64, 0.001*t + 5 leaves a MAD of 3e-14
+        line = TimeSeries(slope * np.arange(n, dtype=float) + offset)
+        np.testing.assert_array_equal(preprocess(line, hp_lambda).values, np.zeros(n))
+
+    @pytest.mark.parametrize("hp_lambda", [1.0, 1e3, 1e15, 1e18, 1e300])
+    def test_unit_sine_is_not_degenerate_at_any_lambda(self, hp_lambda):
+        # its detrended MAD is 4.8e-4 at lambda = 1 and near 1 from 1e6 up
+        t = np.arange(1000.0)
+        out = preprocess(TimeSeries(np.sin(2 * np.pi * t / 50)), hp_lambda)
+        assert np.max(np.abs(out.values)) > 1.0
+
     def test_zero_series_stays_zero(self):
         out = preprocess(TimeSeries(np.zeros(64)))
         np.testing.assert_array_equal(out.values, np.zeros(64))

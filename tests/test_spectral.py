@@ -16,13 +16,13 @@ from multiperiod.spectral import (
     fisher_pvalue,
     fisher_test,
     huber_fit,
-    huber_objective,
     huber_periodogram,
     robust_band,
-    vanilla_periodogram,
     zero_pad,
 )
 from multiperiod.synthbench import SCENARIOS, generate
+
+from oracles import huber_objective, vanilla_periodogram
 
 
 # Band sizes around CHUNK_BINS, fit on a series of CHUNK_SERIES samples.
@@ -37,18 +37,25 @@ def harmonic_regressors(n, k):
     )
 
 
+def capped_fit(*args, steps):
+    """``huber_fit(*args)`` with at most ``steps`` Newton steps per bin."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(spectral, "_MAX_STEPS", steps)
+        return huber_fit(*args)
+
+
 def assert_band_matches_single_fits(x, ks, max_steps=50, zeta=DEFAULT_ZETA):
     """Fitting x over a band is bit-identical to fitting each k on its own.
 
     A stack x (L, n) with one band per row in ``ks`` is checked against
     each row's k fit alone, in row order.
     """
-    beta, iterations, converged = huber_fit(x, ks, zeta, max_steps=max_steps)
+    beta, iterations, converged = capped_fit(x, ks, zeta, steps=max_steps)
     rows = zip(x, ks) if np.ndim(x) == 2 else [(x, ks)]
     singles = [(row, k) for row, band in rows for k in band]
     assert beta.shape == (len(singles), 2)
     for i, (row, k) in enumerate(singles):
-        single = huber_fit(row, [k], zeta, max_steps=max_steps)
+        single = capped_fit(row, [k], zeta, steps=max_steps)
         np.testing.assert_array_equal(beta[i], single[0][0])
         assert iterations[i] == single[1][0]
         assert converged[i] == single[2][0]
@@ -166,6 +173,19 @@ class TestZeroPad:
         for row in (0, 2):  # the varying rows are untouched
             np.testing.assert_array_equal(out[row], zero_pad(stack[row]))
 
+    @pytest.mark.parametrize("scale", [1e170, 1e300, 1e-170, 1e-300])
+    def test_rows_whose_squares_overflow_or_underflow_still_vary(self, scale):
+        # the squared deviations overflow or underflow, so the plain moments
+        # would give the row no spread; scaled by its max |value| it has one
+        rng = np.random.default_rng(21)
+        unit = np.array([1.0, -1.0, 1.0, -1.0, 0.5])
+        stack = np.stack([rng.normal(size=5), scale * unit, np.full(5, scale)])
+        out = zero_pad(stack)
+        np.testing.assert_array_equal(out[1], zero_pad(unit))
+        np.testing.assert_array_equal(zero_pad(stack[1]), zero_pad(unit))
+        np.testing.assert_array_equal(out[2], np.zeros(10))  # constant: no spread
+        np.testing.assert_array_equal(out[0], zero_pad(stack[0]))
+
     def test_a_row_at_round_off_of_its_mean_still_varies(self):
         row = np.full(4, 1e6)
         row[2] = np.nextafter(1e6, 2e6)
@@ -200,11 +220,16 @@ class TestZeroPad:
         stack[flat % len(stack)] = 4.0  # a zero-spread row
         n = stack.shape[-1]
         expected = np.zeros((len(stack), 2 * n))
-        std = stack.std(axis=-1, keepdims=True)
+        # a varying row whose squared deviations underflow is standardized
+        # from its values over their max |value|
+        peak = np.max(np.abs(stack), axis=-1, keepdims=True)
+        underflow = (stack.std(axis=-1, keepdims=True) == 0) & (peak > 0)
+        scaled = np.divide(stack, peak, out=stack.copy(), where=underflow)
+        std = scaled.std(axis=-1, keepdims=True)
         # an exactly constant row pads to zeros even where the rounded mean
         # leaves it a positive std
         std[stack.max(axis=-1) == stack.min(axis=-1)] = 0.0
-        centered = stack - stack.mean(axis=-1, keepdims=True)
+        centered = scaled - scaled.mean(axis=-1, keepdims=True)
         np.divide(centered, std, out=expected[:, :n], where=std > 0)
         for out, ref in ((zero_pad(stack), expected), (zero_pad(stack[0]), expected[0])):
             np.testing.assert_array_equal(out, ref)
@@ -317,7 +342,7 @@ class TestAdmmHuberFit:
             assert converged[0] and iterations[0] >= 2
             trace = [huber_objective(-x, 1.0)]
             for m in range(1, int(iterations[0]) + 1):
-                beta, _, _ = huber_fit(x, [9], max_steps=m)
+                beta, _, _ = capped_fit(x, [9], steps=m)
                 trace.append(huber_objective(phi @ beta[0] - x, 1.0))
             assert np.all(np.diff(trace) <= 1e-12 * trace[0])
             assert trace[-1] < trace[0]
@@ -335,7 +360,7 @@ class TestAdmmHuberFit:
             assert converged[0]
             trace = [huber_objective(-x, 0.1)]
             for m in range(1, int(iterations[0]) + 1):
-                capped = huber_fit(x, [k], 0.1, max_steps=m)[0][0]
+                capped = capped_fit(x, [k], 0.1, steps=m)[0][0]
                 trace.append(fit_objective(x, k, capped, 0.1))
             assert np.all(np.diff(trace) <= 1e-12 * trace[0])
             oracle = huber_gradient_descent(x, k, 0.1, iters=50000)
@@ -347,7 +372,7 @@ class TestAdmmHuberFit:
     def test_unconverged_returns_flag_not_error(self):
         rng = np.random.default_rng(6)
         x = rng.normal(size=256)
-        beta, iters, converged = huber_fit(x, [31], max_steps=1)
+        beta, iters, converged = capped_fit(x, [31], steps=1)
         assert iters[0] == 1 and not converged[0]
         assert np.all(np.isfinite(beta))
 
@@ -361,7 +386,7 @@ class TestAdmmHuberFit:
     )
     def test_batch_agrees_with_single_across_chunk_edges(self, size, monkeypatch):
         # bins converge at different iterations, so chunks compact unevenly;
-        # at max_steps=2 most bins stop at the cap. A budget of 1000
+        # capped at 2 steps most bins stop at the cap. A budget of 1000
         # bin-sample pairs splits the wider bands into several chunks.
         chunk, passed = spectral._newton_huber_chunk, []
 
@@ -404,7 +429,7 @@ class TestAdmmHuberFit:
                     assert_band_matches_single_fits(x, band, max_steps=max_steps, zeta=zeta)
             for max_steps in (50, 7, 2):  # the guard's fit takes the refit path
                 passed.clear()
-                huber_fit(guard, ks, 0.3, max_steps=max_steps)
+                capped_fit(guard, ks, 0.3, steps=max_steps)
                 assert sum(passed) > ks.size
 
     def test_chunk_holds_a_wide_bin_alone_and_bins_of_no_samples(self, monkeypatch):
@@ -489,7 +514,7 @@ class TestAdmmHuberFit:
         # steps per bin on average (IRLS took 7 to 8; a least-squares start
         # took 3); at N = 10 000 a level holds up to 5000 bins, and a halving
         # test that lost the change of F to round-off would leave some of
-        # them halving until max_steps. At most 0.1% of the bins leave the
+        # them halving until _MAX_STEPS. At most 0.1% of the bins leave the
         # radius of their samples and are fit again.
         chunk, passed = spectral._newton_huber_chunk, []
 
@@ -827,8 +852,3 @@ class TestConfigValidation:
         # an empty stack has no bin to fit
         beta, iterations, converged = huber_fit(stack[:0], [])
         assert beta.shape == (0, 2) and iterations.shape == converged.shape == (0,)
-
-    @pytest.mark.parametrize("value", [0, 2.5, math.nan, 1e9, "50", True, np.True_])
-    def test_huber_fit_rejects_non_integer_max_steps(self, value):
-        with pytest.raises(InvalidInputError):
-            huber_fit(np.ones(32), [3], max_steps=value)
