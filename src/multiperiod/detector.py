@@ -25,7 +25,7 @@ from .acf import (
 )
 from .modwt import MAX_FAMILY_ORDER, daubechies_filters, max_level, modwt_decompose, rank_levels
 from .preprocess import DEFAULT_HP_LAMBDA, preprocess
-from .series import InvalidInputError, TimeSeries, check_int, check_real
+from .series import InvalidInputError, TimeSeries, check_bool, check_int, check_real
 from .spectral import (
     DEFAULT_ZETA,
     FisherOutcome,
@@ -62,8 +62,7 @@ class DetectorConfig:
         check_real("zeta", self.zeta, 0, math.inf, "(]")
         check_real("fisher_alpha", self.fisher_alpha, 0, 1)
         check_real("acf_height", self.acf_height, 0, 1)
-        if not isinstance(self.robust_mode, (bool, np.bool_)):
-            raise InvalidInputError(f"robust_mode must be a bool, got {self.robust_mode!r}")
+        check_bool("robust_mode", self.robust_mode)
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,7 @@ from .series import (
     InternalError,
     InvalidInputError,
     TimeSeries,
+    check_bool,
     check_int,
     check_real,
     finite_array,
@@ -216,6 +217,7 @@ def modwt_decompose(
     x = series.values
     n = x.size
     check_int("j0", j0, 1)
+    check_bool("robust", robust)
     if j0 > max_level(n, filters.L1):
         raise InvalidInputError(
             f"decomposition depth {j0} exceeds the maximum for length {n}"

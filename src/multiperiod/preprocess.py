@@ -37,13 +37,23 @@ def standardize(series: TimeSeries) -> tuple[TimeSeries, float, float]:
 
     Returns ``(standardized, mean, std)`` so the affine map can be inverted.
     A constant input is degenerate: the output is all zeros and the reported
-    std is 0.0, which callers use as the degeneracy flag. A varying input
-    whose moments under- or overflow is scaled by 1/max|x| first, so
-    magnitudes from subnormal to near the float maximum standardize alike.
+    std is 0.0. A varying input whose moments under- or overflow is scaled
+    by 1/max|x| first, so magnitudes from subnormal to near the float maximum
+    standardize alike; its reported std can still round to 0.0 (63 zeros
+    and one 5e-324 have std 6e-325), so a zero std does not flag degeneracy.
     """
-    x = series.values
+    standardized, mean, std, scale = _standardize(series.values)
+    return TimeSeries(standardized), mean * scale, std * scale
+
+
+def _standardize(x: np.ndarray) -> tuple[np.ndarray, float, float, float]:
+    """``standardize``'s values, mean and std, the latter two in units of ``scale``.
+
+    ``scale`` is 1.0 unless the moments of x under- or overflow, and then
+    max|x|. The std is 0.0 exactly when x is constant.
+    """
     if not x.max() > x.min():
-        return TimeSeries(np.zeros_like(x)), float(x[0]), 0.0
+        return np.zeros_like(x), float(x[0]), 0.0, 1.0
     mean, dev, std = _moments(x)
     scale = 1.0
     if not 0.0 < std < math.inf:
@@ -51,7 +61,7 @@ def standardize(series: TimeSeries) -> tuple[TimeSeries, float, float]:
         # though the series varies; x / max|x| has representable moments.
         scale = float(np.max(np.abs(x)))
         mean, dev, std = _moments(x / scale)
-    return TimeSeries(dev / std), mean * scale, std * scale
+    return dev / std, mean, std, scale
 
 
 def _moments(x: np.ndarray) -> tuple[float, np.ndarray, float]:
@@ -172,10 +182,11 @@ def preprocess(series: TimeSeries, hp_lambda: float = DEFAULT_HP_LAMBDA) -> Time
         raise InvalidInputError(
             f"pipeline requires at least {MIN_PIPELINE_LENGTH} samples, got {series.length}"
         )
-    standardized, mean, std = standardize(series)
+    # mean and std are in units of a scale that keeps std from underflowing
+    standardized, mean, std, _ = _standardize(series.values)
     if std == 0.0:
-        return standardized
-    detrended = _hp_residual(standardized.values, hp_lambda)
+        return TimeSeries(standardized)
+    detrended = _hp_residual(standardized, hp_lambda)
     # A MAD at round-off is not spread: an exact line leaves nothing else. In
     # units of the series' std, the input's own rounding is about
     # eps*|mean|/std and the trend solve's at most about 0.04*n*eps, whatever

@@ -1,7 +1,8 @@
 """Time series carrier, shared error types and the package's argument checks.
 
-Every stage checks its arguments with ``check_real``, ``check_int`` and
-``finite_array``, which validate without converting a scalar.
+Every stage checks its arguments with ``check_real``, ``check_int``,
+``check_bool`` and ``finite_array``, which validate without converting a
+scalar.
 """
 
 from __future__ import annotations
@@ -50,6 +51,12 @@ def check_int(name: str, value, lo=-math.inf, hi=math.inf) -> None:
         and (isinstance(value, bool) or not isinstance(value, numbers.Integral))
     ) or not lo <= value <= hi:
         raise InvalidInputError(f"{name} must be an integer in [{lo}, {hi}], got {value!r}")
+
+
+def check_bool(name: str, value) -> None:
+    """Reject anything but a bool or a numpy bool; a truthy 1 or "no" is rejected."""
+    if not isinstance(value, (bool, np.bool_)):
+        raise InvalidInputError(f"{name} must be a bool, got {value!r}")
 
 
 def finite_array(name: str, values, ndims=(1,), *, integer: bool = False) -> np.ndarray:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .reductions import center
-from .series import InvalidInputError, check_int, check_real, finite_array
+from .series import InvalidInputError, check_bool, check_int, check_real, finite_array
 
 
 # Huber threshold on the standardized residuals of the harmonic fit.
@@ -195,24 +195,25 @@ def huber_fit(x: np.ndarray, ks, zeta: float = DEFAULT_ZETA):
     count = spec[rows, 1, 0].real
     del spec
     slack = np.abs(np.abs(x) - zeta)
-    order = np.argsort(slack, axis=1, kind="stable")
-    slack = np.take_along_axis(slack, order, axis=1)
+    order = _slack_order(x, slack, zeta)
+    at = order + n * np.arange(x.shape[0])[:, None]  # flat index of each sorted sample
+    slack = slack.take(at)
     # A sample whose slack exceeds ||beta|| by this margin keeps its reference
     # state whatever the round-off of its residual.
     margin = 1e-9 * (zeta + slack[:, -1])
-    # the reference pattern's g at beta = 0, then H
-    reference = np.column_stack([
+    # the reference pattern's g at beta = 0, then H, one row per statistic
+    reference = np.stack([
         psi.real, -psi.imag, 0.5 * (count + mask2.real),
         np.where(two > n // 2, 0.5, -0.5) * mask2.imag, 0.5 * (count - mask2.real),
     ])
     # the Newton step from beta = 0, or beta = 0 itself where H is singular
     with np.errstate(all="ignore"):
-        start = _newton_step(reference[:, 2:], reference[:, :2])
-    full = ~_singular(reference[:, 2:])  # the start is a full Newton step
-    start[~full] = 0.0
-    reach = _reach(slack, rows, _HEADROOM * np.hypot(start[:, 0], start[:, 1]) + margin[rows])
+        start = _newton_step(reference[2:], reference[:2])
+    full = ~_singular(reference[2:])  # the start is a full Newton step
+    start[:, ~full] = 0.0
+    reach = _reach(slack, rows, _HEADROOM * np.hypot(start[0], start[1]) + margin[rows])
     tol = _ROUNDOFF * np.max(np.abs(x), axis=1, initial=0.0)
-    xs = np.take_along_axis(x, order, axis=1)
+    xs = x.take(at)
     fit = (x, xs, ks, rows, _table(n), order, slack, margin, reach, full, zeta, _MAX_STEPS, tol)
     todo = np.arange(rows.size)  # a bin with iterations 0 is still to fit
     while todo.size:
@@ -223,7 +224,7 @@ def huber_fit(x: np.ndarray, ks, zeta: float = DEFAULT_ZETA):
             below = pairs[lo] - reach[todo[lo]]
             hi = max(lo + 1, int(np.searchsorted(pairs, below + _FIT_BUDGET, side="right")))
             bins = todo[lo:hi]
-            _newton_huber_chunk(fit, bins, reference[bins], start[bins], out)
+            _newton_huber_chunk(fit, bins, reference[:, bins], start[:, bins], out)
             lo = hi
         todo = np.flatnonzero(out[1] == 0)
     return out
@@ -247,17 +248,43 @@ def _reach(slack, rows, radius):
     return reach
 
 
+def _slack_order(x, slack, zeta):
+    """``np.argsort(slack, axis=1, kind="stable")`` for ``slack`` = ||x| - zeta|.
+
+    The columns after the last one nonzero in some row of ``x`` are padding,
+    whose slack is exactly zeta, so in stable order they form one block, in
+    index order, right after the last other slack <= zeta. Only the columns
+    before them are sorted, and a row is sorted stably only where its sorted
+    slacks hold a tie: without one, every sort gives the same order.
+    """
+    nonzero = np.flatnonzero(x.any(axis=0))
+    m = nonzero[-1] + 1 if nonzero.size else 0
+    padding = np.arange(m, x.shape[1])
+    order = np.empty(x.shape, dtype=np.int64)
+    for row, head in zip(order, slack[:, :m]):
+        at = np.argsort(head)
+        ordered = head[at]
+        if np.any(ordered[1:] == ordered[:-1]):
+            at = np.argsort(head, kind="stable")
+        cut = np.searchsorted(ordered, zeta, side="right")
+        row[:cut], row[cut : cut + padding.size], row[cut + padding.size :] = (
+            at[:cut], padding, at[cut:]
+        )
+    return order
+
+
 def _singular(h):
-    """Whether each active Gram block, a row (cc, cs, ss) of ``h``, is singular."""
-    cc, cs, ss = h.T
+    """Whether each active Gram block, a column (cc, cs, ss) of ``h``, is singular."""
+    cc, cs, ss = h
     return ~(cc * ss - cs * cs > _SINGULAR * (cc + ss) ** 2)
 
 
 def _newton_step(h, g):
-    """H^-1 g per bin, for H = [[cc, cs], [cs, ss]] a row (cc, cs, ss) of ``h``."""
-    cc, cs, ss = h.T
-    step = np.column_stack([ss * g[:, 0] - cs * g[:, 1], cc * g[:, 1] - cs * g[:, 0]])
-    return step / (cc * ss - cs * cs)[:, None]
+    """H^-1 g per bin: H = [[cc, cs], [cs, ss]] from a column (cc, cs, ss) of ``h``."""
+    cc, cs, ss = h
+    step = np.stack([ss * g[0] - cs * g[1], cc * g[1] - cs * g[0]])
+    step /= cc * ss - cs * cs
+    return step
 
 
 def _harmonics(j, table, n):
@@ -292,8 +319,8 @@ def _clip_pattern(r, zeta):
 
 
 def _residual(xt, cs, b, width):
-    """x - phi b over the runs: row i of ``b`` fits the next ``width[i]`` samples."""
-    r = np.repeat(b.T, width, axis=1)
+    """x - phi b over the runs: column i of ``b`` fits the next ``width[i]`` samples."""
+    r = np.repeat(b, width, axis=1)
     r *= cs
     r = np.add(r[0], r[1], out=r[0])
     return np.subtract(xt, r, out=r)
@@ -302,16 +329,17 @@ def _residual(xt, cs, b, width):
 def _newton_huber_chunk(fit, bins, stats, b_cur, out):
     """Run the Newton solver of ``huber_fit`` for the frequencies ``ks[bins]``.
 
-    ``stats`` holds per bin the reference pattern's g at beta = 0 and H
-    (cc, cs, ss), ``b_cur`` the first iterates: the Newton step from beta
-    = 0, or beta = 0 itself where that H is singular. Each bin reads one
+    ``stats`` (5, B) holds per bin the reference pattern's g at beta = 0 and
+    H (cc, cs, ss), ``b_cur`` (2, B) the first iterates: the Newton step from
+    beta = 0, or beta = 0 itself where that H is singular. Each bin reads one
     run: the first ``reach`` samples of its row in slack order, held with
     their cos and sin and the clip pattern at the last accepted iterate in
     flat arrays, one run after another. A first iterate lies inside the
     radius its run covers; a bin whose next iterate leaves it gets a larger
     ``reach`` and keeps ``iterations`` 0. Results go to rows ``bins`` of
-    ``out`` = (beta, iterations, converged); a done bin's run leaves the
-    arrays.
+    ``out`` = (beta, iterations, converged). A finished bin holds still at
+    its last accepted iterate, and the runs of finished bins leave the
+    arrays once they make up half of the samples held.
     """
     x, xs, ks, rows, table, order, slack, margin, reach, full, zeta, max_steps, tol = fit
     beta, iterations, converged = out
@@ -320,30 +348,31 @@ def _newton_huber_chunk(fit, bins, stats, b_cur, out):
     radius = np.full(bins.size, np.inf)
     inside = width < n
     radius[inside] = slack[row[inside], width[inside]] - margin[row[inside]]
+    tol = tol[row]
     xt, cs = _runs(xs, order, table, row, width, ks[bins])
     pat_acc = _clip_pattern(xt, zeta)
     b_acc, full = np.zeros_like(b_cur), full[bins]  # b_cur is a full Newton step from b_acc
+    ended = np.zeros(bins.size, dtype=bool)  # finished, its run still held
+    bounds = np.zeros(bins.size + 1, dtype=np.int64)
+    np.cumsum(width, out=bounds[1:])
 
     for it in range(1, max_steps + 1):
         pat = _clip_pattern(_residual(xt, cs, b_cur, width), zeta)
         f = (pat != pat_acc).nonzero()[0]
-        bounds = np.zeros(live.size + 1, dtype=np.int64)
-        np.cumsum(width, out=bounds[1:])
         edges = np.searchsorted(f, bounds)  # bin b's flips are f[edges[b]:edges[b + 1]]
         count = edges[1:] - edges[:-1]
-        # a full step that kept the pattern it was computed from was exact; a
-        # done bin's run leaves with the others at the end of the step
-        done = full & (count == 0)
+        # a full step that kept the pattern it was computed from was exact
+        done = full & (count == 0) & ~ended
         if done.any():
             settled = live[done]
-            beta[settled], iterations[settled], converged[settled] = b_cur[done], it, True
-            if done.all():
+            beta[settled], iterations[settled], converged[settled] = b_cur[:, done].T, it, True
+            if (done | ended).all():
                 return
         # A pattern's F is c - beta'l + beta'H beta / 2 (plus a constant): l is
         # g at beta = 0. A sample that changes its active flag by da and its
         # clip sign by dp adds (x^2 + zeta^2) da / 2 + zeta x dp to c,
         # (x da + zeta dp) phi to l and da phi phi' to H.
-        d = np.zeros((live.size, 6))
+        d = np.zeros((6, live.size))
         if f.size:
             new, old = pat.take(f), pat_acc.take(f)
             da, dp = np.abs(old) - np.abs(new), new - old
@@ -355,54 +384,73 @@ def _newton_huber_chunk(fit, bins, stats, b_cur, out):
             np.multiply(dphi[0], phi, out=terms[3:5])
             np.multiply(dphi[1], phi[1], out=terms[5])
             hit = count > 0
-            d[hit] = np.add.reduceat(terms, edges[:-1][hit], axis=1).T
-        cur = stats + d[:, 1:]
-        hess = cur[:, [2, 3, 3, 4]].reshape(-1, 2, 2)
-        g = cur[:, 0:2, None] - np.matmul(hess, np.stack([b_acc, b_cur], axis=2))
+            d[:, hit] = np.add.reduceat(terms, edges[:-1][hit], axis=1)
+        cur = stats + d[1:]
+        (l0, l1, hcc, hcs, hss), (a0, a1), (c0, c1) = cur, b_acc, b_cur
+        # g at b_acc and at b_cur
+        ga0, ga1 = l0 - (hcc * a0 + hcs * a1), l1 - (hcs * a0 + hss * a1)
+        gc0, gc1 = l0 - (hcc * c0 + hcs * c1), l1 - (hcs * c0 + hss * c1)
         # F(b_cur) - F(b_acc): the flips' change of F at b_acc, then the new
         # pattern's quadratic from b_acc to b_cur
-        d_hess_b = np.matmul(d[:, [3, 4, 4, 5]].reshape(-1, 2, 2), b_acc[:, :, None])[:, :, 0]
-        rise = d[:, 0] - np.einsum("ij,ij->i", b_acc, d[:, 1:3] - 0.5 * d_hess_b)
-        rise -= 0.5 * np.einsum("ij,ij->i", b_cur - b_acc, g[:, :, 0] + g[:, :, 1])
+        dc, dl0, dl1, dcc, dcs, dss = d
+        rise = dc - (a0 * (dl0 - 0.5 * (dcc * a0 + dcs * a1))
+                     + a1 * (dl1 - 0.5 * (dcs * a0 + dss * a1)))
+        rise -= 0.5 * ((c0 - a0) * (ga0 + gc0) + (c1 - a1) * (ga1 + gc1))
 
         worse = rise > 0
         accept = ~worse
-        stats[accept], b_acc[accept] = cur[accept], b_cur[accept]
+        np.copyto(stats, cur, where=accept)
+        np.copyto(b_acc, b_cur, where=accept)
         if f.size:
             taken = np.repeat(accept, count)
             pat_acc[f[taken]] = new[taken]
-        singular = _singular(cur[:, 2:])  # never a done bin, whose H was not singular
+        # never a done or finished bin, whose H is not singular
+        singular = _singular(cur[2:])
         for b in singular.nonzero()[0]:
             c, s = _harmonics(ks[live[b]] * np.arange(n), table, n)
-            residual = x[row[b]] - b_cur[b, 0] * c - b_cur[b, 1] * s
+            residual = x[row[b]] - c0[b] * c - c1[b] * s
             weights = zeta / np.maximum(np.abs(residual), zeta)
-            cur[b, 2:] = weights @ (c * c), weights @ (c * s), weights @ (s * s)
-        step = _newton_step(cur[:, 2:], g[:, :, 1])
-        small = (np.hypot(step[:, 0], step[:, 1]) <= tol[row]) & ~done
+            cur[2:, b] = weights @ (c * c), weights @ (c * s), weights @ (s * s)
+        step = _newton_step(cur[2:], (gc0, gc1))
+        small = (np.hypot(step[0], step[1]) <= tol) & ~done & ~ended
         full = ~singular & accept
         if worse.any():  # a step that raised F is halved back
-            step[worse] = 0.5 * (b_cur[worse] - b_acc[worse])
-            small[worse] = False
+            np.copyto(step, 0.5 * (b_cur - b_acc), where=worse)
+            small &= accept
         b_cur = b_acc + step
         if small.any():
             settled = live[small]
-            beta[settled], iterations[settled], converged[settled] = b_acc[small], it, True
+            beta[settled], iterations[settled], converged[settled] = b_acc[:, small].T, it, True
         gone = done | small
         # a next iterate outside the radius of its run is fit again later
-        norm = np.hypot(b_cur[:, 0], b_cur[:, 1])
-        left = (norm > radius) & ~gone & (it < max_steps)
+        norm = np.hypot(b_cur[0], b_cur[1])
+        left = (norm > radius) & ~gone & ~ended & (it < max_steps)
         if left.any():
             reach[live[left]] = _reach(slack, row[left], 2 * norm[left] + margin[row[left]])
             gone |= left
-        if gone.all():
-            return
-        if gone.any():
-            keep = np.repeat(~gone, width).nonzero()[0]
-            xt, cs, pat_acc = xt.take(keep), cs.take(keep, axis=1), pat_acc.take(keep)
-            live, row, width, radius, stats, b_cur, b_acc, full = (
-                a[~gone] for a in (live, row, width, radius, stats, b_cur, b_acc, full)
+        if not gone.any():
+            continue
+        ended |= gone
+        if 2 * width[ended].sum() >= bounds[-1]:
+            if ended.all():
+                return
+            keep = ~ended
+            at = np.repeat(keep, width).nonzero()[0]
+            xt, cs, pat_acc = xt.take(at), cs.take(at, axis=1), pat_acc.take(at)
+            live, row, width, radius, tol, full, ended = (
+                a[keep] for a in (live, row, width, radius, tol, full, ended)
             )
-    beta[live], iterations[live] = b_acc, max_steps
+            stats, b_cur, b_acc = stats[:, keep], b_cur[:, keep], b_acc[:, keep]
+            bounds = np.zeros(live.size + 1, dtype=np.int64)
+            np.cumsum(width, out=bounds[1:])
+        else:
+            # A held finished bin stays at b_acc, so it flips no sample, and
+            # l = b_acc with H = I gives it g = 0, a zero step and no rise.
+            np.copyto(b_cur, b_acc, where=gone)
+            stats[:2, gone] = b_acc[:, gone]
+            stats[2:, gone] = [[1.0], [0.0], [1.0]]
+    live = live[~ended]
+    beta[live], iterations[live] = b_acc[:, ~ended].T, max_steps
 
 
 def robust_band(n_padded: int, level: int) -> tuple[int, int] | None:
@@ -441,6 +489,7 @@ def huber_periodogram(
     for level in levels:
         check_int("level", level, 1)
     check_real("zeta", zeta, 0, math.inf, "(]")
+    check_bool("robust", robust)
 
     n = x.shape[1]
     # the plain periodogram of every row over bins 0..N, from a real FFT; the

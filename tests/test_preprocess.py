@@ -8,6 +8,7 @@ from hypothesis.extra.numpy import arrays
 from scipy.linalg import cho_solve_banded, cholesky_banded, solveh_banded
 
 from multiperiod.preprocess import (
+    CLIP_C,
     _hp_plan,
     _hp_residual,
     _moments,
@@ -246,6 +247,17 @@ class TestPreprocess:
         t = np.arange(1000.0)
         out = preprocess(TimeSeries(np.sin(2 * np.pi * t / 50)), hp_lambda)
         assert np.max(np.abs(out.values)) > 1.0
+
+    def test_series_whose_std_underflows_is_clipped_like_its_rescaling(self):
+        # 63 zeros and one 5e-324 vary, but their std (6e-325) rounds to 0;
+        # scaled by 2^1074 they are 63 zeros and a one, whose preprocessing
+        # the subnormal series must match bit for bit
+        tiny = np.zeros(64)
+        tiny[-1] = 5e-324
+        out = preprocess(TimeSeries(tiny)).values
+        assert np.max(np.abs(out)) <= CLIP_C
+        rescaled = preprocess(TimeSeries(tiny * 2.0**537 * 2.0**537)).values
+        np.testing.assert_array_equal(out, rescaled)
 
     def test_zero_series_stays_zero(self):
         out = preprocess(TimeSeries(np.zeros(64)))

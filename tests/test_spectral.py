@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -273,6 +273,33 @@ class TestHarmonicTable:
         assert info.currsize <= info.maxsize
 
 
+class TestSlackOrder:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        zeta=st.sampled_from([0.3, 1.0]),
+        # in units of zeta: 0 and +-2 have slack exactly zeta, +-1 slack 0,
+        # and repeats tie
+        head=arrays(
+            np.float64,
+            st.tuples(st.integers(1, 4), st.integers(1, 40)),
+            elements=st.one_of(
+                st.sampled_from([0.0, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0]), st.floats(-3.0, 3.0)
+            ),
+        ),
+        padding=st.integers(0, 40),
+    )
+    @example(zeta=1.0, head=np.zeros((2, 5)), padding=3)
+    @example(zeta=0.3, head=np.array([[0.5, 2.0, 0.0], [1.5, -0.5, 3.0]]), padding=0)
+    def test_equals_the_stable_argsort(self, zeta, head, padding):
+        # rows end in zero padding, or not at all, and may end in zeros
+        # before it; rows of zeros and an all-zero stack are included
+        x = np.concatenate([head * zeta, np.zeros((head.shape[0], padding))], axis=1)
+        slack = np.abs(np.abs(x) - zeta)
+        np.testing.assert_array_equal(
+            spectral._slack_order(x, slack, zeta), np.argsort(slack, axis=1, kind="stable")
+        )
+
+
 class TestAdmmHuberFit:
     """huber_fit; the class is named after the ADMM solver that it replaced."""
 
@@ -388,13 +415,24 @@ class TestAdmmHuberFit:
         # bins converge at different iterations, so chunks compact unevenly;
         # capped at 2 steps most bins stop at the cap. A budget of 1000
         # bin-sample pairs splits the wider bands into several chunks.
-        chunk, passed = spectral._newton_huber_chunk, []
+        # Finished bins stay in a chunk's arrays until their runs make up half
+        # of the samples held: each step's held bins and each chunk's
+        # iterations show that both happen, a finished bin held at a later
+        # step and a drop while other bins still run.
+        chunk, residual, passed, steps = spectral._newton_huber_chunk, spectral._residual, [], []
 
-        def recorded(fit, bins, *args):
+        def recorded(fit, bins, stats, b_cur, out):
             passed.append(bins.size)
-            return chunk(fit, bins, *args)
+            steps.append([])
+            chunk(fit, bins, stats, b_cur, out)
+            steps[-1] = (steps[-1], out[1][bins].copy())
+
+        def counted(xt, cs, b, width):
+            steps[-1].append(b.shape[1])
+            return residual(xt, cs, b, width)
 
         monkeypatch.setattr(spectral, "_newton_huber_chunk", recorded)
+        monkeypatch.setattr(spectral, "_residual", counted)
         rng = np.random.default_rng(size)
         noise = rng.standard_t(2, size=CHUNK_SERIES)
         ks = np.arange(3, 3 + size)
@@ -431,6 +469,15 @@ class TestAdmmHuberFit:
                 passed.clear()
                 capped_fit(guard, ks, 0.3, steps=max_steps)
                 assert sum(passed) > ks.size
+        # a bin refit later (iterations 0 here) counts as running
+        running = [
+            [np.sum((iterations >= step) | (iterations == 0)) for step in range(1, len(held) + 1)]
+            for held, iterations in steps
+        ]
+        kept = any(np.any(np.array(held) > now) for (held, _), now in zip(steps, running))
+        dropped = any(np.any(np.diff(held) < 0) for held, _ in steps)
+        # with one bin per band, these fits never hold a finished bin
+        assert dropped and (kept or size == 1)
 
     def test_chunk_holds_a_wide_bin_alone_and_bins_of_no_samples(self, monkeypatch):
         # A unit tone at k = 5 under light noise: its first iterate has norm

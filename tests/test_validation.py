@@ -2,8 +2,9 @@
 
 Every documented stage function, ``DetectorConfig``, ``SyntheticSpec``,
 ``score`` and ``run_benchmark`` raises ``InvalidInputError``, and warns of
-nothing, for a bool, string, None, complex or non-finite argument, and an
-integer argument also for a fractional value. The checks live in
+nothing, for a bool, string, None, complex or non-finite argument, an
+integer argument also for a fractional value, and a flag for anything but a
+bool (numpy's included). The checks live in
 ``multiperiod.series``; no other module tests number types itself.
 """
 
@@ -55,6 +56,8 @@ NOT_REAL = {
 INFINITE_REAL = {**NOT_REAL, "nan": math.nan, "-inf": -math.inf}
 REAL = {**INFINITE_REAL, "inf": math.inf}
 INTEGER = {**REAL, "fraction": 2.5}
+# truthy or falsy stand-ins for a bool flag
+NOT_BOOL = {"str": "no", "int": 1, "zero": 0, "float": 1.0, "None": None, "np.int": np.int64(1)}
 
 
 def arrays(good, integer=False):
@@ -98,6 +101,7 @@ def slots():
         ("biweight_midvariance.w", arrays(t), lambda v: biweight_midvariance(v, 4)),
         ("biweight_midvariance.width", INTEGER, lambda v: biweight_midvariance(t, v)),
         ("modwt_decompose.j0", INTEGER, lambda v: modwt_decompose(series, filters, v)),
+        ("modwt_decompose.robust", NOT_BOOL, lambda v: modwt_decompose(series, filters, 3, v)),
         ("rank_levels.share_threshold", REAL, lambda v: rank_levels(decomp, v)),
         ("zero_pad.w", arrays(decomp.w), zero_pad),
         ("huber_fit.x", arrays(padded), lambda v: huber_fit(v, [[3], [5]])),
@@ -108,6 +112,8 @@ def slots():
         ("huber_periodogram.x", arrays(padded), lambda v: huber_periodogram(v, [1, 2])),
         ("huber_periodogram.levels", INTEGER, lambda v: huber_periodogram(padded, [1, v])),
         ("huber_periodogram.zeta", INFINITE_REAL, lambda v: huber_periodogram(padded, [1, 2], v)),
+        ("huber_periodogram.robust", NOT_BOOL,
+         lambda v: huber_periodogram(padded, [1, 2], robust=v)),
         ("fisher_pvalue.g", REAL, lambda v: fisher_pvalue(v, 10)),
         ("fisher_pvalue.m", INTEGER, lambda v: fisher_pvalue(0.5, v)),
         ("fisher_test.power", arrays(hybrid.power[0]), lambda v: fisher_test(v, 0.5)),
