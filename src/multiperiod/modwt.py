@@ -1,10 +1,11 @@
 """Maximal-overlap discrete wavelet transform and robust level ranking.
 
-The decomposition is the standard circular-boundary pyramid: the unit-level
-filter pair is applied with stride 2^(j-1) to the previous level's scaling
-coefficients, which is equivalent to direct circular convolution with the
-upsampled level-j filters. Coefficient energy is preserved exactly across
-levels. Each level's variance is estimated robustly over the nonboundary
+The decomposition is circular, so level j is its equivalent filter's gain
+times the series' DFT (Percival & Walden 2000, ch. 5): every level and the
+final scaling come from one real FFT of the series, one product with a
+table of level gains built once per filter pair, length and depth, and one
+inverse real FFT. Coefficient energy is preserved exactly across levels.
+Each level's variance is estimated robustly over the nonboundary
 coefficients and converted to a share of the total wavelet variance for
 ranking.
 """
@@ -33,11 +34,13 @@ _SQRT2 = math.sqrt(2.0)
 MAX_FAMILY_ORDER = 10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WaveletFilterPair:
     """Unit-level wavelet/scaling filter pair, rescaled by 1/sqrt(2).
 
-    After rescaling, sum(h)=0, sum(g)=1 and sum(h^2)=sum(g^2)=1/2.
+    After rescaling, sum(h)=0, sum(g)=1 and sum(h^2)=sum(g^2)=1/2. A pair
+    compares and hashes by identity, so the level gains cached for it are
+    its own.
     """
 
     h: np.ndarray
@@ -145,25 +148,51 @@ def max_level(n: int, L1: int) -> int:
     return j0
 
 
-def _circular_filter_pair(
-    filters: WaveletFilterPair, signal: np.ndarray, stride: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Both out[t] = sum_l f[l] * signal[(t - stride*l) mod n], for f = h and g.
+def _smooth_length(m: int) -> int:
+    """Smallest length >= m with no prime factor above 7."""
+    best = 1 << (m - 1).bit_length()
+    p7 = 1
+    while p7 < best:
+        p5 = p7
+        while p5 < best:
+            p3 = p5
+            while p3 < best:
+                p2 = p3
+                while p2 < m:
+                    p2 *= 2
+                best = min(best, p2)
+                p3 *= 3
+            p5 *= 5
+        p7 *= 7
+    return best
 
-    The circular block signal[(t - stride*l) mod n] is gathered once for both,
-    from the signal led by its last m = stride*(L1 - 1) samples: row t of
-    the strided view starts at ext[t + m] and steps back by ``stride``.
-    ``max_level`` keeps m below n.
+
+@functools.lru_cache(maxsize=8)
+def _level_gains(filters: WaveletFilterPair, n: int, j0: int) -> tuple[int, np.ndarray]:
+    """Transform length m and the read-only (j0 + 1, m//2 + 1) gain table.
+
+    Row j - 1 is level j's wavelet gain H(2^(j-1) k) * prod_{l<j-1} G(2^l k)
+    at the m-point Fourier frequencies k = 0..m//2, indices mod m, with H and
+    G the unit filters' m-point FFTs; the last row is the level-j0 scaling
+    gain. m is n when n has no prime factor above 7, and the product is then
+    the circular convolution itself. Otherwise m is the smallest such length
+    that holds the linear convolution, n + level_width(j0) - 1 samples, which
+    keeps prime lengths off numpy's slow FFT path.
     """
-    n = signal.size
-    m = stride * (filters.L1 - 1)
-    ext = np.concatenate([signal[n - m :], signal])
-    step = ext.itemsize
-    view = np.ndarray(
-        (n, filters.L1), ext.dtype, buffer=ext, offset=step * m, strides=(step, -step * stride)
-    )
-    block = np.ascontiguousarray(view)
-    return block @ filters.h, block @ filters.g
+    m = _smooth_length(n)
+    if m != n:
+        m = _smooth_length(n + level_width(j0, filters.L1) - 1)
+    k = np.arange(m // 2 + 1)
+    wavelet, scaling = np.fft.fft(filters.h, m), np.fft.fft(filters.g, m)
+    gains = np.empty((j0 + 1, k.size), dtype=np.complex128)
+    cascade = np.ones(k.size, dtype=np.complex128)
+    for j in range(1, j0 + 1):
+        at = (k << (j - 1)) % m
+        gains[j - 1] = wavelet[at] * cascade
+        cascade *= scaling[at]
+    gains[j0] = cascade
+    gains.flags.writeable = False
+    return m, gains
 
 
 def biweight_midvariance(w: np.ndarray, width: int) -> float:
@@ -207,8 +236,10 @@ def modwt_decompose(
     j0: int,
     robust: bool = True,
 ) -> WaveletDecomposition:
-    """Pyramid decomposition into j0 wavelet levels plus the final scaling.
+    """Decomposition into j0 wavelet levels plus the final scaling.
 
+    Every level and the scaling are one inverse real FFT of the series'
+    spectrum times the cached gains of ``_level_gains``.
     Per-level variances use the biweight midvariance over nonboundary
     coefficients (or the plain sample variance when ``robust=False``).
     Levels with fewer than 4 nonboundary coefficients get variance NaN and
@@ -223,11 +254,15 @@ def modwt_decompose(
             f"decomposition depth {j0} exceeds the maximum for length {n}"
         )
 
-    w = np.empty((j0, n))
+    m, gains = _level_gains(filters, n, j0)
+    coeffs = np.fft.irfft(np.fft.rfft(x, m) * gains, m)
+    if m > n:
+        # the linear convolution spans n + wrap < 2n samples: fold its tail
+        wrap = level_width(j0, filters.L1) - 1
+        coeffs[:, :wrap] += coeffs[:, n : n + wrap]
+    w = coeffs[:j0, :n]
     variance = np.full(j0, np.nan)
-    v = x
     for j in range(1, j0 + 1):
-        w[j - 1], v = _circular_filter_pair(filters, v, 2 ** (j - 1))
         width = level_width(j, filters.L1)
         if n - width + 1 < 4:
             continue
@@ -242,7 +277,7 @@ def modwt_decompose(
     share = np.zeros(j0)
     if total > 0:
         share[known] = variance[known] / total
-    return WaveletDecomposition(w=w, variance=variance, share=share, scaling=v)
+    return WaveletDecomposition(w=w, variance=variance, share=share, scaling=coeffs[j0, :n])
 
 
 def rank_levels(decomp: WaveletDecomposition, share_threshold: float) -> list[int]:

@@ -106,7 +106,10 @@ def _hp_residual(x: np.ndarray, hp_lambda: float) -> np.ndarray:
         return np.zeros_like(x)
     scale, columns, inverse = _hp_plan(x.size, float(hp_lambda))
     w = _dst1(scale * _dst1(x[2:] - 2.0 * x[1:-1] + x[:-2]))
-    z = w - (inverse @ (w[0], w[-1])) @ columns
+    # elementwise, not a matrix product, so no BLAS kernel sets the rounding
+    (a, b), (c, d) = inverse.tolist()
+    first, last = float(w[0]), float(w[-1])
+    z = w - ((a * first + b * last) * columns[0] + (c * first + d * last) * columns[1])
     return np.convolve(z, (1.0, -2.0, 1.0))
 
 

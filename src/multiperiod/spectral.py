@@ -79,9 +79,9 @@ def zero_pad(w: np.ndarray) -> np.ndarray:
         scaled = rows[extreme] / np.max(np.abs(rows[extreme]), axis=-1, keepdims=True)
         _, dev[extreme], var_scaled = center(scaled, 0)
         std[extreme] = np.sqrt(var_scaled)
-    std[constant] = 0.0
-    std = std[:, None]
-    np.divide(dev, std, out=out.reshape(-1, 2 * n)[:, :n], where=std > 0)
+    dev[constant] = 0.0
+    std[constant] = 1.0
+    np.divide(dev, std[:, None], out=out.reshape(-1, 2 * n)[:, :n])
     return out
 
 

@@ -197,7 +197,7 @@ def test_criterion_08_wavelet_transform_correctness():
         "criterion 08: wavelet transform",
         ok,
         f"energy defect {worst_energy:.3e} (need < 1e-8), "
-        f"pyramid-vs-direct {worst_direct:.3e} (need < 1e-10)",
+        f"transform-vs-direct {worst_direct:.3e} (need < 1e-10)",
     )
 
 

@@ -8,26 +8,21 @@ compared by sha256. A change meant to alter output rewrites the fixture with
     PYTHONPATH=src python tests/test_golden.py
 
 and says so in its description; any other change must leave it untouched.
-Both the tests (through the root ``conftest.py``) and that command pin
-OpenBLAS to its Haswell kernel, whose rounding the fixture holds.
+No detection output goes through a BLAS product, so the fixture holds
+whichever OpenBLAS kernel numpy runs.
 """
 
 import hashlib
 import json
-import os
 import pathlib
 import tempfile
 from dataclasses import replace
 
-# Run as a script, this module loads numpy below without the root conftest.py,
-# so it pins the same OpenBLAS kernel itself first.
-os.environ.setdefault("OPENBLAS_CORETYPE", "Haswell")
+import pytest
 
-import pytest  # noqa: E402
-
-from multiperiod.cli import main  # noqa: E402
-from multiperiod.detector import DetectorConfig, robust_period  # noqa: E402
-from multiperiod.synthbench import SCENARIOS, generate  # noqa: E402
+from multiperiod.cli import main
+from multiperiod.detector import DetectorConfig, robust_period
+from multiperiod.synthbench import SCENARIOS, generate
 
 FIXTURE = pathlib.Path(__file__).parent / "golden" / "reports.json"
 SEEDS = range(20)

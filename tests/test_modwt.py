@@ -9,7 +9,9 @@ from hypothesis.extra.numpy import arrays
 from multiperiod.modwt import (
     MAX_FAMILY_ORDER,
     WaveletDecomposition,
-    _circular_filter_pair,
+    WaveletFilterPair,
+    _level_gains,
+    _smooth_length,
     biweight_midvariance,
     daubechies_filters,
     level_width,
@@ -130,7 +132,7 @@ class TestDecomposition:
         for w in dec.w:
             assert np.max(np.abs(w)) < 1e-12
 
-    def test_pyramid_matches_direct_convolution(self):
+    def test_matches_direct_convolution(self):
         rng = np.random.default_rng(1)
         y = rng.normal(size=32)
         pair = daubechies_filters(4)
@@ -234,22 +236,85 @@ class TestPlainReductions:
         assert center(values, 1)[2] == np.var(values, ddof=1)
 
 
-class TestCircularFilterPair:
+def is_smooth(m):
+    """True when m has no prime factor above 7."""
+    for prime in (2, 3, 5, 7):
+        while m % prime == 0:
+            m //= prime
+    return m == 1
+
+
+class TestLevelGains:
     @pytest.mark.parametrize("order", range(1, MAX_FAMILY_ORDER + 1))
     def test_equals_the_modulo_index_definition(self, order):
         pair = daubechies_filters(order)
         rng = np.random.default_rng(order)
         j_deep = max_level(512, pair.L1)
-        # odd, a power of two, and exactly the deepest level's filter width
-        for n in (257, 512, level_width(j_deep, pair.L1)):
-            signal = rng.normal(size=n)
-            for j in range(1, max_level(n, pair.L1) + 1):
-                stride = 2 ** (j - 1)
-                idx = (np.arange(n)[:, None] - stride * np.arange(pair.L1)[None, :]) % n
-                block = signal[idx]
-                w, v = _circular_filter_pair(pair, signal, stride)
-                np.testing.assert_array_equal(w, block @ pair.h)
-                np.testing.assert_array_equal(v, block @ pair.g)
+        # a prime, a fold over more than two blocks (m = 945 > 2n at order 4),
+        # a 7-smooth length and exactly the deepest level's filter width
+        for n in (257, 469, 512, level_width(j_deep, pair.L1)):
+            x = rng.normal(size=n)
+            tol = 1e-12 * np.linalg.norm(x)
+            deepest = max_level(n, pair.L1)
+            wavelet, scaling = {}, {}
+            for j in range(1, deepest + 1):
+                h_j, g_j = upsampled_level_filters(pair, j)
+                block = x[(np.arange(n)[:, None] - np.arange(h_j.size)[None, :]) % n]
+                wavelet[j], scaling[j] = block @ h_j, block @ g_j
+            for j0 in range(1, deepest + 1):
+                dec = modwt_decompose(TimeSeries(x), pair, j0)
+                for j in range(1, j0 + 1):
+                    np.testing.assert_allclose(dec.w[j - 1], wavelet[j], rtol=0, atol=tol)
+                np.testing.assert_allclose(dec.scaling, scaling[j0], rtol=0, atol=tol)
+
+    @pytest.mark.parametrize("order", range(1, MAX_FAMILY_ORDER + 1))
+    def test_gains_preserve_energy_at_every_frequency(self, order):
+        pair = daubechies_filters(order)
+        for n in (512, 1000):  # 7-smooth, so the table is at the n Fourier frequencies
+            j0 = max_level(n, pair.L1)
+            m, gains = _level_gains(pair, n, j0)
+            assert m == n and gains.shape == (j0 + 1, n // 2 + 1)
+            energy = np.sum(gains.real**2 + gains.imag**2, axis=0)
+            np.testing.assert_allclose(energy, 1.0, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n,m", [(1000, 1000), (4096, 4096), (469, 945), (1009, 1920)])
+    def test_transform_length(self, n, m):
+        pair = daubechies_filters(4)
+        j0 = max_level(n, pair.L1)
+        assert _level_gains(pair, n, j0)[0] == m
+        if m != n:
+            assert m == _smooth_length(n + level_width(j0, pair.L1) - 1)
+
+    def test_table_is_read_only_and_the_cache_bounded(self):
+        pair = daubechies_filters(4)
+        _, gains = _level_gains(pair, 1000, 7)
+        assert _level_gains(pair, 1000, 7)[1] is gains
+        with pytest.raises(ValueError):
+            gains[0, 0] = 0.0
+        bound = _level_gains.cache_info().maxsize
+        assert bound is not None
+        for n in range(64, 64 + 2 * bound):
+            _level_gains(pair, n, 1)
+        assert _level_gains.cache_info().currsize <= bound
+
+    def test_cache_is_keyed_on_the_pair_not_its_width(self):
+        # time-reversed taps are another valid pair with the same L1
+        pair = daubechies_filters(4)
+        reversed_pair = WaveletFilterPair(h=pair.h[::-1], g=pair.g[::-1], L1=pair.L1)
+        assert reversed_pair != pair
+        x = np.random.default_rng(8).normal(size=256)
+        dec = modwt_decompose(TimeSeries(x), pair, 3)
+        dec_reversed = modwt_decompose(TimeSeries(x), reversed_pair, 3)
+        expected = x[(np.arange(256)[:, None] - np.arange(8)[None, :]) % 256] @ reversed_pair.h
+        np.testing.assert_allclose(dec_reversed.w[0], expected, rtol=0, atol=1e-12 * 16)
+        assert np.max(np.abs(dec_reversed.w[0] - dec.w[0])) > 0.1
+
+    @settings(max_examples=300, deadline=None)
+    @given(m=st.integers(1, 10**6))
+    def test_smooth_length_is_the_next_7_smooth_length(self, m):
+        smooth = _smooth_length(m)
+        assert smooth >= m and is_smooth(smooth)
+        assert not any(is_smooth(k) for k in range(m, smooth))
 
 
 class TestRanking:

@@ -186,6 +186,23 @@ class TestZeroPad:
         np.testing.assert_array_equal(out[2], np.zeros(10))  # constant: no spread
         np.testing.assert_array_equal(out[0], zero_pad(stack[0]))
 
+    @pytest.mark.parametrize("n", [2, 7, 1000])
+    def test_rows_equal_numpys_standardization_bit_for_bit(self, n):
+        # a constant row, a row of 0.1 (deviations of a few ulps about its
+        # rounded mean), an extreme-magnitude row and a plain one
+        rng = np.random.default_rng(n)
+        extreme = 1e300 * rng.choice([-1.0, 0.5, 1.0], size=n)
+        extreme[0] = 1e300
+        stack = np.stack([np.full(n, 4.0), np.full(n, 0.1), extreme, rng.normal(3.0, 10.0, n)])
+        out = zero_pad(stack)
+        np.testing.assert_array_equal(out[:2], np.zeros((2, 2 * n)))
+        assert not np.signbit(out[:2]).any()
+        scaled = extreme / 1e300
+        for row, values in ((2, scaled), (3, stack[3])):
+            expected = (values - values.mean()) / values.std()
+            np.testing.assert_array_equal(out[row, :n], expected)
+            np.testing.assert_array_equal(out[row, n:], np.zeros(n))
+
     def test_a_row_at_round_off_of_its_mean_still_varies(self):
         row = np.full(4, 1e6)
         row[2] = np.nextafter(1e6, 2e6)
