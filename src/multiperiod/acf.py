@@ -11,7 +11,7 @@ the dominant frequency bin.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import statistics
 
 import numpy as np
 
@@ -19,32 +19,6 @@ from .series import InvalidInputError, check_int, check_real, finite_array
 from .spectral import HybridPeriodogram
 
 DEFAULT_PEAK_HEIGHT = 0.5
-
-
-@dataclass(frozen=True)
-class ValidationRange:
-    """Period window implied by periodogram resolution at frequency index k.
-
-    For a spectrum of n bins over the padded series, the bin k covers
-    periods around n/k; the accepted window is
-    [ (n/(k+1)+n/k)/2 - 1, (n/k + n/(k-1))/2 + 1 ], with the upper bound
-    opened to n+1 for k == 1 where the left neighbor does not exist.
-    """
-
-    k: int
-    lo: float
-    hi: float
-
-    @classmethod
-    def from_index(cls, k: int, n: int) -> "ValidationRange":
-        check_int("k", k, 1)
-        check_int("n", n, 1)
-        lo = 0.5 * (n / (k + 1) + n / k) - 1.0
-        hi = float(n + 1) if k == 1 else 0.5 * (n / k + n / (k - 1)) + 1.0
-        return cls(k=k, lo=lo, hi=hi)
-
-    def contains(self, value: float) -> bool:
-        return self.lo <= value <= self.hi
 
 
 def full_range_periodogram(hybrid: HybridPeriodogram, row: int) -> np.ndarray:
@@ -108,20 +82,20 @@ def period_from_peaks(peaks: list[int], k_star: int, n: int) -> float | None:
     """Median peak spacing, accepted only inside the resolution window.
 
     Needs at least two peaks; the median of consecutive spacings (mean of
-    the central pair for an even count) is returned iff it lies in
-    ValidationRange(k_star, n), else None. ``n`` is the length whose ratio
-    to k_star approximates the candidate period (the padded length when
-    k_star indexes the padded spectrum).
+    the central pair for an even count) is returned iff it lies in the
+    window of bin k_star, else None. ``n`` is the length whose ratio to
+    k_star approximates the candidate period (the padded length when k_star
+    indexes the padded spectrum). Bin k covers periods around n/k, so the
+    window is [(n/(k+1) + n/k)/2 - 1, (n/k + n/(k-1))/2 + 1], its upper end
+    opened to n + 1 for k = 1, where the left neighbor does not exist.
     """
-    window = ValidationRange.from_index(k_star, n)
+    check_int("k_star", k_star, 1)
+    check_int("n", n, 1)
     finite_array("peaks", peaks, integer=True)
     if len(peaks) < 2:
         return None
     peaks = sorted(peaks)
-    spacings = sorted(b - a for a, b in zip(peaks, peaks[1:]))
-    half = len(spacings) // 2
-    if len(spacings) % 2:
-        median = float(spacings[half])
-    else:
-        median = (spacings[half - 1] + spacings[half]) / 2
-    return median if window.contains(median) else None
+    median = float(statistics.median(b - a for a, b in zip(peaks, peaks[1:])))
+    lo = 0.5 * (n / (k_star + 1) + n / k_star) - 1.0
+    hi = float(n + 1) if k_star == 1 else 0.5 * (n / k_star + n / (k_star - 1)) + 1.0
+    return median if lo <= median <= hi else None

@@ -36,23 +36,26 @@ class _Parser(argparse.ArgumentParser):
         raise InvalidInputError(message)
 
 
-def _is_number(text: str) -> bool:
+def _float(text: str) -> float | None:
     try:
-        value = float(text)
+        return float(text)
     except ValueError:
-        return False
-    return math.isfinite(value)
+        return None
 
 
 def read_csv(path: str, column: str | int | None = None) -> TimeSeries:
-    """Load one numeric column; a non-numeric first row is taken as a header.
+    """Load one numeric column of a UTF-8 file, with or without a byte-order mark.
 
     ``column`` selects by zero-based index or by header name (default:
-    column 0). NaN, infinities, and missing cells are rejected with the
-    offending 1-based row number.
+    column 0). By index, the first row is a header when its cell does not
+    parse as a float at all. NaN, infinities, and missing cells are rejected
+    with the offending 1-based row number.
     """
-    with open(path, newline="") as handle:
-        rows = [(i + 1, row) for i, row in enumerate(csv.reader(handle)) if row]
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as handle:
+            rows = [(i + 1, row) for i, row in enumerate(csv.reader(handle)) if row]
+    except UnicodeDecodeError as exc:
+        raise InvalidInputError(f"{path}: not a UTF-8 text file ({exc.reason})")
     if not rows:
         raise InvalidInputError(f"{path}: file contains no data")
 
@@ -69,7 +72,7 @@ def read_csv(path: str, column: str | int | None = None) -> TimeSeries:
         idx = int(column) if column is not None else 0
         if idx < 0 or idx >= len(first_row):
             raise InvalidInputError(f"{path}: column index {idx} out of range")
-        if not _is_number(first_row[idx].strip()):
+        if _float(first_row[idx]) is None:
             rows = rows[1:]  # header row
 
     values = []
@@ -77,9 +80,10 @@ def read_csv(path: str, column: str | int | None = None) -> TimeSeries:
         if idx >= len(row):
             raise InvalidInputError(f"{path}: row {line_no} is missing column {idx}")
         cell = row[idx].strip()
-        if not cell or not _is_number(cell):
+        value = _float(cell)
+        if value is None or not math.isfinite(value):
             raise InvalidInputError(f"{path}: row {line_no} is not numeric: {cell!r}")
-        values.append(float(cell))
+        values.append(value)
     if not values:
         raise InvalidInputError(f"{path}: no numeric rows found")
     return TimeSeries(np.asarray(values))

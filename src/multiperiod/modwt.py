@@ -20,7 +20,6 @@ import numpy as np
 
 from .reductions import center, median
 from .series import (
-    InternalError,
     InvalidInputError,
     TimeSeries,
     check_bool,
@@ -63,66 +62,91 @@ class WaveletDecomposition:
     scaling: np.ndarray
 
 
-def _daubechies_scaling(order: int) -> np.ndarray:
-    """Extremal-phase Daubechies scaling filter of length 2*order.
-
-    Built by spectral factorization: the roots of the binomial polynomial
-    P(y) = sum_k C(order-1+k, k) y^k are mapped to the z-plane through
-    y = (2 - z - 1/z)/4 and the minimum-phase root of each quadratic is
-    kept. Accurate to ~1e-14 for orders up to 10 after Newton polishing.
-    """
-    if order == 1:
-        return np.array([1.0, 1.0]) / _SQRT2
-
-    binom = np.array(
-        [math.comb(order - 1 + k, k) for k in range(order)], dtype=np.float64
-    )
-    poly_desc = binom[::-1]
-    yroots = np.roots(poly_desc)
-    deriv_desc = np.polyder(poly_desc)
-    for _ in range(3):
-        vals = np.polyval(poly_desc, yroots)
-        ders = np.polyval(deriv_desc, yroots)
-        yroots = yroots - vals / ders
-
-    # z^2 + (4y - 2)z + 1 = 0; product of the roots is 1, keep |z| < 1.
-    zroots = []
-    for y in yroots:
-        b = 4.0 * y - 2.0
-        disc = np.sqrt(complex(b * b - 4.0))
-        r = (-b + disc) / 2.0
-        if abs(r) > 1.0:
-            r = 1.0 / r
-        zroots.append(r)
-
-    q = np.poly(zroots)
-    if np.max(np.abs(q.imag)) > 1e-10:
-        raise InternalError("wavelet factorization produced non-real filter")
-    smooth = np.poly([-1.0] * order) / (2.0**order)
-    coeffs = np.convolve(smooth, q.real)
-    coeffs = coeffs * (_SQRT2 / coeffs.sum())
-    # Convention: largest-magnitude taps lead (matches published tables).
-    if np.argmax(np.abs(coeffs)) > coeffs.size // 2:
-        coeffs = coeffs[::-1]
-    return coeffs
+# Extremal-phase Daubechies scaling filters of orders 1-10, 2*order taps each,
+# largest taps first as in published tables, summing to sqrt(2). They come
+# from spectral factorization of the binomial polynomial (the reference in
+# tests/oracles.py), whose root solve rounds differently under different
+# OpenBLAS kernels; a table gives every machine the same taps. It was made
+# under the Nehalem kernel, whose order-4 taps all the AVX kernels share.
+_SCALING_TAPS = (
+    (0.7071067811865475, 0.7071067811865475),
+    (
+        0.48296291314453416, 0.8365163037378078, 0.2241438680420134,
+        -0.12940952255126037,
+    ),
+    (
+        0.3326705529500826, 0.8068915093110924, 0.45987750211849154,
+        -0.13501102001025458, -0.08544127388202666, 0.035226291885709526,
+    ),
+    (
+        0.23037781330889653, 0.7148465705529158, 0.630880767929859,
+        -0.027983769416859906, -0.18703481171909309, 0.030841381835560778,
+        0.03288301166688521, -0.01059740178506903,
+    ),
+    (
+        0.16010239797419298, 0.6038292697971899, 0.724308528437773, 0.13842814590132052,
+        -0.2422948870663823, -0.03224486958463832, 0.07757149384004583,
+        -0.006241490212798248, -0.012580751999082, 0.003335725285473773,
+    ),
+    (
+        0.11154074335010951, 0.4946238903984533, 0.7511339080210957,
+        0.31525035170919796, -0.22626469396544027, -0.1297668675672621,
+        0.09750160558732285, 0.027522865530305727, -0.03158203931748603,
+        0.0005538422011614956, 0.0047772575109455125, -0.0010773010853084796,
+    ),
+    (
+        0.07785205408500923, 0.39653931948191756, 0.7291320908462358,
+        0.4697822874051936, -0.14390600392856498, -0.22403618499387537,
+        0.07130921926683033, 0.0806126091510826, -0.038029936935014684,
+        -0.01657454163066689, 0.01255099855609984, 0.0004295779729213671,
+        -0.0018016407040474917, 0.00035371379997452035,
+    ),
+    (
+        0.054415842243103925, 0.3128715909142995, 0.6756307362972888,
+        0.5853546836542058, -0.015829105256349053, -0.28401554296154513,
+        0.00047248457391304666, 0.12874742662047847, -0.017369301001806992,
+        -0.04408825393079453, 0.013981027917398284, 0.008746094047405778,
+        -0.004870352993451555, -0.0003917403733769453, 0.0006754494064505682,
+        -0.00011747678412476933,
+    ),
+    (
+        0.03807794736387825, 0.24383467461258973, 0.6048231236901096,
+        0.6572880780512993, 0.1331973858250077, -0.2932737832791746,
+        -0.09684078322297447, 0.1485407493381077, 0.030725681479333317,
+        -0.06763282906132949, 0.00025094711483128083, 0.022361662123678745,
+        -0.00472320475775134, -0.004281503682463412, 0.0018476468830562265,
+        0.00023038576352319576, -0.0002519631889427095, 3.934732031627151e-05,
+    ),
+    (
+        0.0266700579005555, 0.1881768000776911, 0.5272011889317245, 0.6884590394536022,
+        0.28117234366057525, -0.24984642432731574, -0.19594627437738038,
+        0.1273693403357933, 0.09305736460357131, -0.07139414716639536,
+        -0.02945753682187262, 0.033212674059344006, 0.0036065535669574343,
+        -0.010733175483329947, 0.0013953517470530218, 0.001992405295185072,
+        -0.0006858566949597092, -0.00011646685512928563, 9.358867032006936e-05,
+        -1.3264202894521222e-05,
+    ),
+)
 
 
 def daubechies_filters(family_order: int = 4) -> WaveletFilterPair:
     """MODWT-rescaled Daubechies extremal-phase filters; tap count 2*order.
 
-    Built once per order and shared: the taps are read-only.
+    One pair per order, shared: the taps are read-only.
     """
     check_int("family_order", family_order, 1, MAX_FAMILY_ORDER)
-    return _filters(int(family_order))
+    return _FILTERS[int(family_order) - 1]
 
 
-@functools.lru_cache(maxsize=None)
-def _filters(order: int) -> WaveletFilterPair:
-    g = _daubechies_scaling(order)
+def _filter_pair(taps: tuple[float, ...]) -> WaveletFilterPair:
+    g = np.array(taps)
     h = ((-1.0) ** np.arange(g.size)) * g[::-1] / _SQRT2
     g = g / _SQRT2
     h.flags.writeable = g.flags.writeable = False
     return WaveletFilterPair(h=h, g=g, L1=g.size)
+
+
+_FILTERS = tuple(_filter_pair(taps) for taps in _SCALING_TAPS)
 
 
 def level_width(j: int, L1: int) -> int:
@@ -149,22 +173,15 @@ def max_level(n: int, L1: int) -> int:
 
 
 def _smooth_length(m: int) -> int:
-    """Smallest length >= m with no prime factor above 7."""
-    best = 1 << (m - 1).bit_length()
-    p7 = 1
-    while p7 < best:
-        p5 = p7
-        while p5 < best:
-            p3 = p5
-            while p3 < best:
-                p2 = p3
-                while p2 < m:
-                    p2 *= 2
-                best = min(best, p2)
-                p3 *= 3
-            p5 *= 5
-        p7 *= 7
-    return best
+    """Smallest length >= m (m >= 1) with no prime factor above 7."""
+    while True:
+        rest = m
+        for p in (2, 3, 5, 7):
+            while rest % p == 0:
+                rest //= p
+        if rest == 1:
+            return m
+        m += 1
 
 
 @functools.lru_cache(maxsize=8)

@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 
-from .reductions import center, median
+from .reductions import median, standardize
 from .series import InvalidInputError, TimeSeries, check_real, finite_array
 
 # Smoothing default keeps periods up to ~N/4 of a 1000-point series intact
@@ -30,48 +30,6 @@ DEFAULT_HP_LAMBDA = 1e6
 CLIP_C = 3.0
 
 MIN_PIPELINE_LENGTH = 8
-
-
-def standardize(series: TimeSeries) -> tuple[TimeSeries, float, float]:
-    """Center to mean 0 and scale to unit sample standard deviation.
-
-    Returns ``(standardized, mean, std)`` so the affine map can be inverted.
-    A constant input is degenerate: the output is all zeros and the reported
-    std is 0.0. A varying input whose moments under- or overflow is scaled
-    by 1/max|x| first, so magnitudes from subnormal to near the float maximum
-    standardize alike; its reported std can still round to 0.0 (63 zeros
-    and one 5e-324 have std 6e-325), so a zero std does not flag degeneracy.
-    """
-    standardized, mean, std, scale = _standardize(series.values)
-    return TimeSeries(standardized), mean * scale, std * scale
-
-
-def _standardize(x: np.ndarray) -> tuple[np.ndarray, float, float, float]:
-    """``standardize``'s values, mean and std, the latter two in units of ``scale``.
-
-    ``scale`` is 1.0 unless the moments of x under- or overflow, and then
-    max|x|. The std is 0.0 exactly when x is constant.
-    """
-    if not x.max() > x.min():
-        return np.zeros_like(x), float(x[0]), 0.0, 1.0
-    mean, dev, std = _moments(x)
-    scale = 1.0
-    if not 0.0 < std < math.inf:
-        # At extreme magnitudes the sample variance underflows or overflows
-        # though the series varies; x / max|x| has representable moments.
-        scale = float(np.max(np.abs(x)))
-        mean, dev, std = _moments(x / scale)
-    return dev / std, mean, std, scale
-
-
-def _moments(x: np.ndarray) -> tuple[float, np.ndarray, float]:
-    """Mean, deviations and sample (ddof=1) std; inf or nan on overflow.
-
-    Bit for bit ``np.mean(x)``, ``x - mean`` and ``np.std(x, ddof=1)``.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        mean, dev, var = center(x, 1)
-    return float(mean), dev, math.sqrt(var)
 
 
 def hp_trend(series: TimeSeries, hp_lambda: float) -> TimeSeries:
@@ -186,10 +144,10 @@ def preprocess(series: TimeSeries, hp_lambda: float = DEFAULT_HP_LAMBDA) -> Time
             f"pipeline requires at least {MIN_PIPELINE_LENGTH} samples, got {series.length}"
         )
     # mean and std are in units of a scale that keeps std from underflowing
-    standardized, mean, std, _ = _standardize(series.values)
-    if std == 0.0:
-        return TimeSeries(standardized)
-    detrended = _hp_residual(standardized, hp_lambda)
+    standardized, mean, std, _ = standardize(series.values[None], 1)
+    if std[0] == 0.0:
+        return TimeSeries(standardized[0])
+    detrended = _hp_residual(standardized[0], hp_lambda)
     # A MAD at round-off is not spread: an exact line leaves nothing else. In
     # units of the series' std, the input's own rounding is about
     # eps*|mean|/std and the trend solve's at most about 0.04*n*eps, whatever
@@ -197,5 +155,5 @@ def preprocess(series: TimeSeries, hp_lambda: float = DEFAULT_HP_LAMBDA) -> Time
     # leave a MAD of at most 0.28*eps*(n + |mean|/std), so four times that
     # is a floor with margin. A unit sine of period 50 at N = 1000 leaves
     # 4.8e-4 or more from lambda = 1 up.
-    mad_floor = 4.0 * np.finfo(np.float64).eps * (series.length + abs(mean) / std)
+    mad_floor = 4.0 * np.finfo(np.float64).eps * (series.length + abs(mean[0]) / std[0])
     return clip_extremes(detrended, CLIP_C, mad_floor)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .reductions import center
+from .reductions import standardize
 from .series import InvalidInputError, check_bool, check_int, check_real, finite_array
 
 
@@ -56,32 +56,16 @@ class FisherOutcome:
 def zero_pad(w: np.ndarray) -> np.ndarray:
     """Standardize (population moments) and append N zeros, doubling length.
 
-    A stack (L, N) pads each row on its own. A zero-spread row yields an
-    all-zero padded row, the degenerate case every downstream consumer
-    checks for. A varying row whose squared deviations under- or overflow
-    is standardized from its values over their max |value|, as
-    ``standardize`` does for a series.
+    A stack (L, N) pads each row on its own, standardized by
+    ``reductions.standardize``: a constant row yields an all-zero padded
+    row, the degenerate case every downstream consumer checks for.
     """
     w = finite_array("w", w, (1, 2))
     if w.size == 0:
         raise InvalidInputError("expected a nonempty 1-d sequence or 2-d stack")
     n = w.shape[-1]
     out = np.zeros(w.shape[:-1] + (2 * n,))
-    rows = w.reshape(-1, n)
-    with np.errstate(over="ignore", invalid="ignore"):
-        _, dev, var = center(rows, 0)
-    std = np.sqrt(var)
-    # Only an exactly constant row has zero spread: its rounded mean can leave
-    # deviations of a few ulps, which a positive std would rescale to +-1.
-    constant = rows.max(axis=-1) == rows.min(axis=-1)
-    extreme = ~constant & ((std == 0) | ~np.isfinite(std))
-    if np.any(extreme):
-        scaled = rows[extreme] / np.max(np.abs(rows[extreme]), axis=-1, keepdims=True)
-        _, dev[extreme], var_scaled = center(scaled, 0)
-        std[extreme] = np.sqrt(var_scaled)
-    dev[constant] = 0.0
-    std[constant] = 1.0
-    np.divide(dev, std[:, None], out=out.reshape(-1, 2 * n)[:, :n])
+    out[..., :n] = standardize(w.reshape(-1, n), 0)[0].reshape(w.shape)
     return out
 
 
@@ -410,7 +394,8 @@ def _newton_huber_chunk(fit, bins, stats, b_cur, out):
             c, s = _harmonics(ks[live[b]] * np.arange(n), table, n)
             residual = x[row[b]] - c0[b] * c - c1[b] * s
             weights = zeta / np.maximum(np.abs(residual), zeta)
-            cur[2:, b] = weights @ (c * c), weights @ (c * s), weights @ (s * s)
+            # elementwise, not a matrix product, so no BLAS kernel sets the rounding
+            cur[2:, b] = [np.sum(weights * p) for p in (c * c, c * s, s * s)]
         step = _newton_step(cur[2:], (gc0, gc1))
         small = (np.hypot(step[0], step[1]) <= tol) & ~done & ~ended
         full = ~singular & accept

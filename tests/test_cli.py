@@ -60,6 +60,33 @@ class TestReadCsv:
         with pytest.raises(InvalidInputError, match="no column named"):
             read_csv(str(path), "c")
 
+    def test_byte_order_mark_keeps_the_first_value(self, tmp_path):
+        path = tmp_path / "bom.csv"
+        values = np.arange(100.0)
+        path.write_text("".join(f"{v}\n" for v in values), encoding="utf-8-sig")
+        np.testing.assert_array_equal(read_csv(str(path)).values, values)
+
+    def test_byte_order_mark_before_a_header_name(self, tmp_path):
+        path = tmp_path / "bom_header.csv"
+        path.write_text("value\n1\n2\n", encoding="utf-8-sig")
+        np.testing.assert_array_equal(read_csv(str(path), "value").values, [1.0, 2.0])
+
+    def test_file_that_is_not_utf8_is_invalid_input(self, tmp_path, capsys):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"caf\xe9\n1\n2\n")
+        code, _, err = run_cli(capsys, "detect", "--input", str(path))
+        assert code == 1
+        assert str(path) in err
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN"])
+    def test_non_finite_first_row_is_not_a_header(self, tmp_path, cell, capsys):
+        path = tmp_path / "first.csv"
+        path.write_text(f"{cell}\n" + "".join(f"{v}\n" for v in range(1, 100)))
+        with pytest.raises(InvalidInputError, match="row 1"):
+            read_csv(str(path))
+        code, _, err = run_cli(capsys, "detect", "--input", str(path))
+        assert code == 1 and "row 1" in err
+
 
 class TestSynthCommand:
     def test_writes_csv_and_truth(self, tmp_path, capsys):

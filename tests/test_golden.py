@@ -8,8 +8,8 @@ compared by sha256. A change meant to alter output rewrites the fixture with
     PYTHONPATH=src python tests/test_golden.py
 
 and says so in its description; any other change must leave it untouched.
-No detection output goes through a BLAS product, so the fixture holds
-whichever OpenBLAS kernel numpy runs.
+No detection output goes through a BLAS product or a LAPACK solve, so the
+fixture holds whichever OpenBLAS kernel numpy runs.
 """
 
 import hashlib

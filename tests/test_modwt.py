@@ -22,6 +22,8 @@ from multiperiod.modwt import (
 from multiperiod.reductions import center, median
 from multiperiod.series import InvalidInputError, TimeSeries
 
+from oracles import daubechies_scaling
+
 
 def upsampled_level_filters(pair, j):
     """Equivalent level-j filters by explicit filter cascading (oracle)."""
@@ -79,6 +81,13 @@ class TestFilters:
         pair = daubechies_filters(4)
         np.testing.assert_allclose(pair.g * math.sqrt(2.0), published, atol=1e-8)
 
+    @pytest.mark.parametrize("order", range(1, MAX_FAMILY_ORDER + 1))
+    def test_table_matches_the_spectral_factorization(self, order):
+        pair = daubechies_filters(order)
+        reference = daubechies_scaling(order)
+        assert pair.L1 == reference.size == 2 * order
+        np.testing.assert_allclose(pair.g * math.sqrt(2.0), reference, rtol=0, atol=1e-14)
+
     @pytest.mark.parametrize("order", range(1, 11))
     def test_filter_identities(self, order):
         pair = daubechies_filters(order)
@@ -93,10 +102,11 @@ class TestFilters:
         with pytest.raises(InvalidInputError):
             daubechies_filters(order)
 
-    def test_filters_are_built_once_and_read_only(self):
-        pair = daubechies_filters(4)
-        assert daubechies_filters(4) is pair
-        assert daubechies_filters(np.int64(4)) is pair
+    @pytest.mark.parametrize("order", range(1, MAX_FAMILY_ORDER + 1))
+    def test_filters_are_built_once_and_read_only(self, order):
+        pair = daubechies_filters(order)
+        assert daubechies_filters(order) is pair
+        assert daubechies_filters(np.int64(order)) is pair
         for taps in (pair.h, pair.g):
             with pytest.raises(ValueError):
                 taps[0] = 0.0

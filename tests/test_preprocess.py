@@ -11,67 +11,87 @@ from multiperiod.preprocess import (
     CLIP_C,
     _hp_plan,
     _hp_residual,
-    _moments,
     clip_extremes,
     hp_trend,
     preprocess,
-    standardize,
 )
+from multiperiod.reductions import standardize
 from multiperiod.series import InvalidInputError, TimeSeries
+
+
+def numpy_standardize(row, ddof):
+    """One row's ``standardize`` from numpy's mean and std (oracle)."""
+    if row.max() == row.min():
+        return np.zeros_like(row), row[0], 0.0, 1.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        std = np.std(row, ddof=ddof)
+    scale = 1.0 if 0.0 < std < math.inf else np.max(np.abs(row))
+    x = row / scale
+    mean, std = np.mean(x), np.std(x, ddof=ddof)
+    return (x - mean) / std, mean, std, scale
 
 
 class TestStandardize:
     def test_small_example(self):
-        out, mean, std = standardize(TimeSeries([1.0, 2.0, 3.0]))
-        assert mean == 2.0
-        assert std == pytest.approx(1.0)  # sample std, ddof=1
-        np.testing.assert_allclose(out.values, [-1.0, 0.0, 1.0])
+        out, mean, std, scale = standardize(np.array([[1.0, 2.0, 3.0]]), 1)
+        assert mean[0] == 2.0 and scale[0] == 1.0
+        assert std[0] == pytest.approx(1.0)  # sample std, ddof=1
+        np.testing.assert_allclose(out[0], [-1.0, 0.0, 1.0])
 
     def test_constant_is_degenerate(self):
-        out, mean, std = standardize(TimeSeries([5.0, 5.0, 5.0]))
-        assert std == 0.0
-        assert mean == 5.0
-        np.testing.assert_array_equal(out.values, np.zeros(3))
+        out, mean, std, scale = standardize(np.array([[5.0, 5.0, 5.0], [0.1, 0.1, 0.1]]), 0)
+        np.testing.assert_array_equal(std, [0.0, 0.0])
+        np.testing.assert_array_equal(mean, [5.0, 0.1])
+        np.testing.assert_array_equal(scale, [1.0, 1.0])
+        np.testing.assert_array_equal(out, np.zeros((2, 3)))
+        assert not np.signbit(out).any()
 
     @pytest.mark.parametrize("factor", [1e-300, 1e-320, 1e300])
     def test_extreme_magnitudes_are_not_degenerate(self, factor):
-        out, _, std = standardize(TimeSeries(factor * np.sin(np.arange(100.0))))
-        assert std > 0.0
-        assert np.std(out.values, ddof=1) == pytest.approx(1.0)
+        x = factor * np.sin(np.arange(100.0))
+        out, _, std, scale = standardize(x[None], 1)
+        assert std[0] > 0.0 and scale[0] == np.max(np.abs(x))
+        assert np.std(out[0], ddof=1) == pytest.approx(1.0)
 
     def test_idempotent(self):
         rng = np.random.default_rng(0)
-        series = TimeSeries(rng.normal(3.0, 2.5, size=100))
-        once, _, _ = standardize(series)
-        twice, _, _ = standardize(once)
-        np.testing.assert_allclose(twice.values, once.values, atol=1e-12)
+        once = standardize(rng.normal(3.0, 2.5, size=(2, 100)), 1)[0]
+        twice = standardize(once, 1)[0]
+        np.testing.assert_allclose(twice, once, atol=1e-12)
 
     def test_output_moments(self):
         rng = np.random.default_rng(1)
-        out, _, _ = standardize(TimeSeries(rng.normal(10, 7, size=333)))
-        assert abs(out.values.mean()) < 1e-12
-        assert np.std(out.values, ddof=1) == pytest.approx(1.0)
+        out = standardize(rng.normal(10, 7, size=(3, 333)), 0)[0]
+        assert np.all(np.abs(out.mean(axis=-1)) < 1e-12)
+        np.testing.assert_allclose(out.std(axis=-1), 1.0)
 
     @settings(max_examples=300, deadline=None)
     @given(
-        values=arrays(
+        stack=arrays(
             np.float64,
-            st.integers(2, 80),
-            elements=st.one_of(st.sampled_from([0.0, -0.0, 1.5]), st.floats(-10.0, 10.0)),
+            st.tuples(st.integers(1, 5), st.integers(1, 60)),
+            elements=st.one_of(st.sampled_from([0.0, -0.0, 0.1, 1.0]), st.floats(-1.0, 1.0)),
         ),
         # magnitudes whose sums or squares under- or overflow
-        scale=st.sampled_from([1e-320, 1e-300, 1e-160, 1.0, 1e150, 1e300, 1.7e308]),
+        scales=st.lists(
+            st.sampled_from([1e-320, 1e-300, 1e-160, 1.0, 1e150, 1e300, 1.7e308]),
+            min_size=5,
+            max_size=5,
+        ),
+        flat=st.integers(0, 4),
+        ddof=st.sampled_from([0, 1]),
     )
-    def test_moments_equal_numpy(self, values, scale):
-        with np.errstate(over="ignore", under="ignore"):
-            x = values * scale
-        with np.errstate(over="ignore", invalid="ignore"):
-            mean = np.mean(x)
-            expected = (float(mean), x - mean, float(np.std(x, ddof=1)))
-        got = _moments(x)
-        for a, b in zip(got, expected):
-            np.testing.assert_array_equal(a, b)
-            np.testing.assert_array_equal(np.signbit(a), np.signbit(b))
+    def test_rows_equal_numpys_formula(self, stack, scales, flat, ddof):
+        # constant, extreme-magnitude and ordinary rows in one stack
+        stack = stack * np.array(scales[: len(stack)])[:, None]
+        stack[flat % len(stack)] = stack[flat % len(stack), 0]
+        got = standardize(stack.copy(), ddof)
+        for r, row in enumerate(stack):
+            expected = numpy_standardize(row, ddof)
+            for a, b in zip((g[r] for g in got), expected):
+                np.testing.assert_array_equal(a, b)
+            np.testing.assert_array_equal(np.signbit(got[0][r]), np.signbit(expected[0]))
+            np.testing.assert_array_equal(np.signbit(got[2][r]), np.signbit(expected[2]))
 
 
 class TestHpTrend:

@@ -413,6 +413,19 @@ class TestAdmmHuberFit:
         stack = np.stack([rng.normal(size=64), x])
         assert_band_matches_single_fits(stack, [[3, 5, 7], [3, 5, 7]], zeta=0.1)
 
+    def test_irls_step_is_the_same_on_every_blas_kernel(self):
+        # the IRLS Gram is formed from elementwise products and sums, so no
+        # BLAS kernel changes its rounding: these bits hold on every machine
+        x = 10.0 * np.random.default_rng(15).choice([-1.0, 1.0], size=64)
+        frozen = {
+            3: ("0x1.ed625bbb96c9ap-1", "0x1.45c6d63d72f4fp+3"),
+            5: ("0x1.47b921a8d0784p+3", "0x1.5a3972274a9c5p+0"),
+            7: ("0x1.42d41f9ad7ae9p+2", "0x1.277f4f7836042p+3"),
+        }
+        for k, expected in frozen.items():
+            beta = huber_fit(x, [k], 0.1)[0]
+            assert tuple(float(b).hex() for b in beta[0]) == expected
+
     def test_unconverged_returns_flag_not_error(self):
         rng = np.random.default_rng(6)
         x = rng.normal(size=256)

@@ -19,7 +19,6 @@ import pytest
 
 import multiperiod
 from multiperiod.acf import (
-    ValidationRange,
     find_peaks,
     full_range_periodogram,
     huber_acf,
@@ -118,8 +117,6 @@ def slots():
         ("fisher_pvalue.m", INTEGER, lambda v: fisher_pvalue(0.5, v)),
         ("fisher_test.power", arrays(hybrid.power[0]), lambda v: fisher_test(v, 0.5)),
         ("fisher_test.alpha", REAL, lambda v: fisher_test(hybrid.power[0], v)),
-        ("ValidationRange.k", INTEGER, lambda v: ValidationRange.from_index(v, 512)),
-        ("ValidationRange.n", INTEGER, lambda v: ValidationRange.from_index(2, v)),
         ("full_range_periodogram.row", INTEGER, lambda v: full_range_periodogram(hybrid, v)),
         ("huber_acf.spectra", arrays(hybrid.power), huber_acf),
         ("find_peaks.acf", arrays(acf), find_peaks),
