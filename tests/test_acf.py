@@ -302,7 +302,10 @@ class TestPeriodFromPeaks:
     def test_equals_the_numpy_median(self, peaks, k_star):
         # odd and even spacing counts, repeated lags and unsorted input
         median = float(np.median(np.diff(np.sort(np.asarray(peaks)))))
-        assert period_from_peaks(peaks, k_star, 2000) in (median, None)
+        lo = (2000 / (k_star + 1) + 2000 / k_star) / 2 - 1
+        hi = 2001.0 if k_star == 1 else (2000 / k_star + 2000 / (k_star - 1)) / 2 + 1
+        expected = median if lo <= median <= hi else None
+        assert period_from_peaks(peaks, k_star, 2000) == expected
         # a window centred on the median accepts it
         n = max(1, round(median)) * k_star
         assert period_from_peaks(peaks, k_star, n) == median

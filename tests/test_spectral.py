@@ -415,7 +415,8 @@ class TestAdmmHuberFit:
 
     def test_irls_step_is_the_same_on_every_blas_kernel(self):
         # the IRLS Gram is formed from elementwise products and sums, so no
-        # BLAS kernel changes its rounding: these bits hold on every machine
+        # BLAS kernel changes its rounding; these bits also hold with numpy's
+        # AVX-512 and AVX2 dispatch disabled (NPY_DISABLE_CPU_FEATURES)
         x = 10.0 * np.random.default_rng(15).choice([-1.0, 1.0], size=64)
         frozen = {
             3: ("0x1.ed625bbb96c9ap-1", "0x1.45c6d63d72f4fp+3"),
