@@ -158,7 +158,7 @@ def _dump_diagnostics(
     peak_lists = find_peaks(acfs, height=cfg.acf_height)
     for row, level in enumerate(hybrid.levels):
         acf, peaks = acfs[row], set(peak_lists[row])
-        lo, hi = hybrid.band[row] or (0, -1)
+        fit = hybrid.iterations is not None
         path = os.path.join(directory, f"level{level:02d}.csv")
         with open(path, "w", newline="") as handle:
             writer = csv.writer(handle)
@@ -168,7 +168,7 @@ def _dump_diagnostics(
                     [
                         k,
                         f"{power:.10g}",
-                        int(lo <= k <= hi),
+                        int(fit and k > 0),
                         f"{acf[k]:.10g}",
                         int(k in peaks),
                     ]

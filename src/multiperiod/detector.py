@@ -1,12 +1,13 @@
 """End-to-end multi-periodicity detection pipeline.
 
-Preprocess, decompose into wavelet levels, rank levels by robust variance
-share, pad the qualifying levels and build their hybrid periodograms in one
-stack, and g-test each level's spectrum. The levels that pass share one
-autocorrelation pass (one inverse FFT and one peak mask over their stack);
-each level's dominant candidate is then validated against its peak
-structure. Validated periods from different levels are deduplicated before
-reporting.
+Preprocess, decompose into wavelet levels and rank them by robust variance
+share. The cleaned series is padded and its one spectrum (Huber or plain)
+is weighted by each qualifying level's power gain, and each level is
+g-tested on its octave of the series' periodogram. The levels that pass
+share one autocorrelation pass (one inverse FFT and one peak mask over
+their weighted spectra); each level's dominant bin is then validated
+against its peak structure. Validated periods from different levels are
+deduplicated before reporting.
 """
 
 from __future__ import annotations
@@ -23,7 +24,14 @@ from .acf import (
     huber_acf,
     period_from_peaks,
 )
-from .modwt import MAX_FAMILY_ORDER, daubechies_filters, max_level, modwt_decompose, rank_levels
+from .modwt import (
+    MAX_FAMILY_ORDER,
+    daubechies_filters,
+    level_gains,
+    max_level,
+    modwt_decompose,
+    rank_levels,
+)
 from .preprocess import DEFAULT_HP_LAMBDA, preprocess
 from .series import InvalidInputError, TimeSeries, check_bool, check_int, check_real
 from .spectral import (
@@ -38,7 +46,7 @@ from .spectral import (
 MIN_DETECTION_LENGTH = 64
 
 DEFAULT_SHARE_THRESHOLD = 0.05
-DEFAULT_FISHER_ALPHA = 1e-10
+DEFAULT_FISHER_ALPHA = 1e-2
 # Periods from different levels closer than this (relative) are one period.
 MERGE_TOLERANCE = 0.03
 
@@ -96,8 +104,9 @@ def detect_level(
 ) -> PeriodRecord | None:
     """Validate the dominant period of level ``hybrid.levels[row]``.
 
-    ``outcome`` is the row's g-test and ``peaks`` its ACF's qualifying peak
-    lags. An insignificant level returns None. Otherwise the dominant bin
+    ``outcome`` is the level's g-test and ``peaks`` its ACF's qualifying
+    peak lags. An insignificant level returns None. Otherwise the dominant
+    bin of the level's weighted spectrum (bins 1..N-1, ties to the lowest)
     must be corroborated: the peaks' median spacing has to land inside the
     bin's resolution window, and that median is the reported period length.
     """
@@ -105,7 +114,8 @@ def detect_level(
     check_real("variance_share", variance_share, 0, 1, "[]")
     if not outcome.significant:
         return None
-    period = period_from_peaks(peaks, outcome.k_star, hybrid.n_padded)
+    k_star = int(np.argmax(hybrid.power[row, 1:-1])) + 1
+    period = period_from_peaks(peaks, k_star, hybrid.n_padded)
     if period is None:
         return None
     return PeriodRecord(
@@ -175,10 +185,11 @@ def _detect(
     found: list[PeriodRecord] = []
     if levels:
         rows = np.subtract(levels, 1)
-        # Ranked levels have positive variance, so no padded row is all zeros.
-        padded = zero_pad(decomp.w[rows])
-        hybrid = huber_periodogram(padded, levels, cfg.zeta, robust=cfg.robust_mode)
-        outcomes = [fisher_test(power[:-1], cfg.fisher_alpha) for power in hybrid.power]
+        gains = level_gains(filters, 2 * series.length, j0)[rows]
+        gains = gains.real * gains.real + gains.imag * gains.imag
+        padded = zero_pad(cleaned.values)
+        hybrid = huber_periodogram(padded, gains, levels, cfg.zeta, robust=cfg.robust_mode)
+        outcomes = [fisher_test(hybrid.spectrum, level, cfg.fisher_alpha) for level in levels]
         passed = [row for row, outcome in enumerate(outcomes) if outcome.significant]
         peaks: dict[int, list[int]] = {}
         if passed:

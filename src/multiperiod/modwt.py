@@ -184,32 +184,42 @@ def _smooth_length(m: int) -> int:
         m += 1
 
 
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a * b`` for complex arrays, in real arithmetic.
+
+    numpy's SIMD complex product rounds differently on CPUs with and
+    without AVX-512; real products and sums round the same on all.
+    """
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=np.complex128)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
+
+
 @functools.lru_cache(maxsize=8)
-def _level_gains(filters: WaveletFilterPair, n: int, j0: int) -> tuple[int, np.ndarray]:
-    """Transform length m and the read-only (j0 + 1, m//2 + 1) gain table.
+def level_gains(filters: WaveletFilterPair, m: int, j0: int) -> np.ndarray:
+    """The read-only (j0 + 1, m//2 + 1) table of level gains at length m.
 
     Row j - 1 is level j's wavelet gain H(2^(j-1) k) * prod_{l<j-1} G(2^l k)
     at the m-point Fourier frequencies k = 0..m//2, indices mod m, with H and
     G the unit filters' m-point FFTs; the last row is the level-j0 scaling
-    gain. m is n when n has no prime factor above 7, and the product is then
-    the circular convolution itself. Otherwise m is the smallest such length
-    that holds the linear convolution, n + level_width(j0) - 1 samples, which
-    keeps prime lengths off numpy's slow FFT path.
+    gain. The MODWT reads it at its transform length, and the detector
+    squares its magnitude at twice the series' length to weight the padded
+    series' spectrum.
     """
-    m = _smooth_length(n)
-    if m != n:
-        m = _smooth_length(n + level_width(j0, filters.L1) - 1)
+    check_int("m", m, 1)
+    check_int("j0", j0, 1)
     k = np.arange(m // 2 + 1)
     wavelet, scaling = np.fft.fft(filters.h, m), np.fft.fft(filters.g, m)
     gains = np.empty((j0 + 1, k.size), dtype=np.complex128)
     cascade = np.ones(k.size, dtype=np.complex128)
     for j in range(1, j0 + 1):
         at = (k << (j - 1)) % m
-        gains[j - 1] = wavelet[at] * cascade
-        cascade *= scaling[at]
+        gains[j - 1] = _product(wavelet[at], cascade)
+        cascade = _product(cascade, scaling[at])
     gains[j0] = cascade
     gains.flags.writeable = False
-    return m, gains
+    return gains
 
 
 def biweight_midvariance(w: np.ndarray, width: int) -> float:
@@ -243,7 +253,9 @@ def biweight_midvariance(w: np.ndarray, width: int) -> float:
     denom = np.sum((1.0 - usq) * (1.0 - 5.0 * usq))
     if denom == 0.0:
         return 0.0
-    num = m * np.sum(dev * dev * (1.0 - usq) ** 4)
+    # squared twice, not ** 4, whose SIMD power rounds differently by CPU
+    weight = (1.0 - usq) * (1.0 - usq)
+    num = m * np.sum(dev * dev * (weight * weight))
     return float(num / (denom * denom))
 
 
@@ -256,7 +268,11 @@ def modwt_decompose(
     """Decomposition into j0 wavelet levels plus the final scaling.
 
     Every level and the scaling are one inverse real FFT of the series'
-    spectrum times the cached gains of ``_level_gains``.
+    spectrum times the cached gains of ``level_gains`` at length m. m is n
+    when n has no prime factor above 7, and the product is then the circular
+    convolution itself. Otherwise m is the smallest such length that holds
+    the linear convolution, n + level_width(j0) - 1 samples, which keeps
+    prime lengths off numpy's slow FFT path.
     Per-level variances use the biweight midvariance over nonboundary
     coefficients (or the plain sample variance when ``robust=False``).
     Levels with fewer than 4 nonboundary coefficients get variance NaN and
@@ -271,11 +287,13 @@ def modwt_decompose(
             f"decomposition depth {j0} exceeds the maximum for length {n}"
         )
 
-    m, gains = _level_gains(filters, n, j0)
-    coeffs = np.fft.irfft(np.fft.rfft(x, m) * gains, m)
+    wrap = level_width(j0, filters.L1) - 1
+    m = _smooth_length(n)
+    if m != n:
+        m = _smooth_length(n + wrap)
+    coeffs = np.fft.irfft(_product(np.fft.rfft(x, m), level_gains(filters, m, j0)), m)
     if m > n:
         # the linear convolution spans n + wrap < 2n samples: fold its tail
-        wrap = level_width(j0, filters.L1) - 1
         coeffs[:, :wrap] += coeffs[:, n : n + wrap]
     w = coeffs[:j0, :n]
     variance = np.full(j0, np.nan)

@@ -144,10 +144,10 @@ def preprocess(series: TimeSeries, hp_lambda: float = DEFAULT_HP_LAMBDA) -> Time
             f"pipeline requires at least {MIN_PIPELINE_LENGTH} samples, got {series.length}"
         )
     # mean and std are in units of a scale that keeps std from underflowing
-    standardized, mean, std, _ = standardize(series.values[None], 1)
-    if std[0] == 0.0:
-        return TimeSeries(standardized[0])
-    detrended = _hp_residual(standardized[0], hp_lambda)
+    standardized, mean, std, _ = standardize(series.values, 1)
+    if std == 0.0:
+        return TimeSeries(standardized)
+    detrended = _hp_residual(standardized, hp_lambda)
     # A MAD at round-off is not spread: an exact line leaves nothing else. In
     # units of the series' std, the input's own rounding is about
     # eps*|mean|/std and the trend solve's at most about 0.04*n*eps, whatever
@@ -155,5 +155,5 @@ def preprocess(series: TimeSeries, hp_lambda: float = DEFAULT_HP_LAMBDA) -> Time
     # leave a MAD of at most 0.28*eps*(n + |mean|/std), so four times that
     # is a floor with margin. A unit sine of period 50 at N = 1000 leaves
     # 4.8e-4 or more from lambda = 1 up.
-    mad_floor = 4.0 * np.finfo(np.float64).eps * (series.length + abs(mean[0]) / std[0])
+    mad_floor = 4.0 * np.finfo(np.float64).eps * (series.length + abs(mean) / std)
     return clip_extremes(detrended, CLIP_C, mad_floor)

@@ -1,12 +1,17 @@
 """Periodogram estimation and spectral significance testing.
 
-Per wavelet level the power spectrum is hybrid: inside the level's nominal
-passband each bin's harmonic amplitude pair is fit by minimizing a Huber
-loss (safeguarded Newton steps on the loss's active set, each reading only
-the samples whose clip state can change; the bins of all levels of a
-series are solved together), while bins outside the band fall back to the
-plain FFT periodogram. Fisher's g-test on the hybrid spectrum yields the
-dominant-frequency candidate and its tail p-value.
+A series is searched through one spectrum: that of the cleaned series,
+standardized and zero-padded to 2N samples. In robust mode each bin
+1..N-1 is the power of a Huber harmonic fit at that frequency (safeguarded
+Newton steps on the loss's active set, each reading only the samples whose
+clip state can change), and in plain mode the FFT periodogram's. The MODWT
+is circular, so wavelet level j's spectrum is the series' spectrum times
+the level's power gain |H_j|^2 (Percival & Walden 2000, ch. 5): each
+examined level is that one spectrum weighted by its gain, with no level
+coefficients transformed and no circular wrap. Fisher's g-test of a level
+takes the even bins of the series' spectrum (its unpadded periodogram)
+inside the level's octave, which are independent exponentials under
+Gaussian white noise, so its p-value is calibrated.
 """
 
 from __future__ import annotations
@@ -27,20 +32,19 @@ DEFAULT_ZETA = 1.0
 
 @dataclass
 class HybridPeriodogram:
-    """One-sided spectra of a stack of levels, each with its robustly fit band.
+    """The one-sided spectrum of a padded series, weighted for each examined level.
 
-    Row r of ``power`` covers k = 0..N of the padded length ``n_padded``
-    = 2N spectrum of wavelet level ``levels[r]`` (DC forced to 0). The
-    Huber fit was used exactly on the bins ``band[r][0]..band[r][1]``;
-    ``band[r]`` is None when no bin of row r was fit robustly.
-    ``iterations`` and ``converged`` hold the solver diagnostics of every
-    fit bin, in row order, or None when no bin was fit.
+    ``spectrum`` covers k = 0..N of the padded length ``n_padded`` = 2N
+    spectrum of the series (DC forced to 0), and row r of ``power`` is it
+    times the power gain of wavelet level ``levels[r]``. ``iterations`` and
+    ``converged`` hold the solver diagnostics of bins 1..N-1, or None when
+    no bin was fit.
     """
 
     power: np.ndarray
     levels: list[int]
-    band: list[tuple[int, int] | None]
     n_padded: int
+    spectrum: np.ndarray
     iterations: np.ndarray | None = None
     converged: np.ndarray | None = None
 
@@ -48,39 +52,36 @@ class HybridPeriodogram:
 @dataclass(frozen=True)
 class FisherOutcome:
     g: float
-    k_star: int
     p_value: float
     significant: bool
 
 
-def zero_pad(w: np.ndarray) -> np.ndarray:
+def zero_pad(x: np.ndarray) -> np.ndarray:
     """Standardize (population moments) and append N zeros, doubling length.
 
-    A stack (L, N) pads each row on its own, standardized by
-    ``reductions.standardize``: a constant row yields an all-zero padded
-    row, the degenerate case every downstream consumer checks for.
+    Standardized by ``reductions.standardize``: a constant series yields an
+    all-zero padded series, the degenerate case every downstream consumer
+    checks for.
     """
-    w = finite_array("w", w, (1, 2))
-    if w.size == 0:
-        raise InvalidInputError("expected a nonempty 1-d sequence or 2-d stack")
-    n = w.shape[-1]
-    out = np.zeros(w.shape[:-1] + (2 * n,))
-    out[..., :n] = standardize(w.reshape(-1, n), 0)[0].reshape(w.shape)
+    x = finite_array("x", x)
+    if x.size == 0:
+        raise InvalidInputError("expected a nonempty 1-d sequence")
+    out = np.zeros(2 * x.size)
+    out[: x.size] = standardize(x, 0)[0]
     return out
 
 
 # Bin-sample pairs solved together. A chunk's work arrays (each bin's run of
 # at-risk samples, their cos and sin, the residual, two clip patterns and the
-# indices that gather them) grow with its pairs, and the pairs of a band grow
-# faster than N: the level-1 band of a normal series reads 9.8k samples at
-# N = 1000 and 37k at N = 2000. At this budget its fit traces 1.2 and 2.8 MiB
-# there (x2.3); at 32 768 pairs the second would trace x2.9, more than linear.
+# indices that gather them) grow with its pairs, and the pairs of a spectrum
+# grow faster than N: the bins 1..N-1 of a padded normal series read 20.5k
+# samples at N = 1000 and 74.5k at N = 2000. At this budget their fit traces
+# 1.95 and 2.47 MiB there (x1.3); at 32 768 pairs the second would trace 3.10.
 _FIT_BUDGET = 24_576
 
 # A bin's run holds the samples of slack up to this many times the norm of its
-# first iterate. Over the golden detections no bin's norm ends above 1.01
-# times its first value; with no headroom 819 of their 55 468 bins outgrow
-# their run and are fit twice, with this one none.
+# first iterate. Over the 99 900 bins of the robust golden detections, with
+# no headroom 537 outgrow their run and are fit twice, with this one none.
 _HEADROOM = 1.05
 
 # A Newton step no longer than _ROUNDOFF * max|x| is round-off: the bin is at
@@ -104,36 +105,34 @@ def _frequency_indices(ks, n: int) -> np.ndarray:
 
 
 def huber_fit(x: np.ndarray, ks, zeta: float = DEFAULT_ZETA):
-    """Solve the Huber harmonic regression of one or more series at each frequency.
+    """Solve the Huber harmonic regression of a series at each frequency.
 
     The series ``x`` (n,) is fit at every integer frequency index in ``ks``
     (B,) with regressor columns phi_t = (cos(2*pi*k*t/n), sin(2*pi*k*t/n)):
     beta minimizes F(beta) = sum_t huber(x_t - phi_t beta) at threshold
-    zeta. A stack ``x`` (L, n) takes one ``ks`` array per row, and its
-    results are concatenated in row order. The loss is piecewise quadratic,
-    so the solver takes Newton steps on its active set (Huber 1981, sec.
-    7.8), starting from beta = 0. At each iterate it finds the clip
-    pattern of the residuals r = x - phi beta (each sample active, or
-    clipped above or below), the active Gram H = sum_{|r| <= zeta} phi phi'
-    and the gradient g = sum psi phi of the clipped residual psi =
-    clip(r, -zeta, zeta), and moves to beta + H^-1 g: the exact minimizer
-    of F while the pattern stays as it is. A bin has converged once a full
-    step lands on the pattern it was computed from (that step was then
-    exact), or once a step is round-off (||H^-1 g|| <= 1e-12 * max|x| over
-    its row). Two safeguards keep the objective from ever increasing: a
-    step that raises F is halved back, and a bin whose active Gram is
-    singular (every sample clipped) takes the IRLS step (Holland & Welsch
-    1977), which weights the Gram by min(1, zeta/|r|) instead. After
-    ``_MAX_STEPS`` steps the last accepted iterate is returned, flagged
-    unconverged.
+    zeta. The loss is piecewise quadratic, so the solver takes Newton steps
+    on its active set (Huber 1981, sec. 7.8), starting from beta = 0. At
+    each iterate it finds the clip pattern of the residuals r = x - phi beta
+    (each sample active, or clipped above or below), the active Gram
+    H = sum_{|r| <= zeta} phi phi' and the gradient g = sum psi phi of the
+    clipped residual psi = clip(r, -zeta, zeta), and moves to
+    beta + H^-1 g: the exact minimizer of F while the pattern stays as it
+    is. A bin has converged once a full step lands on the pattern it was
+    computed from (that step was then exact), or once a step is round-off
+    (||H^-1 g|| <= 1e-12 * max|x|). Two safeguards keep the objective from
+    ever increasing: a step that raises F is halved back, and a bin whose
+    active Gram is singular (every sample clipped) takes the IRLS step
+    (Holland & Welsch 1977), which weights the Gram by min(1, zeta/|r|)
+    instead. After ``_MAX_STEPS`` steps the last accepted iterate is
+    returned, flagged unconverged.
 
     A step reads few samples. The reference pattern is the clip state at
-    beta = 0; its statistics come for every bin from two FFTs of its row:
+    beta = 0; its statistics come for every bin from two FFTs of the series:
     of psi(x) (g at beta = 0) and of the active mask, whose DFT at 2k gives
     H, as cos^2 = (1 + cos 2a)/2. So the first step, to H^-1 g, reads no
     sample; a bin whose H there is singular starts with the IRLS step.
     Because |phi_t beta| <= ||beta||, sample t can leave its reference
-    state only if its slack ||x_t| - zeta| is at most ||beta||. Each row's
+    state only if its slack ||x_t| - zeta| is at most ||beta||. The
     samples are sorted by slack once, and a bin whose iterates stay within
     a radius corrects the reference statistics by the samples of slack up
     to that radius that changed state. Zero padding has slack zeta, so it
@@ -143,48 +142,38 @@ def huber_fit(x: np.ndarray, ks, zeta: float = DEFAULT_ZETA):
     full sums, whose round-off could stall a bin.
 
     Frequencies are independent. Each bin reads the samples of slack up to
-    ``_HEADROOM`` times the norm of its first iterate. The bins of all rows,
-    sorted by that count, are solved together in chunks of consecutive bins
-    that read at most ``_FIT_BUDGET`` samples in all (a bin that reads more
-    has a chunk of its own), so a row's last few bins share a chunk with
-    another row's. A bin whose iterate leaves its radius is fit again
+    ``_HEADROOM`` times the norm of its first iterate. The bins, sorted by
+    that count, are solved together in chunks of consecutive bins that read
+    at most ``_FIT_BUDGET`` samples in all (a bin that reads more has a
+    chunk of its own). A bin whose iterate leaves its radius is fit again
     later, over the samples within twice its norm. Each frequency's result
     is bit-identical to fitting it alone.
 
-    Returns (beta (B, 2), iterations (B,), converged (B,)), B counting the
-    frequencies of every row.
+    Returns (beta (B, 2), iterations (B,), converged (B,)).
     """
     check_real("zeta", zeta, 0, math.inf, "(]")
-    x = finite_array("x", x, (1, 2))
-    if x.ndim == 1:
-        x, ks = x[None], [ks]
-    if len(ks) != x.shape[0]:
-        raise InvalidInputError("expected a 1-d series or a 2-d stack with one ks per row")
-    n = x.shape[1]
-    ks = [_frequency_indices(k, n) for k in ks]
-    sizes = np.array([k.size for k in ks], dtype=np.int64)
-    rows = np.repeat(np.arange(sizes.size), sizes)
-    out = (np.zeros((rows.size, 2)), np.zeros(rows.size, dtype=np.int64),
-           np.zeros(rows.size, dtype=bool))
-    if not rows.size:
+    x = finite_array("x", x)
+    n = x.size
+    ks = _frequency_indices(ks, n)
+    out = (np.zeros((ks.size, 2)), np.zeros(ks.size, dtype=np.int64),
+           np.zeros(ks.size, dtype=bool))
+    if not ks.size:
         return out
-    ks = np.concatenate(ks)
 
-    # Per bin, the DFTs of its row's psi(x) at k and active mask at 2k
-    # (conjugated past n/2) and 0, from one FFT of every row's pair, freed
-    # before the sort below allocates.
+    # Per bin, the DFTs of psi(x) at k and of the active mask at 2k
+    # (conjugated past n/2) and 0, from one FFT of the pair, freed before the
+    # sort below allocates.
     two = 2 * ks
-    spec = np.fft.rfft(np.stack([np.clip(x, -zeta, zeta), np.abs(x) <= zeta], axis=1))
-    psi, mask2 = spec[rows, 0, ks], spec[rows, 1, np.minimum(two, n - two)]
-    count = spec[rows, 1, 0].real
+    spec = np.fft.rfft(np.stack([np.clip(x, -zeta, zeta), np.abs(x) <= zeta]))
+    psi, mask2 = spec[0, ks], spec[1, np.minimum(two, n - two)]
+    count = spec[1, 0].real
     del spec
     slack = np.abs(np.abs(x) - zeta)
     order = _slack_order(x, slack, zeta)
-    at = order + n * np.arange(x.shape[0])[:, None]  # flat index of each sorted sample
-    slack = slack.take(at)
+    slack = slack[order]
     # A sample whose slack exceeds ||beta|| by this margin keeps its reference
     # state whatever the round-off of its residual.
-    margin = 1e-9 * (zeta + slack[:, -1])
+    margin = 1e-9 * (zeta + slack[-1])
     # the reference pattern's g at beta = 0, then H, one row per statistic
     reference = np.stack([
         psi.real, -psi.imag, 0.5 * (count + mask2.real),
@@ -195,11 +184,10 @@ def huber_fit(x: np.ndarray, ks, zeta: float = DEFAULT_ZETA):
         start = _newton_step(reference[2:], reference[:2])
     full = ~_singular(reference[2:])  # the start is a full Newton step
     start[:, ~full] = 0.0
-    reach = _reach(slack, rows, _HEADROOM * np.hypot(start[0], start[1]) + margin[rows])
-    tol = _ROUNDOFF * np.max(np.abs(x), axis=1, initial=0.0)
-    xs = x.take(at)
-    fit = (x, xs, ks, rows, _table(n), order, slack, margin, reach, full, zeta, _MAX_STEPS, tol)
-    todo = np.arange(rows.size)  # a bin with iterations 0 is still to fit
+    reach = np.searchsorted(slack, _HEADROOM * np.hypot(start[0], start[1]) + margin, "right")
+    tol = _ROUNDOFF * np.max(np.abs(x), initial=0.0)
+    fit = (x, x[order], ks, _table(n), order, slack, margin, reach, full, zeta, _MAX_STEPS, tol)
+    todo = np.arange(ks.size)  # a bin with iterations 0 is still to fit
     while todo.size:
         todo = todo[np.argsort(reach[todo], kind="stable")]
         pairs = np.cumsum(reach[todo])
@@ -223,38 +211,24 @@ def _table(n):
     return table
 
 
-def _reach(slack, rows, radius):
-    """Per bin, how many samples of its row ``rows`` have slack within ``radius``."""
-    reach = np.empty(rows.size, dtype=np.int64)
-    for row in range(slack.shape[0]):
-        on = rows == row
-        reach[on] = np.searchsorted(slack[row], radius[on], side="right")
-    return reach
-
-
 def _slack_order(x, slack, zeta):
-    """``np.argsort(slack, axis=1, kind="stable")`` for ``slack`` = ||x| - zeta|.
+    """``np.argsort(slack, kind="stable")`` for ``slack`` = ||x| - zeta|.
 
-    The columns after the last one nonzero in some row of ``x`` are padding,
-    whose slack is exactly zeta, so in stable order they form one block, in
-    index order, right after the last other slack <= zeta. Only the columns
-    before them are sorted, and a row is sorted stably only where its sorted
-    slacks hold a tie: without one, every sort gives the same order.
+    The samples after the last nonzero one are padding, whose slack is
+    exactly zeta, so in stable order they form one block, in index order,
+    right after the last other slack <= zeta. Only the samples before them
+    are sorted, and stably only where the sorted slacks hold a tie: without
+    one, every sort gives the same order.
     """
-    nonzero = np.flatnonzero(x.any(axis=0))
+    nonzero = np.flatnonzero(x)
     m = nonzero[-1] + 1 if nonzero.size else 0
-    padding = np.arange(m, x.shape[1])
-    order = np.empty(x.shape, dtype=np.int64)
-    for row, head in zip(order, slack[:, :m]):
-        at = np.argsort(head)
-        ordered = head[at]
-        if np.any(ordered[1:] == ordered[:-1]):
-            at = np.argsort(head, kind="stable")
-        cut = np.searchsorted(ordered, zeta, side="right")
-        row[:cut], row[cut : cut + padding.size], row[cut + padding.size :] = (
-            at[:cut], padding, at[cut:]
-        )
-    return order
+    head = slack[:m]
+    at = np.argsort(head)
+    ordered = head[at]
+    if np.any(ordered[1:] == ordered[:-1]):
+        at = np.argsort(head, kind="stable")
+    cut = np.searchsorted(ordered, zeta, side="right")
+    return np.concatenate([at[:cut], np.arange(m, x.size), at[cut:]])
 
 
 def _singular(h):
@@ -285,16 +259,15 @@ def _harmonics(j, table, n):
     return np.ascontiguousarray(table.take(j, axis=0, mode="wrap").T)
 
 
-def _runs(xs, order, table, row, width, ks):
-    """Each bin's first ``width`` samples of row ``row`` of ``xs``, one run after
-    another, and their cos and sin at frequency ``ks`` as rows (cos, sin).
+def _runs(xs, order, table, width, ks):
+    """Each bin's first ``width`` samples of ``xs``, one run after another, and
+    their cos and sin at frequency ``ks`` as rows (cos, sin).
     """
-    n = xs.shape[1]
-    at = np.repeat(row * n - np.cumsum(width) + width, width)  # flat index into xs
+    at = np.repeat(width - np.cumsum(width), width)  # index into xs
     at += np.arange(at.size)
     j = np.repeat(ks, width)
     j *= order.take(at)
-    return xs.take(at), _harmonics(j, table, n)
+    return xs.take(at), _harmonics(j, table, xs.size)
 
 
 def _clip_pattern(r, zeta):
@@ -316,7 +289,7 @@ def _newton_huber_chunk(fit, bins, stats, b_cur, out):
     ``stats`` (5, B) holds per bin the reference pattern's g at beta = 0 and
     H (cc, cs, ss), ``b_cur`` (2, B) the first iterates: the Newton step from
     beta = 0, or beta = 0 itself where that H is singular. Each bin reads one
-    run: the first ``reach`` samples of its row in slack order, held with
+    run: the first ``reach`` samples in slack order, held with
     their cos and sin and the clip pattern at the last accepted iterate in
     flat arrays, one run after another. A first iterate lies inside the
     radius its run covers; a bin whose next iterate leaves it gets a larger
@@ -325,15 +298,14 @@ def _newton_huber_chunk(fit, bins, stats, b_cur, out):
     its last accepted iterate, and the runs of finished bins leave the
     arrays once they make up half of the samples held.
     """
-    x, xs, ks, rows, table, order, slack, margin, reach, full, zeta, max_steps, tol = fit
+    x, xs, ks, table, order, slack, margin, reach, full, zeta, max_steps, tol = fit
     beta, iterations, converged = out
-    n = x.shape[1]
-    live, row, width = bins, rows[bins], reach[bins]
+    n = x.size
+    live, width = bins, reach[bins]
     radius = np.full(bins.size, np.inf)
     inside = width < n
-    radius[inside] = slack[row[inside], width[inside]] - margin[row[inside]]
-    tol = tol[row]
-    xt, cs = _runs(xs, order, table, row, width, ks[bins])
+    radius[inside] = slack[width[inside]] - margin
+    xt, cs = _runs(xs, order, table, width, ks[bins])
     pat_acc = _clip_pattern(xt, zeta)
     b_acc, full = np.zeros_like(b_cur), full[bins]  # b_cur is a full Newton step from b_acc
     ended = np.zeros(bins.size, dtype=bool)  # finished, its run still held
@@ -392,7 +364,7 @@ def _newton_huber_chunk(fit, bins, stats, b_cur, out):
         singular = _singular(cur[2:])
         for b in singular.nonzero()[0]:
             c, s = _harmonics(ks[live[b]] * np.arange(n), table, n)
-            residual = x[row[b]] - c0[b] * c - c1[b] * s
+            residual = x - c0[b] * c - c1[b] * s
             weights = zeta / np.maximum(np.abs(residual), zeta)
             # elementwise, not a matrix product, so no BLAS kernel sets the rounding
             cur[2:, b] = [np.sum(weights * p) for p in (c * c, c * s, s * s)]
@@ -411,7 +383,7 @@ def _newton_huber_chunk(fit, bins, stats, b_cur, out):
         norm = np.hypot(b_cur[0], b_cur[1])
         left = (norm > radius) & ~gone & ~ended & (it < max_steps)
         if left.any():
-            reach[live[left]] = _reach(slack, row[left], 2 * norm[left] + margin[row[left]])
+            reach[live[left]] = np.searchsorted(slack, 2 * norm[left] + margin, "right")
             gone |= left
         if not gone.any():
             continue
@@ -422,8 +394,8 @@ def _newton_huber_chunk(fit, bins, stats, b_cur, out):
             keep = ~ended
             at = np.repeat(keep, width).nonzero()[0]
             xt, cs, pat_acc = xt.take(at), cs.take(at, axis=1), pat_acc.take(at)
-            live, row, width, radius, tol, full, ended = (
-                a[keep] for a in (live, row, width, radius, tol, full, ended)
+            live, width, radius, full, ended = (
+                a[keep] for a in (live, width, radius, full, ended)
             )
             stats, b_cur, b_acc = stats[:, keep], b_cur[:, keep], b_acc[:, keep]
             bounds = np.zeros(live.size + 1, dtype=np.int64)
@@ -438,62 +410,44 @@ def _newton_huber_chunk(fit, bins, stats, b_cur, out):
     beta[live], iterations[live] = b_acc[:, ~ended].T, max_steps
 
 
-def robust_band(n_padded: int, level: int) -> tuple[int, int] | None:
-    """Frequency indices [n/2^(j+1), n/2^j] clipped to the half spectrum."""
-    check_int("n_padded", n_padded, 1)
-    check_int("level", level, 1)
-    k_lo = max(1, -(-n_padded // 2 ** (level + 1)))
-    k_hi = min(n_padded // 2 - 1, n_padded // 2**level)
-    if k_lo > k_hi:
-        return None
-    return k_lo, k_hi
-
-
 def huber_periodogram(
     x: np.ndarray,
+    gains: np.ndarray,
     levels,
     zeta: float = DEFAULT_ZETA,
     robust: bool = True,
 ) -> HybridPeriodogram:
-    """Hybrid one-sided spectra of a stack of padded series, one wavelet level per row.
+    """The one-sided spectrum of a padded series and its rows for wavelet levels.
 
-    Bins inside each row's nominal band for its level in ``levels`` get the
-    robust power (n/4)*||beta||^2 from the Huber fit, every row's band
-    solved in one ``huber_fit`` call; all other bins, Nyquist included,
-    reuse the plain periodogram; ``zeta`` is the fit's Huber threshold. DC
-    is forced to zero. ``robust=False`` skips the robust fits entirely, and
-    so does a degenerate all-zero row for itself.
+    ``x`` is a series of N samples zero-padded to 2N. Bins 1..N-1 of its
+    spectrum get the robust power (n/4)*||beta||^2 of one ``huber_fit`` at
+    threshold ``zeta``; the Nyquist bin is the plain periodogram's and DC is
+    forced to zero. ``robust=False`` takes the plain periodogram on every
+    bin, and so does an all-zero series. Row r of ``gains`` (L, N + 1) is
+    level ``levels[r]``'s power gain |H_j|^2 at the 2N-point frequencies
+    k = 0..N, and row r of the result's ``power`` is the spectrum times it.
     """
-    x = finite_array("x", x, (2,))
-    if not x.shape[0] or x.shape[1] < 4 or x.shape[1] % 2:
-        raise InvalidInputError(
-            "expected a nonempty stack of even-length padded series of >= 4 samples"
-        )
-    if len(levels) != x.shape[0]:
-        raise InvalidInputError("expected one level per series")
+    x = finite_array("x", x)
+    if x.size < 4 or x.size % 2:
+        raise InvalidInputError("expected an even-length padded series of >= 4 samples")
+    n = x.size
+    gains = finite_array("gains", gains, (2,))
+    if gains.shape != (len(levels), n // 2 + 1):
+        raise InvalidInputError("expected one row of N + 1 gains per level")
     for level in levels:
         check_int("level", level, 1)
     check_real("zeta", zeta, 0, math.inf, "(]")
     check_bool("robust", robust)
 
-    n = x.shape[1]
-    # the plain periodogram of every row over bins 0..N, from a real FFT; the
-    # spectrum is freed before the fit
-    spec = np.fft.rfft(x, axis=-1)
-    power = (spec.real**2 + spec.imag**2) / n
-    del spec
-    power[:, 0] = 0.0
-    band = [
-        robust_band(n, level) if robust and np.any(row) else None
-        for row, level in zip(x, levels)
-    ]
+    spec = np.fft.rfft(x)
+    spectrum = (spec.real * spec.real + spec.imag * spec.imag) / n
+    spectrum[0] = 0.0
     iterations = converged = None
-    if any(band):
-        ks = [np.arange(b[0], b[1] + 1) if b else np.arange(0) for b in band]
-        beta, iterations, converged = huber_fit(x, ks, zeta)
-        rows = np.repeat(np.arange(len(ks)), [k.size for k in ks])
-        power[rows, np.concatenate(ks)] = (n / 4.0) * np.einsum("ij,ij->i", beta, beta)
-    return HybridPeriodogram(power, list(levels), band, n, iterations, converged)
+    if robust and np.any(x):
+        beta, iterations, converged = huber_fit(x, np.arange(1, n // 2), zeta)
+        b0, b1 = beta.T
+        spectrum[1:-1] = (n / 4.0) * (b0 * b0 + b1 * b1)
+    return HybridPeriodogram(gains * spectrum, list(levels), n, spectrum, iterations, converged)
 
 
 def _signed_log_add(log_a: float, sign_a: float, log_b: float, sign_b: float):
@@ -546,21 +500,28 @@ def fisher_pvalue(g0: float, m: int) -> float:
     return min(1.0, max(0.0, math.exp(log_sum)))
 
 
-def fisher_test(power: np.ndarray, alpha: float) -> FisherOutcome:
-    """Fisher's g-test over bins 1..len-1 of ``power`` at significance level alpha.
+def fisher_test(spectrum: np.ndarray, level: int, alpha: float) -> FisherOutcome:
+    """Fisher's g-test of wavelet level ``level``'s octave at significance level alpha.
 
-    g is the largest tested ordinate over the tested total, at k_star (ties
-    break toward the smallest index). Zero tested power is degenerate and
+    ``spectrum`` holds bins 0..N of the spectrum of N samples zero-padded
+    to 2N, so its even bins 2k are the unpadded periodogram. The test takes
+    those with k in the level's octave [N/2^(j+1), N/2^j], below the
+    Nyquist k = N/2 and above DC. g is the largest over their total.
+    Fewer than 2 such bins, or zero power over them, is degenerate and
     never significant. ``alpha`` must be a real number in (0, 1).
     """
+    check_int("level", level, 1)
     check_real("alpha", alpha, 0, 1)
-    vals = finite_array("power", power)[1:]
-    if vals.size < 2:
-        raise InvalidInputError("Fisher's test needs at least 2 frequency bins")
+    spectrum = finite_array("spectrum", spectrum)
+    if spectrum.size < 2:
+        raise InvalidInputError("Fisher's test needs a spectrum of at least 2 bins")
+    n = spectrum.size - 1
+    lo = max(1, -(-n >> (level + 1)))
+    hi = min(n >> level, (n - 1) // 2)
+    vals = spectrum[2 * lo : 2 * hi + 1 : 2]
     total = vals.sum()
-    if total <= 0:
-        return FisherOutcome(g=0.0, k_star=-1, p_value=1.0, significant=False)
-    pos = int(np.argmax(vals))
-    g = float(vals[pos] / total)
+    if vals.size < 2 or total <= 0:
+        return FisherOutcome(g=0.0, p_value=1.0, significant=False)
+    g = float(vals.max() / total)
     p = fisher_pvalue(g, vals.size)
-    return FisherOutcome(g=g, k_star=pos + 1, p_value=p, significant=p < alpha)
+    return FisherOutcome(g=g, p_value=p, significant=p < alpha)

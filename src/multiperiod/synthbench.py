@@ -106,13 +106,12 @@ class SyntheticSpec:
 
 
 def _periodic_wave(waveform: str, t: np.ndarray, period: float) -> np.ndarray:
-    phase = 2.0 * np.pi * t / period
-    if waveform == "sin":
-        return np.sin(phase)
-    if waveform == "square":
-        return np.sign(np.sin(phase))
-    # Unit triangle wave, rising through 0 at t = 0.
-    return (2.0 / np.pi) * np.arcsin(np.sin(phase))
+    if waveform == "triangle":
+        # Unit triangle wave, rising through 0 at t = 0: (2/pi) arcsin(sin(phase)),
+        # written without arcsin, whose SIMD kernel rounds differently by CPU.
+        return 4.0 * np.abs(np.mod(t - 0.25 * period, period) / period - 0.5) - 1.0
+    wave = np.sin(2.0 * np.pi * t / period)
+    return wave if waveform == "sin" else np.sign(wave)
 
 
 def generate(spec: SyntheticSpec) -> TimeSeries:

@@ -1,9 +1,9 @@
 """Reference formulas the tests compare the package's fast paths against.
 
 None is used by the package itself: the detector's periodogram comes from
-one real FFT of each padded level, its Huber fit never forms the full
+one real FFT of the padded series, its Huber fit never forms the full
 objective, and its wavelet taps are a table made once by
-``daubechies_scaling``.
+``daubechies_scaling``. ``unit_spectrum`` is a shorthand for the tests.
 """
 
 import math
@@ -11,6 +11,15 @@ import math
 import numpy as np
 
 from multiperiod.series import InvalidInputError
+from multiperiod.spectral import DEFAULT_ZETA, huber_periodogram
+
+
+def unit_spectrum(x, robust=True, zeta=DEFAULT_ZETA):
+    """``huber_periodogram`` of a padded series with one level of unit gain.
+
+    Its ``power[0]`` is the spectrum itself, bins 0..N.
+    """
+    return huber_periodogram(x, np.ones((1, np.size(x) // 2 + 1)), [1], zeta, robust)
 
 
 def vanilla_periodogram(x: np.ndarray) -> np.ndarray:

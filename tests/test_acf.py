@@ -13,19 +13,15 @@ from multiperiod.acf import (
     period_from_peaks,
 )
 from multiperiod.series import InvalidInputError
-from multiperiod.spectral import (
-    huber_fit,
-    huber_periodogram,
-    zero_pad,
-)
+from multiperiod.spectral import zero_pad
 
-from oracles import vanilla_periodogram
+from oracles import unit_spectrum, vanilla_periodogram
 
 
 def vanilla_pipeline_acf(w):
     """Plain-spectrum path: pad, half spectrum plus Nyquist, invert."""
     x = zero_pad(np.asarray(w, dtype=float))
-    hybrid = huber_periodogram(x[None], [1], robust=False)
+    hybrid = unit_spectrum(x, robust=False)
     return huber_acf(full_range_periodogram(hybrid, 0)), x
 
 
@@ -38,7 +34,7 @@ class TestFullRangePeriodogram:
     def test_power_then_nyquist(self):
         rng = np.random.default_rng(0)
         x = zero_pad(rng.normal(size=50))
-        hybrid = huber_periodogram(x[None], [2], robust=False)
+        hybrid = unit_spectrum(x, robust=False)
         p_bar = full_range_periodogram(hybrid, 0)
         # bins 0..N of the plain periodogram, DC zeroed, read in place; the
         # real and the complex FFT round differently
@@ -51,7 +47,7 @@ class TestFullRangePeriodogram:
         # x = [1,-1,1,-1,0,0,0,0]: paired differences (2,2,0,0) sum to 4,
         # so the Nyquist ordinate is 16/8 = 2, matching |sum x_t (-1)^t|^2/8
         x = np.array([1.0, -1.0, 1.0, -1.0, 0.0, 0.0, 0.0, 0.0])
-        hybrid = huber_periodogram(x[None], [1], robust=False)
+        hybrid = unit_spectrum(x, robust=False)
         p_bar = full_range_periodogram(hybrid, 0)
         assert p_bar[4] == pytest.approx(2.0)
         full = vanilla_periodogram(x)
@@ -59,13 +55,13 @@ class TestFullRangePeriodogram:
 
     def test_zero_series(self):
         x = np.zeros(32)
-        hybrid = huber_periodogram(x[None], [2], robust=False)
+        hybrid = unit_spectrum(x, robust=False)
         np.testing.assert_array_equal(full_range_periodogram(hybrid, 0), np.zeros(17))
 
     def test_nyquist_matches_plain_spectrum_generally(self):
         rng = np.random.default_rng(1)
         x = zero_pad(rng.normal(size=64))
-        hybrid = huber_periodogram(x[None], [2], robust=False)
+        hybrid = unit_spectrum(x, robust=False)
         p_bar = full_range_periodogram(hybrid, 0)
         assert p_bar[64] == pytest.approx(vanilla_periodogram(x)[64], rel=1e-10)
 
@@ -98,7 +94,7 @@ class TestHuberAcf:
     def test_scale_invariance(self):
         rng = np.random.default_rng(4)
         x = zero_pad(rng.normal(size=64))
-        hybrid = huber_periodogram(x[None], [2], robust=False)
+        hybrid = unit_spectrum(x, robust=False)
         p_bar = full_range_periodogram(hybrid, 0)
         base = huber_acf(p_bar)
         scaled = huber_acf(1e7 * p_bar)
@@ -327,21 +323,8 @@ class TestRobustnessToOutlierBursts:
         contaminated[200 + 12 * np.arange(8)] += 6.0
         return clean, contaminated
 
-    @staticmethod
-    def _robust_half_spectrum(x):
-        """Periodogram with every bin 1..N-1 fit robustly by the Huber fit."""
-        hybrid = huber_periodogram(x[None], [7], robust=False)
-        ks = np.arange(1, x.size // 2)
-        beta, _, _ = huber_fit(x, ks)
-        hybrid.power[0, ks] = (x.size / 4.0) * np.einsum("ij,ij->i", beta, beta)
-        return hybrid
-
     def _acf_peaks(self, w, robust):
-        x = zero_pad(w)
-        if robust:
-            hybrid = self._robust_half_spectrum(x)
-        else:
-            hybrid = huber_periodogram(x[None], [7], robust=False)
+        hybrid = unit_spectrum(zero_pad(w), robust)
         return find_peaks(huber_acf(full_range_periodogram(hybrid, 0)), 0.5)
 
     def test_plain_path_loses_true_peak_and_gains_short_lag_peaks(self):
@@ -361,8 +344,8 @@ class TestRobustnessToOutlierBursts:
     def test_robust_spectrum_strips_contamination(self):
         _, contaminated = self._setup()
         x = zero_pad(contaminated)
-        plain = huber_periodogram(x[None], [7], robust=False).power[0]
-        fitted = self._robust_half_spectrum(x).power[0]
+        plain = unit_spectrum(x, robust=False).power[0]
+        fitted = unit_spectrum(x).power[0]
         comb_line = x.size // 12  # burst spacing of 12 samples
         assert fitted[comb_line] < plain[comb_line] / 5.0
         assert 0.8 * plain[8] < fitted[8] < 1.3 * plain[8]

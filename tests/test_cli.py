@@ -212,7 +212,7 @@ class TestDetectCommand:
         fit = spectral.huber_periodogram
 
         def counted(*args, **kwargs):
-            fits.append(args[1])
+            fits.append(args[2])
             return fit(*args, **kwargs)
 
         # Count the fits through every module that holds the function.
@@ -226,9 +226,12 @@ class TestDetectCommand:
         assert code == 0
         examined = json.loads(out)["levels_examined"]
         assert examined > 0
-        # one stacked call covers every examined level
+        # one call weights the one spectrum for every examined level
         assert len(fits) == 1 and len(fits[0]) == examined
         assert sorted(os.listdir(diag)) == sorted(f"level{j:02d}.csv" for j in fits[0])
+        # in robust mode every bin but DC is fit
+        rows = (diag / os.listdir(diag)[0]).read_text().splitlines()[1:]
+        assert [row.split(",")[2] for row in rows] == [str(int(robust and k > 0)) for k in range(1000)]
 
     @pytest.mark.parametrize(
         "flag, value", [("--lambda", "nan"), ("--lambda", "inf"), ("--zeta", "nan")]
@@ -256,7 +259,7 @@ class TestDetectCommand:
             "wavelet_order": 4,
             "share_threshold": 0.05,
             "zeta": 1.0,
-            "fisher_alpha": 1e-10,
+            "fisher_alpha": 1e-2,
             "acf_height": 0.5,
             "robust_mode": True,
         }

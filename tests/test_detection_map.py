@@ -17,14 +17,14 @@ PERIODS = range(8, 251, 2)
 CLASSES = ("right", "empty", "several, one right", "none right")
 # (N, noisy, robust_mode): counts per class
 MEASURED = {
-    (1000, False, True): (64, 28, 5, 25),
-    (1000, True, True): (57, 34, 5, 26),
-    (2000, False, True): (110, 0, 3, 9),
-    (2000, True, True): (107, 3, 5, 7),
-    (1000, False, False): (60, 29, 4, 29),
-    (1000, True, False): (57, 35, 4, 26),
-    (2000, False, False): (96, 1, 4, 21),
-    (2000, True, False): (98, 4, 3, 17),
+    (1000, False, True): (81, 37, 0, 4),
+    (1000, True, True): (80, 36, 0, 6),
+    (2000, False, True): (112, 10, 0, 0),
+    (2000, True, True): (112, 10, 0, 0),
+    (1000, False, False): (83, 36, 0, 3),
+    (1000, True, False): (83, 33, 0, 6),
+    (2000, False, False): (114, 8, 0, 0),
+    (2000, True, False): (112, 10, 0, 0),
 }
 
 

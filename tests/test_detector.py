@@ -12,7 +12,7 @@ from multiperiod.detector import (
     merge_periods,
     robust_period,
 )
-from multiperiod.modwt import daubechies_filters, modwt_decompose
+from multiperiod.modwt import daubechies_filters, level_gains, modwt_decompose
 from multiperiod.preprocess import preprocess
 from multiperiod.series import InvalidInputError, TimeSeries
 from multiperiod.spectral import fisher_test, huber_periodogram, zero_pad
@@ -20,17 +20,21 @@ from multiperiod.synthbench import SCENARIOS, generate
 
 
 def three_period_level(level, seed=0):
-    """Wavelet coefficients and variance share of the preprocessed mild three-period series."""
+    """The preprocessed mild three-period series and the level's variance share."""
     series = generate(replace(SCENARIOS["mild"], seed=seed))
     cleaned = preprocess(series)
     decomp = modwt_decompose(cleaned, daubechies_filters(4), 7)
-    return decomp.w[level - 1], decomp.share[level - 1]
+    return cleaned.values, decomp.share[level - 1]
 
 
-def validate_level(w, level, cfg=DetectorConfig(), variance_share=0.0):
-    """detect_level on the periodogram, g-test and ACF peaks the pipeline builds."""
-    hybrid = huber_periodogram(zero_pad(w)[None], [level], cfg.zeta, robust=cfg.robust_mode)
-    outcome = fisher_test(hybrid.power[0, :-1], cfg.fisher_alpha)
+def validate_level(x, level, cfg=DetectorConfig(), variance_share=0.0):
+    """detect_level on the weighted spectrum, g-test and ACF peaks the pipeline
+    builds for one level of the cleaned series ``x``."""
+    gain = level_gains(daubechies_filters(cfg.wavelet_order), 2 * x.size, level)[level - 1]
+    hybrid = huber_periodogram(
+        zero_pad(x), (gain.real**2 + gain.imag**2)[None], [level], cfg.zeta, cfg.robust_mode
+    )
+    outcome = fisher_test(hybrid.spectrum, level, cfg.fisher_alpha)
     peaks = find_peaks(huber_acf(full_range_periodogram(hybrid, 0)), cfg.acf_height)
     return detect_level(hybrid, 0, outcome, peaks, variance_share)
 
@@ -41,7 +45,7 @@ class TestDetectLevel:
         record = validate_level(w, 6, DetectorConfig(), share)
         assert record is not None and record.level == 6
         assert abs(record.length - 100.0) <= 2.0
-        assert record.p_value < 1e-10
+        assert record.p_value < 1e-9
 
     def test_level5_finds_period_50(self):
         w, share = three_period_level(5)
@@ -149,6 +153,16 @@ class TestRobustPeriod:
             k_star = n_padded / record.length
             assert k_star >= 1.0
             assert abs(k_star - round(k_star)) < 1.5
+
+    @pytest.mark.parametrize("robust_mode", [True, False])
+    def test_period_that_does_not_divide_the_length(self, robust_mode):
+        # a level's ACF comes from the padded series' spectrum, so it has no
+        # circular wrap: a wrapped level 7 read a sine of period 137 as 142.5
+        t = np.arange(1000)
+        report = robust_period(
+            TimeSeries(np.sin(2 * np.pi * t / 137)), DetectorConfig(robust_mode=robust_mode)
+        )
+        assert report.period_lengths == [137.5]
 
     @pytest.mark.parametrize("factor", [1e-300, 1e-320, 1e300])
     def test_extreme_magnitudes_detected(self, factor):

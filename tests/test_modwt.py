@@ -6,14 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from multiperiod import modwt
 from multiperiod.modwt import (
     MAX_FAMILY_ORDER,
     WaveletDecomposition,
     WaveletFilterPair,
-    _level_gains,
     _smooth_length,
     biweight_midvariance,
     daubechies_filters,
+    level_gains,
     level_width,
     max_level,
     modwt_decompose,
@@ -280,32 +281,50 @@ class TestLevelGains:
     @pytest.mark.parametrize("order", range(1, MAX_FAMILY_ORDER + 1))
     def test_gains_preserve_energy_at_every_frequency(self, order):
         pair = daubechies_filters(order)
-        for n in (512, 1000):  # 7-smooth, so the table is at the n Fourier frequencies
+        for n in (512, 1000, 2018):  # any length, 7-smooth or not
             j0 = max_level(n, pair.L1)
-            m, gains = _level_gains(pair, n, j0)
-            assert m == n and gains.shape == (j0 + 1, n // 2 + 1)
+            gains = level_gains(pair, n, j0)
+            assert gains.shape == (j0 + 1, n // 2 + 1)
             energy = np.sum(gains.real**2 + gains.imag**2, axis=0)
             np.testing.assert_allclose(energy, 1.0, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("n,m", [(1000, 1000), (4096, 4096), (469, 945), (1009, 1920)])
-    def test_transform_length(self, n, m):
-        pair = daubechies_filters(4)
+    def test_transform_length(self, n, m, monkeypatch):
+        pair, lengths = daubechies_filters(4), []
+
+        def recorded(filters, length, j0):
+            lengths.append(length)
+            return level_gains(filters, length, j0)
+
+        monkeypatch.setattr(modwt, "level_gains", recorded)
         j0 = max_level(n, pair.L1)
-        assert _level_gains(pair, n, j0)[0] == m
+        modwt_decompose(TimeSeries(np.ones(n)), pair, j0)
+        assert lengths == [m]
         if m != n:
             assert m == _smooth_length(n + level_width(j0, pair.L1) - 1)
 
     def test_table_is_read_only_and_the_cache_bounded(self):
         pair = daubechies_filters(4)
-        _, gains = _level_gains(pair, 1000, 7)
-        assert _level_gains(pair, 1000, 7)[1] is gains
+        gains = level_gains(pair, 1000, 7)
+        assert level_gains(pair, 1000, 7) is gains
         with pytest.raises(ValueError):
             gains[0, 0] = 0.0
-        bound = _level_gains.cache_info().maxsize
+        bound = level_gains.cache_info().maxsize
         assert bound is not None
         for n in range(64, 64 + 2 * bound):
-            _level_gains(pair, n, 1)
-        assert _level_gains.cache_info().currsize <= bound
+            level_gains(pair, n, 1)
+        assert level_gains.cache_info().currsize <= bound
+
+    def test_complex_product_is_written_in_real_arithmetic(self):
+        # the same value as numpy's complex product up to its rounding, and
+        # bit for bit the real formula, whatever SIMD kernels numpy picks
+        rng = np.random.default_rng(9)
+        a = rng.normal(size=(3, 50)) + 1j * rng.normal(size=(3, 50))
+        b = rng.normal(size=50) + 1j * rng.normal(size=50)
+        got = modwt._product(a, b)
+        np.testing.assert_allclose(got, a * b, rtol=1e-15, atol=1e-15)
+        np.testing.assert_array_equal(got.real, a.real * b.real - a.imag * b.imag)
+        np.testing.assert_array_equal(got.imag, a.real * b.imag + a.imag * b.real)
 
     def test_cache_is_keyed_on_the_pair_not_its_width(self):
         # time-reversed taps are another valid pair with the same L1

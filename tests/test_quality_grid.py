@@ -20,16 +20,16 @@ from multiperiod.synthbench import SCENARIOS, run_benchmark
 OFF_BIN = (23, 61, 137)
 # (scenario, robust_mode): F1 over seeds 0-99, floored at 4 decimals
 MEASURED_F1 = {
-    ("mild", True): 0.8000,
-    ("mild", False): 0.8000,
-    ("severe", True): 0.6883,
-    ("severe", False): 0.7131,
-    ("square", True): 0.7935,
-    ("square", False): 0.6384,
-    ("triangle", True): 0.8000,
-    ("triangle", False): 0.7968,
-    ("single", True): 0.0000,
-    ("single", False): 0.0000,
+    ("mild", True): 0.9473,
+    ("mild", False): 0.9619,
+    ("severe", True): 0.8423,
+    ("severe", False): 0.8582,
+    ("square", True): 0.9062,
+    ("square", False): 0.9324,
+    ("triangle", True): 0.9208,
+    ("triangle", False): 0.9380,
+    ("single", True): 0.9898,
+    ("single", False): 0.9583,
 }
 NULL_LENGTH = 1000
 NULL_SEEDS = range(200)
@@ -37,12 +37,12 @@ NULL_SEEDS = range(200)
 MEASURED_NULLS = {
     ("Gaussian", True): 0,
     ("Gaussian", False): 0,
-    ("AR(1) 0.9", True): 27,
-    ("AR(1) 0.9", False): 23,
-    ("AR(1) 0.99", True): 36,
-    ("AR(1) 0.99", False): 35,
-    ("random walk", True): 40,
-    ("random walk", False): 37,
+    ("AR(1) 0.9", True): 5,
+    ("AR(1) 0.9", False): 6,
+    ("AR(1) 0.99", True): 4,
+    ("AR(1) 0.99", False): 3,
+    ("random walk", True): 5,
+    ("random walk", False): 2,
 }
 
 

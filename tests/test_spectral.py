@@ -10,6 +10,7 @@ from hypothesis.extra.numpy import arrays
 
 from multiperiod import spectral
 from multiperiod.detector import DetectorConfig, _detect
+from multiperiod.modwt import daubechies_filters, level_gains
 from multiperiod.series import InvalidInputError
 from multiperiod.spectral import (
     DEFAULT_ZETA,
@@ -17,12 +18,11 @@ from multiperiod.spectral import (
     fisher_test,
     huber_fit,
     huber_periodogram,
-    robust_band,
     zero_pad,
 )
 from multiperiod.synthbench import SCENARIOS, generate
 
-from oracles import huber_objective, vanilla_periodogram
+from oracles import huber_objective, unit_spectrum, vanilla_periodogram
 
 
 # Band sizes around CHUNK_BINS, fit on a series of CHUNK_SERIES samples.
@@ -45,17 +45,11 @@ def capped_fit(*args, steps):
 
 
 def assert_band_matches_single_fits(x, ks, max_steps=50, zeta=DEFAULT_ZETA):
-    """Fitting x over a band is bit-identical to fitting each k on its own.
-
-    A stack x (L, n) with one band per row in ``ks`` is checked against
-    each row's k fit alone, in row order.
-    """
+    """Fitting x over a band is bit-identical to fitting each k on its own."""
     beta, iterations, converged = capped_fit(x, ks, zeta, steps=max_steps)
-    rows = zip(x, ks) if np.ndim(x) == 2 else [(x, ks)]
-    singles = [(row, k) for row, band in rows for k in band]
-    assert beta.shape == (len(singles), 2)
-    for i, (row, k) in enumerate(singles):
-        single = capped_fit(row, [k], zeta, steps=max_steps)
+    assert beta.shape == (len(ks), 2)
+    for i, k in enumerate(ks):
+        single = capped_fit(x, [k], zeta, steps=max_steps)
         np.testing.assert_array_equal(beta[i], single[0][0])
         assert iterations[i] == single[1][0]
         assert converged[i] == single[2][0]
@@ -149,59 +143,32 @@ class TestZeroPad:
         assert abs(out[:100].mean()) < 1e-12
         assert abs(out[:100].std() - 1.0) < 1e-12
 
-    def test_stack_rows_equal_the_one_row_call(self):
-        rng = np.random.default_rng(3)
-        for n in (2, 7, 1000):
-            stack = rng.normal(3.0, 10.0, size=(5, n))
-            stack[2] = 4.0  # zero spread
-            out = zero_pad(stack)
-            assert out.shape == (5, 2 * n)
-            for row, padded in zip(stack, out):
-                np.testing.assert_array_equal(padded, zero_pad(row))
-            np.testing.assert_array_equal(out[2], np.zeros(2 * n))
-
     @pytest.mark.parametrize("value", [0.1, 1 / 3, 4.0, -7e-300, 123.456])
     @pytest.mark.parametrize("n", [3, 7, 1000])
-    def test_constant_rows_pad_to_zeros(self, value, n):
+    def test_constant_series_pad_to_zeros(self, value, n):
         # 3 * 0.1 rounds up, so 0.1's mean leaves deviations of about 1e-17
-        rng = np.random.default_rng(n)
-        stack = rng.normal(size=(3, n))
-        stack[1] = value
-        out = zero_pad(stack)
-        np.testing.assert_array_equal(out[1], np.zeros(2 * n))
-        np.testing.assert_array_equal(zero_pad(stack[1]), np.zeros(2 * n))
-        for row in (0, 2):  # the varying rows are untouched
-            np.testing.assert_array_equal(out[row], zero_pad(stack[row]))
+        out = zero_pad(np.full(n, value))
+        np.testing.assert_array_equal(out, np.zeros(2 * n))
+        assert not np.signbit(out).any()
 
     @pytest.mark.parametrize("scale", [1e170, 1e300, 1e-170, 1e-300])
-    def test_rows_whose_squares_overflow_or_underflow_still_vary(self, scale):
+    def test_series_whose_squares_overflow_or_underflow_still_vary(self, scale):
         # the squared deviations overflow or underflow, so the plain moments
-        # would give the row no spread; scaled by its max |value| it has one
-        rng = np.random.default_rng(21)
+        # would give the series no spread; scaled by its max |value| it has one
         unit = np.array([1.0, -1.0, 1.0, -1.0, 0.5])
-        stack = np.stack([rng.normal(size=5), scale * unit, np.full(5, scale)])
-        out = zero_pad(stack)
-        np.testing.assert_array_equal(out[1], zero_pad(unit))
-        np.testing.assert_array_equal(zero_pad(stack[1]), zero_pad(unit))
-        np.testing.assert_array_equal(out[2], np.zeros(10))  # constant: no spread
-        np.testing.assert_array_equal(out[0], zero_pad(stack[0]))
+        np.testing.assert_array_equal(zero_pad(scale * unit), zero_pad(unit))
+        np.testing.assert_array_equal(zero_pad(np.full(5, scale)), np.zeros(10))
 
     @pytest.mark.parametrize("n", [2, 7, 1000])
-    def test_rows_equal_numpys_standardization_bit_for_bit(self, n):
-        # a constant row, a row of 0.1 (deviations of a few ulps about its
-        # rounded mean), an extreme-magnitude row and a plain one
+    def test_equals_numpys_standardization_bit_for_bit(self, n):
+        # an extreme-magnitude series and a plain one
         rng = np.random.default_rng(n)
         extreme = 1e300 * rng.choice([-1.0, 0.5, 1.0], size=n)
         extreme[0] = 1e300
-        stack = np.stack([np.full(n, 4.0), np.full(n, 0.1), extreme, rng.normal(3.0, 10.0, n)])
-        out = zero_pad(stack)
-        np.testing.assert_array_equal(out[:2], np.zeros((2, 2 * n)))
-        assert not np.signbit(out[:2]).any()
-        scaled = extreme / 1e300
-        for row, values in ((2, scaled), (3, stack[3])):
-            expected = (values - values.mean()) / values.std()
-            np.testing.assert_array_equal(out[row, :n], expected)
-            np.testing.assert_array_equal(out[row, n:], np.zeros(n))
+        for series, values in ((extreme, extreme / 1e300), (rng.normal(3.0, 10.0, n),) * 2):
+            out = zero_pad(series)
+            np.testing.assert_array_equal(out[:n], (values - values.mean()) / values.std())
+            np.testing.assert_array_equal(out[n:], np.zeros(n))
 
     def test_a_row_at_round_off_of_its_mean_still_varies(self):
         row = np.full(4, 1e6)
@@ -214,43 +181,35 @@ class TestZeroPad:
     def test_non_finite_input_is_rejected(self, bad):
         with pytest.raises(InvalidInputError):
             zero_pad([1.0, bad, 2.0])
-        stack = np.ones((3, 4))
-        stack[1, 2] = bad
-        with pytest.raises(InvalidInputError):
-            zero_pad(stack)
 
-    @pytest.mark.parametrize("shape", [(0,), (3, 0), (0, 4), (), (2, 2, 2)])
-    def test_shape_must_be_a_nonempty_row_or_stack(self, shape):
+    @pytest.mark.parametrize("shape", [(0,), (), (2, 3), (3, 0), (2, 2, 2)])
+    def test_shape_must_be_a_nonempty_series(self, shape):
         with pytest.raises(InvalidInputError):
             zero_pad(np.ones(shape))
 
     @settings(max_examples=300, deadline=None)
     @given(
-        stack=arrays(
+        row=arrays(
             np.float64,
-            st.tuples(st.integers(1, 5), st.integers(1, 40)),
+            st.integers(1, 40),
             elements=st.one_of(st.sampled_from([0.0, -0.0, 4.0]), st.floats(-1e6, 1e6)),
-        ),
-        flat=st.integers(0, 4),
+        )
     )
-    def test_rows_equal_the_numpy_formula(self, stack, flat):
-        stack[flat % len(stack)] = 4.0  # a zero-spread row
-        n = stack.shape[-1]
-        expected = np.zeros((len(stack), 2 * n))
-        # a varying row whose squared deviations underflow is standardized
+    def test_equals_the_numpy_formula(self, row):
+        n = row.size
+        expected = np.zeros(2 * n)
+        # a varying series whose squared deviations underflow is standardized
         # from its values over their max |value|
-        peak = np.max(np.abs(stack), axis=-1, keepdims=True)
-        underflow = (stack.std(axis=-1, keepdims=True) == 0) & (peak > 0)
-        scaled = np.divide(stack, peak, out=stack.copy(), where=underflow)
-        std = scaled.std(axis=-1, keepdims=True)
-        # an exactly constant row pads to zeros even where the rounded mean
-        # leaves it a positive std
-        std[stack.max(axis=-1) == stack.min(axis=-1)] = 0.0
-        centered = scaled - scaled.mean(axis=-1, keepdims=True)
-        np.divide(centered, std, out=expected[:, :n], where=std > 0)
-        for out, ref in ((zero_pad(stack), expected), (zero_pad(stack[0]), expected[0])):
-            np.testing.assert_array_equal(out, ref)
-            np.testing.assert_array_equal(np.signbit(out), np.signbit(ref))
+        peak = np.max(np.abs(row))
+        scaled = row / peak if row.std() == 0 and peak > 0 else row
+        # an exactly constant series pads to zeros even where the rounded
+        # mean leaves it a positive std
+        std = 0.0 if row.max() == row.min() else scaled.std()
+        if std > 0:
+            expected[:n] = (scaled - scaled.mean()) / std
+        out = zero_pad(row)
+        np.testing.assert_array_equal(out, expected)
+        np.testing.assert_array_equal(np.signbit(out), np.signbit(expected))
 
 
 class TestVanillaPeriodogram:
@@ -298,22 +257,22 @@ class TestSlackOrder:
         # and repeats tie
         head=arrays(
             np.float64,
-            st.tuples(st.integers(1, 4), st.integers(1, 40)),
+            st.integers(1, 40),
             elements=st.one_of(
                 st.sampled_from([0.0, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0]), st.floats(-3.0, 3.0)
             ),
         ),
         padding=st.integers(0, 40),
     )
-    @example(zeta=1.0, head=np.zeros((2, 5)), padding=3)
-    @example(zeta=0.3, head=np.array([[0.5, 2.0, 0.0], [1.5, -0.5, 3.0]]), padding=0)
+    @example(zeta=1.0, head=np.zeros(5), padding=3)
+    @example(zeta=0.3, head=np.array([1.5, -0.5, 3.0]), padding=0)
     def test_equals_the_stable_argsort(self, zeta, head, padding):
-        # rows end in zero padding, or not at all, and may end in zeros
-        # before it; rows of zeros and an all-zero stack are included
-        x = np.concatenate([head * zeta, np.zeros((head.shape[0], padding))], axis=1)
+        # the series ends in zero padding, or not at all, and may end in
+        # zeros before it; an all-zero series is included
+        x = np.concatenate([head * zeta, np.zeros(padding)])
         slack = np.abs(np.abs(x) - zeta)
         np.testing.assert_array_equal(
-            spectral._slack_order(x, slack, zeta), np.argsort(slack, axis=1, kind="stable")
+            spectral._slack_order(x, slack, zeta), np.argsort(slack, kind="stable")
         )
 
 
@@ -409,9 +368,8 @@ class TestAdmmHuberFit:
             assert np.all(np.diff(trace) <= 1e-12 * trace[0])
             oracle = huber_gradient_descent(x, k, 0.1, iters=50000)
             assert trace[-1] <= (1 + 1e-12) * fit_objective(x, k, oracle, 0.1)
-        # stacked under another series, each bin takes its own row's IRLS step
-        stack = np.stack([rng.normal(size=64), x])
-        assert_band_matches_single_fits(stack, [[3, 5, 7], [3, 5, 7]], zeta=0.1)
+        # fit together, each bin takes its own IRLS step
+        assert_band_matches_single_fits(x, [3, 5, 7], zeta=0.1)
 
     def test_irls_step_is_the_same_on_every_blas_kernel(self):
         # the IRLS Gram is formed from elementwise products and sums, so no
@@ -477,22 +435,15 @@ class TestAdmmHuberFit:
         guard = 0.3 * noise + np.cos(2 * np.pi * ks[-1] * t / n) + tone
         guard[np.argsort(-tone)[:50]] -= 10
         guard = np.concatenate([guard, np.zeros(n - CHUNK_SERIES)])
-        # Stacked with the guard series: padded t(2) noise and a shorter
-        # padded row, each over its own band, so bins of different rows
-        # share chunks.
-        stack = np.stack([
-            guard,
-            zero_pad(noise[: n // 2]),
-            np.pad(zero_pad(noise[: n // 4]), (0, n - 2 * (n // 4))),
-        ])
-        bands = [ks, ks + size // 2, ks[: size // 2 + 1]]
+        # and padded t(2) noise, and a shorter padded series
+        short = np.pad(zero_pad(noise[: n // 4]), (0, n - 2 * (n // 4)))
         for budget in (spectral._FIT_BUDGET, 1000):
             monkeypatch.setattr(spectral, "_FIT_BUDGET", budget)
             for x, band, zeta in (
                 (zero_pad(noise), ks, DEFAULT_ZETA),
                 (guard, ks, 0.3),
-                (stack[:2], bands[:2], 0.3),
-                (stack, bands, 0.3),
+                (zero_pad(noise[: n // 2]), ks + size // 2, 0.3),
+                (short, ks[: size // 2 + 1], 0.3),
             ):
                 for max_steps in (50, 7, 2):
                     assert_band_matches_single_fits(x, band, max_steps=max_steps, zeta=zeta)
@@ -508,13 +459,13 @@ class TestAdmmHuberFit:
         kept = any(np.any(np.array(held) > now) for (held, _), now in zip(steps, running))
         dropped = any(np.any(np.diff(held) < 0) for held, _ in steps)
         # with one bin per band, these fits never hold a finished bin
-        assert dropped and (kept or size == 1)
+        assert (dropped and kept) or size == 1
 
     def test_chunk_holds_a_wide_bin_alone_and_bins_of_no_samples(self, monkeypatch):
         # A unit tone at k = 5 under light noise: its first iterate has norm
         # near 1, above the slack of nearly every sample, so its bin alone
         # reads more samples than a budget of 1000 pairs and gets a chunk of
-        # its own. The second row holds only +-0.2 and +-2.5, slack 0.8 and
+        # its own. A second series holds only +-0.2 and +-2.5, slack 0.8 and
         # 1.5 at zeta = 1, while its bins' norms stay far below: they read no
         # sample and are done at their first iterate.
         chunks = []
@@ -529,16 +480,17 @@ class TestAdmmHuberFit:
         n = 1250
         tone = np.cos(2 * np.pi * 5 * np.arange(n) / n) + 0.05 * rng.normal(size=n)
         quiet = rng.choice([-2.5, -0.2, 0.2, 2.5], size=n)
-        stack, bands = np.stack([tone, quiet]), [np.arange(4, 7), np.arange(3, 11)]
-        beta, iterations, _ = huber_fit(stack, bands)
-        assert spectral._HEADROOM * np.hypot(*beta[3:].T).max() < 0.8
-        assert np.all(iterations[3:] == 1)
+        ks = np.arange(3, 11)
+        beta, iterations, _ = huber_fit(quiet, ks)
+        assert spectral._HEADROOM * np.hypot(*beta.T).max() < 0.8
+        assert np.all(iterations == 1)
         for budget in (spectral._FIT_BUDGET, 1000):
             monkeypatch.setattr(spectral, "_FIT_BUDGET", budget)
             chunks.clear()
-            huber_fit(stack, bands)
-            assert ([1] in chunks) == (budget == 1000)
-            assert_band_matches_single_fits(stack, bands)
+            huber_fit(tone, ks)
+            assert ([2] in chunks) == (budget == 1000)
+            for x in (tone, quiet):
+                assert_band_matches_single_fits(x, ks)
 
     @pytest.mark.parametrize(
         "make, zeta",
@@ -588,9 +540,9 @@ class TestAdmmHuberFit:
         ],
     )
     def test_workload_bins_converge_in_few_steps(self, scenario, length, monkeypatch):
-        # every bin of every examined level converges, in at most 2.5 Newton
+        # every bin of the series' spectrum converges, in at most 2.5 Newton
         # steps per bin on average (IRLS took 7 to 8; a least-squares start
-        # took 3); at N = 10 000 a level holds up to 5000 bins, and a halving
+        # took 3); at N = 10 000 the spectrum holds 9999 bins, and a halving
         # test that lost the change of F to round-off would leave some of
         # them halving until _MAX_STEPS. At most 0.1% of the bins leave the
         # radius of their samples and are fit again.
@@ -605,39 +557,9 @@ class TestAdmmHuberFit:
         _, hybrid = _detect(series, DetectorConfig())
         assert hybrid.levels
         assert hybrid.converged.all()
+        assert hybrid.iterations.size == length - 1
         assert sum(passed) <= 1.001 * hybrid.iterations.size
-        sizes = [hi - lo + 1 for lo, hi in hybrid.band]
-        per_level = np.split(hybrid.iterations, np.cumsum(sizes)[:-1])
-        for level, iterations in zip(hybrid.levels, per_level):
-            assert iterations.mean() <= 2.5, level
-
-    def test_golden_detections_stack_fits_like_single_rows(self, monkeypatch):
-        # every bin of the 100 robust golden detections (each scenario, seeds
-        # 0-19): the one stacked fit of a detection's levels equals fitting
-        # each level's band alone
-        fit, calls = spectral.huber_fit, []
-
-        def recorded(x, ks, zeta, **kwargs):
-            result = fit(x, ks, zeta, **kwargs)
-            calls.append((x, ks, zeta, result))
-            return result
-
-        monkeypatch.setattr(spectral, "huber_fit", recorded)
-        for scenario in SCENARIOS:
-            for seed in range(20):
-                _detect(generate(replace(SCENARIOS[scenario], seed=seed)), DetectorConfig())
-        assert len(calls) == 100
-        total = 0
-        for x, ks, zeta, stacked in calls:
-            lo = 0
-            for row, band in zip(x, ks):
-                single = fit(row, band, zeta)
-                for got, want in zip(stacked, single):
-                    np.testing.assert_array_equal(got[lo : lo + band.size], want)
-                lo += band.size
-            assert lo == stacked[0].shape[0]
-            total += lo
-        assert total == 55_468
+        assert hybrid.iterations.mean() <= 2.5
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -659,9 +581,10 @@ class TestAdmmHuberFit:
         # q = min(zeta, 1): below zeta = 1 their samples sit exactly on the
         # clip threshold and their slacks tie with each other and with the
         # padding's. An in-band tone takes some bins past ||beta|| = zeta.
+        # level's octave of the padded spectrum
         n = 2 * half
-        band = robust_band(n, level)
-        if band is None:
+        band = (max(1, -(-n >> (level + 1))), min(half - 1, n >> level))
+        if band[0] > band[1]:
             return
         rng = np.random.default_rng(seed)
         m = half if padded else n
@@ -697,75 +620,58 @@ class TestAdmmHuberFit:
         assert huber_objective(r, 1.0) == pytest.approx(0.125 + 1.5)
 
 
+def power_gains(n_padded, levels, order=4):
+    """|H_j|^2 of each level in ``levels`` at the n_padded-point frequencies."""
+    gains = level_gains(daubechies_filters(order), n_padded, max(levels))[np.subtract(levels, 1)]
+    return gains.real**2 + gains.imag**2
+
+
 class TestHuberPeriodogram:
-    def test_known_frequency_in_band(self):
-        # period 144 over 4 cycles: the padded spectrum peaks at k = 8,
-        # inside the level-7 band
+    def test_known_frequency(self):
+        # period 144 over 4 cycles: the padded spectrum peaks at k = 8, inside
+        # level 7's octave, and so does level 7's weighted row
         n_series, period = 576, 144
         t = np.arange(n_series)
         x = zero_pad(np.sin(2 * np.pi * t / period))
-        hybrid = huber_periodogram(x[None], [7])
-        assert hybrid.band[0] is not None
-        lo, hi = hybrid.band[0]
-        assert lo <= 8 <= hi
+        hybrid = huber_periodogram(x, power_gains(2 * n_series, [7]), [7])
+        assert np.argmax(hybrid.spectrum) == 8
         assert np.argmax(hybrid.power[0]) == 8
 
-    def test_band_formula(self):
-        assert robust_band(1152, 7) == (5, 9)
-        assert robust_band(2000, 4) == (63, 125)
-        # level 1 band clips at the top of the half spectrum
-        assert robust_band(2000, 1) == (500, 999)
+    def test_rows_are_the_spectrum_times_the_gains(self):
+        rng = np.random.default_rng(17)
+        x = zero_pad(rng.standard_t(2, 256))
+        levels = [2, 5, 3]
+        gains = power_gains(512, levels)
+        for robust in (True, False):
+            hybrid = huber_periodogram(x, gains, levels, robust=robust)
+            assert hybrid.levels == levels and hybrid.n_padded == 512
+            np.testing.assert_array_equal(hybrid.power, gains * hybrid.spectrum)
+            np.testing.assert_array_equal(hybrid.spectrum, unit_spectrum(x, robust).spectrum)
 
-    def test_mask_matches_band(self):
+    def test_robust_bins(self):
+        # bins 1..N-1 are fit; DC is zero and the Nyquist bin plain
         rng = np.random.default_rng(8)
         x = zero_pad(rng.normal(size=256))
-        hybrid = huber_periodogram(x[None], [3])
-        assert hybrid.band == [robust_band(512, 3)]
-        lo, hi = hybrid.band[0]
-        assert hybrid.iterations.size == hybrid.converged.size == hi - lo + 1
-        # every bin outside the band keeps the plain periodogram
-        power, plain = hybrid.power[0], huber_periodogram(x[None], [3], robust=False).power[0]
-        outside = np.ones(257, dtype=bool)
-        outside[lo : hi + 1] = False
-        np.testing.assert_array_equal(power[outside], plain[outside])
-        assert np.all(power[lo : hi + 1] != plain[lo : hi + 1])
+        hybrid, plain = unit_spectrum(x), unit_spectrum(x, robust=False)
+        assert plain.iterations is None and plain.converged is None
+        assert hybrid.iterations.size == hybrid.converged.size == 255
+        power, plain = hybrid.spectrum, plain.spectrum
+        assert power[0] == plain[0] == 0.0 and power[256] == plain[256]
+        np.testing.assert_allclose(plain[1:], vanilla_periodogram(x)[1:257], rtol=1e-12)
+        assert np.all(power[1:256] != plain[1:256])
         assert np.all(power >= 0)
-        assert power[0] == 0.0
-
-    def test_stack_rows_match_single_rows(self):
-        # each row of a stack, an all-zero row among them, gets the spectrum
-        # it gets alone; the fit diagnostics of the fitted rows come in row
-        # order
-        rng = np.random.default_rng(17)
-        x = np.stack(
-            [zero_pad(rng.standard_t(2, 256)), np.zeros(512), zero_pad(rng.normal(size=256))]
-        )
-        levels = [2, 3, 5]
-        hybrid = huber_periodogram(x, levels)
-        singles = [huber_periodogram(row[None], [level]) for row, level in zip(x, levels)]
-        for r, single in enumerate(singles):
-            np.testing.assert_array_equal(hybrid.power[r], single.power[0])
-            assert hybrid.band[r] == single.band[0]
-        assert hybrid.levels == levels and hybrid.band[1] is None
-        assert singles[1].iterations is None
-        for name in ("iterations", "converged"):
-            fitted = [getattr(singles[r], name) for r in (0, 2)]
-            np.testing.assert_array_equal(getattr(hybrid, name), np.concatenate(fitted))
 
     def test_zero_input(self):
-        hybrid = huber_periodogram(np.zeros((1, 128)), [3])
+        hybrid = huber_periodogram(np.zeros(128), power_gains(128, [3]), [3])
         np.testing.assert_array_equal(hybrid.power, np.zeros((1, 65)))
-        assert hybrid.band == [None] and hybrid.iterations is None
+        assert hybrid.iterations is None
 
     def test_huge_zeta_equals_vanilla(self):
         rng = np.random.default_rng(9)
         x = zero_pad(rng.normal(size=200))
-        hybrid = huber_periodogram(x[None], [2], 1e9)
-        vanilla = vanilla_periodogram(x)[:200]
-        vanilla[0] = 0.0
-        band = slice(hybrid.band[0][0], hybrid.band[0][1] + 1)
-        denom = np.maximum(vanilla[band], 1e-300)
-        assert np.max(np.abs(hybrid.power[0, band] - vanilla[band]) / denom) < 1e-5
+        power = unit_spectrum(x, zeta=1e9).spectrum[1:200]
+        vanilla = vanilla_periodogram(x)[1:200]
+        assert np.max(np.abs(power - vanilla) / np.maximum(vanilla, 1e-300)) < 1e-5
 
     def test_gaussian_bins_shrink_moderately(self):
         # The Huber fit at zeta=1 on pure noise shrinks bin power vs the plain
@@ -774,10 +680,9 @@ class TestHuberPeriodogram:
         rels = []
         for _ in range(10):
             x = zero_pad(rng.normal(size=256))
-            hybrid = huber_periodogram(x[None], [2])
-            vanilla = vanilla_periodogram(x)[:256]
-            band = slice(hybrid.band[0][0], hybrid.band[0][1] + 1)
-            rels.append(np.abs(hybrid.power[0, band] - vanilla[band]) / vanilla[band])
+            power = unit_spectrum(x).spectrum[1:256]
+            vanilla = vanilla_periodogram(x)[1:256]
+            rels.append(np.abs(power - vanilla) / vanilla)
         mean_rel = float(np.concatenate(rels).mean())
         assert 0.2 < mean_rel < 0.8
 
@@ -787,11 +692,11 @@ class TestHuberPeriodogram:
         n_series, period = 200, 20
         t = np.arange(n_series)
         w = np.sin(2 * np.pi * t / period)
-        base = huber_periodogram(zero_pad(w)[None], [4]).power[0]
+        base = unit_spectrum(zero_pad(w)).spectrum
         k_tone = 2 * n_series // period
         assert np.argmax(base) == k_tone
         for shift in (1, 7, 50):
-            rolled = huber_periodogram(zero_pad(np.roll(w, shift))[None], [4]).power[0]
+            rolled = unit_spectrum(zero_pad(np.roll(w, shift))).spectrum
             assert np.argmax(rolled) == k_tone
             assert abs(rolled[k_tone] - base[k_tone]) / base[k_tone] < 1e-3
 
@@ -807,8 +712,8 @@ class TestHuberPeriodogram:
         hi = data.draw(st.integers(lo, n // 2 - 1), label="hi")
         assert_band_matches_single_fits(x, np.arange(lo, hi + 1))
 
-    def test_level_one_memory_is_linear_in_length(self):
-        # the level-1 band has N/2 bins: solving all of them at once would
+    def test_memory_is_linear_in_length(self):
+        # the spectrum has N - 1 fit bins: solving all of them at once would
         # need O(N^2) memory, the chunked solve O(N)
         rng = np.random.default_rng(13)
         peaks = {}
@@ -816,7 +721,7 @@ class TestHuberPeriodogram:
             x = zero_pad(rng.normal(size=n_series))
             tracemalloc.start()
             try:
-                huber_periodogram(x[None], [1])
+                unit_spectrum(x)
                 peaks[n_series] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -825,28 +730,39 @@ class TestHuberPeriodogram:
 
 
 class TestFisher:
+    @pytest.mark.parametrize(
+        "level, bins", [(1, 250), (2, 126), (3, 63), (4, 31), (5, 16), (6, 8), (7, 4), (8, 2)]
+    )
+    def test_octave_bins(self, level, bins):
+        # N = 1000: the even bins 2k for k in [N/2^(j+1), N/2^j], k < N/2
+        outcome = fisher_test(np.ones(1001), level, alpha=0.5)
+        assert outcome.g == 1.0 / bins
+
     def test_all_mass_in_one_bin(self):
-        power = np.zeros(32)
-        power[5] = 2.0
-        outcome = fisher_test(power, alpha=1e-10)
-        assert outcome.g == 1.0 and outcome.k_star == 5
+        power = np.zeros(33)  # N = 32: level 2's octave is k = 4..8, bins 8..16
+        power[10] = 2.0
+        outcome = fisher_test(power, 2, alpha=1e-10)
+        assert outcome.g == 1.0 and outcome.p_value == 0.0 and outcome.significant
 
-    def test_uniform_power(self):
-        power = np.ones(11)
-        outcome = fisher_test(power, alpha=1e-10)
-        assert outcome.g == pytest.approx(1.0 / 10.0)
-        assert outcome.k_star == 1  # ties break toward the smallest index
+    def test_odd_bins_and_bins_outside_the_octave_are_not_tested(self):
+        power = np.full(33, 1e6)
+        power[8:17:2] = [1.0, 2.0, 3.0, 2.0, 2.0]
+        outcome = fisher_test(power, 2, alpha=1e-10)
+        assert outcome.g == pytest.approx(0.3)
+        assert outcome.p_value == pytest.approx(fisher_pvalue(0.3, 5), rel=1e-15)
 
-    def test_small_example(self):
-        # bins 1..3 are tested; the large DC bin 0 is not
-        power = np.array([7.0, 3.0, 2.0, 1.0])
-        outcome = fisher_test(power, alpha=1e-10)
-        assert outcome.g == pytest.approx(0.5) and outcome.k_star == 1
+    @pytest.mark.parametrize("n", [64, 70, 1000, 1001])
+    def test_the_nyquist_bin_is_not_tested(self, n):
+        power = np.ones(n + 1)
+        power[-1] = 1e6  # bin N: the unpadded Nyquist bin when N is even
+        assert fisher_test(power, 1, alpha=0.5).g < 0.1
 
-    def test_zero_power_degenerate(self):
-        outcome = fisher_test(np.zeros(16), alpha=1e-10)
-        assert outcome.k_star == -1
-        assert not outcome.significant and outcome.p_value == 1.0
+    def test_degenerate_octaves(self):
+        # zero power, and an octave of one bin: N = 70 at level 5 holds
+        # k = 2 alone
+        for power, level in ((np.zeros(65), 2), (np.ones(71), 5)):
+            outcome = fisher_test(power, level, alpha=1e-10)
+            assert outcome.g == 0.0 and outcome.p_value == 1.0 and not outcome.significant
 
     def test_pvalue_hand_example(self):
         # floor(1/0.9) = 1 term: C(5,1) * (1 - 0.9)^4
@@ -876,15 +792,20 @@ class TestFisher:
         with pytest.raises(InvalidInputError):
             fisher_pvalue(0.5, 1)
 
-    def test_range_needs_two_bins(self):
+    def test_spectrum_needs_two_bins(self):
         with pytest.raises(InvalidInputError):
-            fisher_test(np.ones(2), alpha=1e-10)
+            fisher_test(np.ones(1), 1, alpha=1e-10)
 
     @pytest.mark.parametrize("alpha", [0.0, 1.0, 2.0, -0.1, math.nan, True, np.True_, "0.05", None])
     def test_alpha_must_lie_in_the_open_unit_interval(self, alpha):
         power = np.ones(8)
         with pytest.raises(InvalidInputError):
-            fisher_test(power, alpha)
+            fisher_test(power, 1, alpha)
+
+    @pytest.mark.parametrize("level", [0, -1, 1.5, True, "1", None])
+    def test_level_must_be_a_positive_integer(self, level):
+        with pytest.raises(InvalidInputError):
+            fisher_test(np.ones(8), level, 0.5)
 
 
 class TestConfigValidation:
@@ -903,7 +824,7 @@ class TestConfigValidation:
             huber_fit(x, [3])
         for robust in (True, False):
             with pytest.raises(InvalidInputError):
-                huber_periodogram(x[None], [3], robust=robust)
+                unit_spectrum(x, robust)
 
     @pytest.mark.parametrize("zeta", [True, np.True_, "1", None, 1j])
     def test_non_real_zeta_rejected(self, zeta):
@@ -912,21 +833,22 @@ class TestConfigValidation:
             huber_fit(x, [3], zeta)
         for robust in (True, False):
             with pytest.raises(InvalidInputError):
-                huber_periodogram(x[None], [3], zeta, robust=robust)
+                unit_spectrum(x, robust, zeta)
 
-    def test_stack_takes_one_band_or_level_per_row(self):
+    def test_periodogram_takes_one_padded_series_and_one_gain_row_per_level(self):
         x = zero_pad(np.random.default_rng(18).normal(size=64))
-        stack = np.stack([x, x])
-        with pytest.raises(InvalidInputError):
-            huber_fit(stack, [[3]])
-        with pytest.raises(InvalidInputError):
-            huber_fit(stack[None], [[[3]]])
-        for x, levels in (
-            (stack, [3]), (stack, [3, 0]), (x, [3]), (stack[:0], []),
-            (stack, [3, True]), (stack, [3, np.True_]), (stack, [3, 1.5]), (stack, [3, "1"]),
+        gains = power_gains(128, [3, 1])
+        for series, rows, levels in (
+            (x, gains, [3]), (x, gains[:1], [3, 1]), (x, gains[:, :-1], [3, 1]),
+            (x, gains, [3, 0]), (x, gains, [3, True]), (x, gains, [3, np.True_]),
+            (x, gains, [3, 1.5]), (x, gains, [3, "1"]), (x, gains[0], [3]),
+            (np.stack([x, x]), gains, [3, 1]), (x[:-1], gains, [3, 1]), (x[:2], gains[:, :2], [3, 1]),
         ):
             with pytest.raises(InvalidInputError):
-                huber_periodogram(x, levels)
-        # an empty stack has no bin to fit
-        beta, iterations, converged = huber_fit(stack[:0], [])
+                huber_periodogram(series, rows, levels)
+        # no level: the spectrum alone
+        hybrid = huber_periodogram(x, gains[:0], [])
+        assert hybrid.power.shape == (0, 65) and hybrid.spectrum.shape == (65,)
+        # no bin to fit
+        beta, iterations, converged = huber_fit(x, [])
         assert beta.shape == (0, 2) and iterations.shape == converged.shape == (0,)

@@ -28,6 +28,7 @@ from multiperiod.detector import DetectorConfig, detect_level
 from multiperiod.modwt import (
     biweight_midvariance,
     daubechies_filters,
+    level_gains,
     modwt_decompose,
     rank_levels,
 )
@@ -38,7 +39,6 @@ from multiperiod.spectral import (
     fisher_test,
     huber_fit,
     huber_periodogram,
-    robust_band,
     zero_pad,
 )
 from multiperiod.synthbench import SplitMix64, SyntheticSpec, run_benchmark, score
@@ -83,10 +83,11 @@ def slots():
     series = TimeSeries(np.sin(2 * np.pi * t / 16) + 0.01 * t)
     filters = daubechies_filters(2)
     decomp = modwt_decompose(series, filters, 3)
-    padded = zero_pad(decomp.w[:2])
-    hybrid = huber_periodogram(padded, [1, 2])
+    padded = zero_pad(series.values)
+    gains = np.abs(level_gains(filters, 512, 2)[:2]) ** 2
+    hybrid = huber_periodogram(padded, gains, [1, 2])
     acf = huber_acf(hybrid.power)
-    outcome = fisher_test(hybrid.power[0, :-1], 0.5)
+    outcome = fisher_test(hybrid.spectrum, 1, 0.5)
     peaks = [16, 32, 48]
     spec = SyntheticSpec(periods=(16,), length=64)
     return [
@@ -102,21 +103,24 @@ def slots():
         ("modwt_decompose.j0", INTEGER, lambda v: modwt_decompose(series, filters, v)),
         ("modwt_decompose.robust", NOT_BOOL, lambda v: modwt_decompose(series, filters, 3, v)),
         ("rank_levels.share_threshold", REAL, lambda v: rank_levels(decomp, v)),
-        ("zero_pad.w", arrays(decomp.w), zero_pad),
-        ("huber_fit.x", arrays(padded), lambda v: huber_fit(v, [[3], [5]])),
-        ("huber_fit.ks", arrays([3, 5], integer=True), lambda v: huber_fit(padded[0], v)),
-        ("huber_fit.zeta", INFINITE_REAL, lambda v: huber_fit(padded[0], [3], v)),
-        ("robust_band.n_padded", INTEGER, lambda v: robust_band(v, 2)),
-        ("robust_band.level", INTEGER, lambda v: robust_band(512, v)),
-        ("huber_periodogram.x", arrays(padded), lambda v: huber_periodogram(v, [1, 2])),
-        ("huber_periodogram.levels", INTEGER, lambda v: huber_periodogram(padded, [1, v])),
-        ("huber_periodogram.zeta", INFINITE_REAL, lambda v: huber_periodogram(padded, [1, 2], v)),
+        ("level_gains.m", INTEGER, lambda v: level_gains(filters, v, 2)),
+        ("level_gains.j0", INTEGER, lambda v: level_gains(filters, 512, v)),
+        ("zero_pad.x", arrays(t), zero_pad),
+        ("huber_fit.x", arrays(padded), lambda v: huber_fit(v, [3, 5])),
+        ("huber_fit.ks", arrays([3, 5], integer=True), lambda v: huber_fit(padded, v)),
+        ("huber_fit.zeta", INFINITE_REAL, lambda v: huber_fit(padded, [3], v)),
+        ("huber_periodogram.x", arrays(padded), lambda v: huber_periodogram(v, gains, [1, 2])),
+        ("huber_periodogram.gains", arrays(gains), lambda v: huber_periodogram(padded, v, [1, 2])),
+        ("huber_periodogram.levels", INTEGER, lambda v: huber_periodogram(padded, gains, [1, v])),
+        ("huber_periodogram.zeta", INFINITE_REAL,
+         lambda v: huber_periodogram(padded, gains, [1, 2], v)),
         ("huber_periodogram.robust", NOT_BOOL,
-         lambda v: huber_periodogram(padded, [1, 2], robust=v)),
+         lambda v: huber_periodogram(padded, gains, [1, 2], robust=v)),
         ("fisher_pvalue.g", REAL, lambda v: fisher_pvalue(v, 10)),
         ("fisher_pvalue.m", INTEGER, lambda v: fisher_pvalue(0.5, v)),
-        ("fisher_test.power", arrays(hybrid.power[0]), lambda v: fisher_test(v, 0.5)),
-        ("fisher_test.alpha", REAL, lambda v: fisher_test(hybrid.power[0], v)),
+        ("fisher_test.spectrum", arrays(hybrid.spectrum), lambda v: fisher_test(v, 1, 0.5)),
+        ("fisher_test.level", INTEGER, lambda v: fisher_test(hybrid.spectrum, v, 0.5)),
+        ("fisher_test.alpha", REAL, lambda v: fisher_test(hybrid.spectrum, 1, v)),
         ("full_range_periodogram.row", INTEGER, lambda v: full_range_periodogram(hybrid, v)),
         ("huber_acf.spectra", arrays(hybrid.power), huber_acf),
         ("find_peaks.acf", arrays(acf), find_peaks),
