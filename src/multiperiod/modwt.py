@@ -196,7 +196,8 @@ def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-@functools.lru_cache(maxsize=8)
+# typed, so that True is checked and rejected rather than served the table of 1
+@functools.lru_cache(maxsize=8, typed=True)
 def level_gains(filters: WaveletFilterPair, m: int, j0: int) -> np.ndarray:
     """The read-only (j0 + 1, m//2 + 1) table of level gains at length m.
 

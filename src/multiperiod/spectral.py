@@ -515,9 +515,9 @@ def fisher_test(spectrum: np.ndarray, level: int, alpha: float) -> FisherOutcome
     spectrum = finite_array("spectrum", spectrum)
     if spectrum.size < 2:
         raise InvalidInputError("Fisher's test needs a spectrum of at least 2 bins")
-    n = spectrum.size - 1
-    lo = max(1, -(-n >> (level + 1)))
-    hi = min(n >> level, (n - 1) // 2)
+    n, j = spectrum.size - 1, int(level)
+    lo = max(1, -(-n >> (j + 1)))
+    hi = min(n >> j, (n - 1) // 2)
     vals = spectrum[2 * lo : 2 * hi + 1 : 2]
     total = vals.sum()
     if vals.size < 2 or total <= 0:

@@ -315,6 +315,13 @@ class TestLevelGains:
             level_gains(pair, n, 1)
         assert level_gains.cache_info().currsize <= bound
 
+    def test_a_cached_table_is_not_served_for_a_bool(self):
+        pair = daubechies_filters(2)
+        level_gains(pair, 1, 1)
+        for args in ((True, 1), (np.True_, 1), (512, True)):
+            with pytest.raises(InvalidInputError):
+                level_gains(pair, *args)
+
     def test_complex_product_is_written_in_real_arithmetic(self):
         # the same value as numpy's complex product up to its rounding, and
         # bit for bit the real formula, whatever SIMD kernels numpy picks

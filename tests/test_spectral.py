@@ -735,8 +735,13 @@ class TestFisher:
     )
     def test_octave_bins(self, level, bins):
         # N = 1000: the even bins 2k for k in [N/2^(j+1), N/2^j], k < N/2
+        for j in (level, np.int64(level), np.uint64(level)):
+            assert fisher_test(np.ones(1001), j, alpha=0.5).g == 1.0 / bins
+
+    @pytest.mark.parametrize("level", [9, 64, np.int64(100), np.uint64(100), 10**6])
+    def test_an_octave_past_the_spectrum_is_degenerate(self, level):
         outcome = fisher_test(np.ones(1001), level, alpha=0.5)
-        assert outcome.g == 1.0 / bins
+        assert outcome.p_value == 1.0 and not outcome.significant
 
     def test_all_mass_in_one_bin(self):
         power = np.zeros(33)  # N = 32: level 2's octave is k = 4..8, bins 8..16
