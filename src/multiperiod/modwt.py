@@ -1,13 +1,13 @@
 """Maximal-overlap discrete wavelet transform and robust level ranking.
 
 The decomposition is circular, so level j is its equivalent filter's gain
-times the series' DFT (Percival & Walden 2000, ch. 5): every level and the
-final scaling come from one real FFT of the series, one product with a
-table of level gains built once per filter pair, length and depth, and one
-inverse real FFT. Coefficient energy is preserved exactly across levels.
-Each level's variance is estimated robustly over the nonboundary
-coefficients and converted to a share of the total wavelet variance for
-ranking.
+times the series' DFT (Percival & Walden 2000, ch. 5): every level comes
+from one real FFT of the series, one product with a table of level gains
+built once per filter pair, length and depth, and one inverse real FFT.
+The levels and the final scaling, which nothing reads and so is not formed,
+preserve the series' energy. Each level's variance is estimated robustly
+over the nonboundary coefficients and converted to a share of the total
+wavelet variance for ranking.
 """
 
 from __future__ import annotations
@@ -53,13 +53,12 @@ class WaveletDecomposition:
 
     ``variance`` is NaN for a level with fewer than 4 nonboundary
     coefficients, and ``share`` is each variance over the sum of the known
-    ones (0 where unknown). ``scaling`` is the final scaling coefficients.
+    ones (0 where unknown).
     """
 
     w: np.ndarray
     variance: np.ndarray
     share: np.ndarray
-    scaling: np.ndarray
 
 
 # Extremal-phase Daubechies scaling filters of orders 1-10, 2*order taps each,
@@ -199,26 +198,25 @@ def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 # typed, so that True is checked and rejected rather than served the table of 1
 @functools.lru_cache(maxsize=8, typed=True)
 def level_gains(filters: WaveletFilterPair, m: int, j0: int) -> np.ndarray:
-    """The read-only (j0 + 1, m//2 + 1) table of level gains at length m.
+    """The read-only (j0, m//2 + 1) table of level gains at length m.
 
     Row j - 1 is level j's wavelet gain H(2^(j-1) k) * prod_{l<j-1} G(2^l k)
     at the m-point Fourier frequencies k = 0..m//2, indices mod m, with H and
-    G the unit filters' m-point FFTs; the last row is the level-j0 scaling
-    gain. The MODWT reads it at its transform length, and the detector
-    squares its magnitude at twice the series' length to weight the padded
-    series' spectrum.
+    G the unit filters' m-point FFTs. The MODWT reads it at its transform
+    length, and the detector squares its magnitude at twice the series'
+    length to weight the padded series' spectrum.
     """
     check_int("m", m, 1)
     check_int("j0", j0, 1)
     k = np.arange(m // 2 + 1)
     wavelet, scaling = np.fft.fft(filters.h, m), np.fft.fft(filters.g, m)
-    gains = np.empty((j0 + 1, k.size), dtype=np.complex128)
+    gains = np.empty((j0, k.size), dtype=np.complex128)
     cascade = np.ones(k.size, dtype=np.complex128)
     for j in range(1, j0 + 1):
         at = (k << (j - 1)) % m
         gains[j - 1] = _product(wavelet[at], cascade)
-        cascade = _product(cascade, scaling[at])
-    gains[j0] = cascade
+        if j < j0:
+            cascade = _product(cascade, scaling[at])
     gains.flags.writeable = False
     return gains
 
@@ -266,13 +264,13 @@ def modwt_decompose(
     j0: int,
     robust: bool = True,
 ) -> WaveletDecomposition:
-    """Decomposition into j0 wavelet levels plus the final scaling.
+    """Decomposition into j0 wavelet levels.
 
-    Every level and the scaling are one inverse real FFT of the series'
-    spectrum times the cached gains of ``level_gains`` at length m. m is n
-    when n has no prime factor above 7, and the product is then the circular
-    convolution itself. Otherwise m is the smallest such length that holds
-    the linear convolution, n + level_width(j0) - 1 samples, which keeps
+    Every level is one inverse real FFT of the series' spectrum times the
+    cached gains of ``level_gains`` at length m. m is n when n has no prime
+    factor above 7, and the product is then the circular convolution
+    itself. Otherwise m is the smallest such length that holds the linear
+    convolution, n + level_width(j0) - 1 samples, which keeps
     prime lengths off numpy's slow FFT path.
     Per-level variances use the biweight midvariance over nonboundary
     coefficients (or the plain sample variance when ``robust=False``).
@@ -296,7 +294,7 @@ def modwt_decompose(
     if m > n:
         # the linear convolution spans n + wrap < 2n samples: fold its tail
         coeffs[:, :wrap] += coeffs[:, n : n + wrap]
-    w = coeffs[:j0, :n]
+    w = coeffs[:, :n]
     variance = np.full(j0, np.nan)
     for j in range(1, j0 + 1):
         width = level_width(j, filters.L1)
@@ -313,7 +311,7 @@ def modwt_decompose(
     share = np.zeros(j0)
     if total > 0:
         share[known] = variance[known] / total
-    return WaveletDecomposition(w=w, variance=variance, share=share, scaling=coeffs[j0, :n])
+    return WaveletDecomposition(w=w, variance=variance, share=share)
 
 
 def rank_levels(decomp: WaveletDecomposition, share_threshold: float) -> list[int]:

@@ -91,7 +91,11 @@ def _hp_plan(n: int, hp_lambda: float) -> tuple[np.ndarray, np.ndarray, np.ndarr
     ``scale`` turns ``_dst1(scale * _dst1(v))`` into A^-1 v: L's eigenvalues
     are 4*sin(pi*k/(2(m+1)))^2, and the scaled DST-I squares to 2(m+1)*I.
     ``columns`` holds A^-1 e_1 and A^-1 e_m as rows and ``inverse`` is
-    (I + U'A^-1 U)^-1.
+    (I + U'A^-1 U)^-1, by an LU in scalars that no LAPACK kernel rounds. A is
+    symmetric positive definite and persymmetric, so |A^-1_1m| < 1 + A^-1_11
+    and no row swap is needed. It multiplies by reciprocals, as OpenBLAS's
+    LU and triangular solves do, so it equals their SSE and AVX2 kernels'
+    inverse bit for bit.
     """
     m = n - 2
     eigen = 4.0 * np.sin(np.arange(1, m + 1) * (np.pi / (2 * m + 2))) ** 2
@@ -99,7 +103,13 @@ def _hp_plan(n: int, hp_lambda: float) -> tuple[np.ndarray, np.ndarray, np.ndarr
     ends = np.zeros((2, m))
     ends[0, 0] = ends[1, -1] = 1.0
     columns = np.stack([_dst1(scale * _dst1(end)) for end in ends])
-    inverse = np.linalg.inv(np.eye(2) + columns[:, [0, -1]].T)
+    # [[a, b], [c, d]] = [[1, 0], [f, 1]] [[a, b], [0, u]]
+    (a, b), (c, d) = (np.eye(2) + columns[:, [0, -1]].T).tolist()
+    ra = 1.0 / a
+    f = c * ra
+    ru = 1.0 / (d - f * b)
+    lower = -f * ru
+    inverse = np.array([[(1.0 - lower * b) * ra, -(ru * b) * ra], [lower, ru]])
     for array in (scale, columns, inverse):
         array.flags.writeable = False
     return scale, columns, inverse

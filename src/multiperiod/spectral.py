@@ -169,7 +169,7 @@ def huber_fit(x: np.ndarray, ks, zeta: float = DEFAULT_ZETA):
     count = spec[1, 0].real
     del spec
     slack = np.abs(np.abs(x) - zeta)
-    order = _slack_order(x, slack, zeta)
+    order = np.argsort(slack, kind="stable")
     slack = slack[order]
     # A sample whose slack exceeds ||beta|| by this margin keeps its reference
     # state whatever the round-off of its residual.
@@ -209,26 +209,6 @@ def _table(n):
     table = np.column_stack([np.cos(angle), np.sin(angle)])
     table.flags.writeable = False
     return table
-
-
-def _slack_order(x, slack, zeta):
-    """``np.argsort(slack, kind="stable")`` for ``slack`` = ||x| - zeta|.
-
-    The samples after the last nonzero one are padding, whose slack is
-    exactly zeta, so in stable order they form one block, in index order,
-    right after the last other slack <= zeta. Only the samples before them
-    are sorted, and stably only where the sorted slacks hold a tie: without
-    one, every sort gives the same order.
-    """
-    nonzero = np.flatnonzero(x)
-    m = nonzero[-1] + 1 if nonzero.size else 0
-    head = slack[:m]
-    at = np.argsort(head)
-    ordered = head[at]
-    if np.any(ordered[1:] == ordered[:-1]):
-        at = np.argsort(head, kind="stable")
-    cut = np.searchsorted(ordered, zeta, side="right")
-    return np.concatenate([at[:cut], np.arange(m, x.size), at[cut:]])
 
 
 def _singular(h):

@@ -2,8 +2,9 @@
 
 None is used by the package itself: the detector's periodogram comes from
 one real FFT of the padded series, its Huber fit never forms the full
-objective, and its wavelet taps are a table made once by
-``daubechies_scaling``. ``unit_spectrum`` is a shorthand for the tests.
+objective, its wavelet levels come from a table of gains, and its wavelet
+taps are a table made once by ``daubechies_scaling``. ``unit_spectrum`` is
+a shorthand for the tests.
 """
 
 import math
@@ -29,6 +30,34 @@ def vanilla_periodogram(x: np.ndarray) -> np.ndarray:
         raise InvalidInputError("periodogram requires at least 2 samples")
     spec = np.fft.fft(x, axis=-1)
     return (spec.real**2 + spec.imag**2) / x.shape[-1]
+
+
+def level_filters(pair, j):
+    """Level j's equivalent wavelet and scaling filters, (h_j, g_j).
+
+    The unit filters upsampled by 2^l, cascaded by explicit convolution.
+    """
+
+    def upsample(f, factor):
+        out = np.zeros(factor * (f.size - 1) + 1)
+        out[::factor] = f
+        return out
+
+    g_cascade = np.array([1.0])
+    for i in range(j - 1):
+        g_cascade = np.convolve(g_cascade, upsample(pair.g, 2**i))
+    h_j = np.convolve(g_cascade, upsample(pair.h, 2 ** (j - 1)))
+    g_j = np.convolve(g_cascade, upsample(pair.g, 2 ** (j - 1)))
+    return h_j, g_j
+
+
+def circular_filter(y, f):
+    """w[t] = sum_l f[l] y[(t - l) mod n], by direct convolution; f no longer than y."""
+    n = y.size
+    full = np.convolve(y, f)
+    out = full[:n].copy()
+    out[: full.size - n] += full[n:]
+    return out
 
 
 def huber_objective(residual: np.ndarray, zeta: float) -> float:

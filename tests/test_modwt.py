@@ -23,35 +23,7 @@ from multiperiod.modwt import (
 from multiperiod.reductions import center, median
 from multiperiod.series import InvalidInputError, TimeSeries
 
-from oracles import daubechies_scaling
-
-
-def upsampled_level_filters(pair, j):
-    """Equivalent level-j filters by explicit filter cascading (oracle)."""
-    h1 = pair.h
-    g1 = pair.g
-
-    def upsample(f, factor):
-        out = np.zeros(factor * (f.size - 1) + 1)
-        out[::factor] = f
-        return out
-
-    g_cascade = np.array([1.0])
-    for i in range(j - 1):
-        g_cascade = np.convolve(g_cascade, upsample(g1, 2**i))
-    h_j = np.convolve(g_cascade, upsample(h1, 2 ** (j - 1)))
-    g_j = np.convolve(g_cascade, upsample(g1, 2 ** (j - 1)))
-    return h_j, g_j
-
-
-def direct_modwt_level(y, filt):
-    """Brute-force circular convolution w[t] = sum_l f[l] y[(t-l) mod n]."""
-    n = y.size
-    out = np.zeros(n)
-    for t in range(n):
-        for l, c in enumerate(filt):
-            out[t] += c * y[(t - l) % n]
-    return out
+from oracles import circular_filter, daubechies_scaling, level_filters
 
 
 class TestFilters:
@@ -133,8 +105,8 @@ class TestDecomposition:
             y = rng.normal(size=n)
             j0 = max_level(n, pair.L1)
             dec = modwt_decompose(TimeSeries(y), pair, j0)
-            total = sum(np.dot(w, w) for w in dec.w)
-            total += np.dot(dec.scaling, dec.scaling)
+            scaling = circular_filter(y, level_filters(pair, j0)[1])
+            total = sum(np.dot(w, w) for w in dec.w) + np.dot(scaling, scaling)
             assert abs(total - np.dot(y, y)) <= 1e-8 * np.dot(y, y)
 
     def test_constant_series_has_zero_wavelet_coefficients(self):
@@ -149,12 +121,9 @@ class TestDecomposition:
         pair = daubechies_filters(4)
         dec = modwt_decompose(TimeSeries(y), pair, 2)
         for j in (1, 2):
-            h_j, g_j = upsampled_level_filters(pair, j)
+            h_j, _ = level_filters(pair, j)
             assert h_j.size == level_width(j, pair.L1)
-            expected = direct_modwt_level(y, h_j)
-            np.testing.assert_allclose(dec.w[j - 1], expected, atol=1e-10)
-        _, g_2 = upsampled_level_filters(pair, 2)
-        np.testing.assert_allclose(dec.scaling, direct_modwt_level(y, g_2), atol=1e-10)
+            np.testing.assert_allclose(dec.w[j - 1], circular_filter(y, h_j), atol=1e-10)
 
     def test_shift_covariance(self):
         rng = np.random.default_rng(2)
@@ -267,16 +236,15 @@ class TestLevelGains:
             x = rng.normal(size=n)
             tol = 1e-12 * np.linalg.norm(x)
             deepest = max_level(n, pair.L1)
-            wavelet, scaling = {}, {}
+            wavelet = {}
             for j in range(1, deepest + 1):
-                h_j, g_j = upsampled_level_filters(pair, j)
+                h_j, _ = level_filters(pair, j)
                 block = x[(np.arange(n)[:, None] - np.arange(h_j.size)[None, :]) % n]
-                wavelet[j], scaling[j] = block @ h_j, block @ g_j
+                wavelet[j] = block @ h_j
             for j0 in range(1, deepest + 1):
                 dec = modwt_decompose(TimeSeries(x), pair, j0)
                 for j in range(1, j0 + 1):
                     np.testing.assert_allclose(dec.w[j - 1], wavelet[j], rtol=0, atol=tol)
-                np.testing.assert_allclose(dec.scaling, scaling[j0], rtol=0, atol=tol)
 
     @pytest.mark.parametrize("order", range(1, MAX_FAMILY_ORDER + 1))
     def test_gains_preserve_energy_at_every_frequency(self, order):
@@ -284,8 +252,11 @@ class TestLevelGains:
         for n in (512, 1000, 2018):  # any length, 7-smooth or not
             j0 = max_level(n, pair.L1)
             gains = level_gains(pair, n, j0)
-            assert gains.shape == (j0 + 1, n // 2 + 1)
-            energy = np.sum(gains.real**2 + gains.imag**2, axis=0)
+            assert gains.shape == (j0, n // 2 + 1)
+            # with level j0's scaling gain |G_j0(k)|^2 = prod_{l<j0} |G(2^l k)|^2
+            k, g = np.arange(n // 2 + 1), np.abs(np.fft.fft(pair.g, n)) ** 2
+            scaling = np.prod([g[(k << l) % n] for l in range(j0)], axis=0)
+            energy = np.sum(gains.real**2 + gains.imag**2, axis=0) + scaling
             np.testing.assert_allclose(energy, 1.0, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("n,m", [(1000, 1000), (4096, 4096), (469, 945), (1009, 1920)])
@@ -394,7 +365,7 @@ class TestRanking:
         # NaN, zero and below-threshold variances are never ranked
         variance = np.array([1.0, 2.0, 1.0, np.nan, 0.0, 2.0])
         share = np.array([1.0, 2.0, 1.0, 0.0, 0.0, 2.0]) / 6.0
-        dec = WaveletDecomposition(np.zeros((6, 8)), variance, share, np.zeros(8))
+        dec = WaveletDecomposition(np.zeros((6, 8)), variance, share)
         assert rank_levels(dec, 0.0) == [2, 6, 1, 3]
         assert rank_levels(dec, 0.2) == [2, 6]
 

@@ -436,3 +436,20 @@ class TestTrendFactor:
         info = _hp_plan.cache_info()
         assert info.maxsize is not None
         assert info.currsize <= info.maxsize
+
+    def test_trend_inverse_is_the_same_on_every_blas_kernel(self):
+        # the 2x2 inverse is an LU in scalars, so no LAPACK kernel sets its
+        # rounding; the AVX-512 kernel's inverse differed at the first three
+        frozen = {
+            (66, 1e6): ("0x1.ef849fb639df8p-5", "-0x1.cad5ff58a0628p-6",
+                        "-0x1.cad5ff58a0626p-6", "0x1.ef849fb639df8p-5"),
+            (89, 1e6): ("0x1.829346ab243f0p-5", "-0x1.3f2ced2949885p-6",
+                        "-0x1.3f2ced2949884p-6", "0x1.829346ab243f5p-5"),
+            (92, 1e10): ("0x1.5e6e99bbb434dp-5", "-0x1.58ae1a3356afbp-6",
+                         "-0x1.58ae1a3356afdp-6", "0x1.5e6e99bbb434ap-5"),
+            (1000, 1e6): ("0x1.2e5b4e3a1e651p-5", "0x1.2664456b5311ep-31",
+                          "0x1.2664456b5311ep-31", "0x1.2e5b4e3a1e651p-5"),
+        }
+        for (n, hp_lambda), expected in frozen.items():
+            inverse = _hp_plan(n, hp_lambda)[2]
+            assert tuple(float(v).hex() for v in inverse.flat) == expected

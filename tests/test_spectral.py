@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -247,33 +247,6 @@ class TestHarmonicTable:
         info = spectral._table.cache_info()
         assert info.maxsize is not None
         assert info.currsize <= info.maxsize
-
-
-class TestSlackOrder:
-    @settings(max_examples=300, deadline=None)
-    @given(
-        zeta=st.sampled_from([0.3, 1.0]),
-        # in units of zeta: 0 and +-2 have slack exactly zeta, +-1 slack 0,
-        # and repeats tie
-        head=arrays(
-            np.float64,
-            st.integers(1, 40),
-            elements=st.one_of(
-                st.sampled_from([0.0, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0]), st.floats(-3.0, 3.0)
-            ),
-        ),
-        padding=st.integers(0, 40),
-    )
-    @example(zeta=1.0, head=np.zeros(5), padding=3)
-    @example(zeta=0.3, head=np.array([1.5, -0.5, 3.0]), padding=0)
-    def test_equals_the_stable_argsort(self, zeta, head, padding):
-        # the series ends in zero padding, or not at all, and may end in
-        # zeros before it; an all-zero series is included
-        x = np.concatenate([head * zeta, np.zeros(padding)])
-        slack = np.abs(np.abs(x) - zeta)
-        np.testing.assert_array_equal(
-            spectral._slack_order(x, slack, zeta), np.argsort(slack, kind="stable")
-        )
 
 
 class TestAdmmHuberFit:
