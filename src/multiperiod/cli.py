@@ -146,7 +146,8 @@ def _dump_diagnostics(
     """Per-level periodogram and autocorrelation CSVs for external plotting.
 
     The periodograms are the detection's own, bins 0..N-1 of one row per
-    examined level (none without spectra). Every row's ACF and peaks come
+    examined level (none without spectra); a bin's ``robust`` column is 1
+    when its power is a Huber fit's. Every row's ACF and peaks come
     from one ``huber_acf`` and one ``find_peaks`` call over the whole
     stack, since the detection takes them only for levels whose g-test
     passed; a degenerate row's ACF is all zeros, with no peaks.
@@ -156,9 +157,9 @@ def _dump_diagnostics(
         return
     acfs = huber_acf(hybrid.power)
     peak_lists = find_peaks(acfs, height=cfg.acf_height)
+    robust = set(hybrid.bins.tolist())
     for row, level in enumerate(hybrid.levels):
         acf, peaks = acfs[row], set(peak_lists[row])
-        fit = hybrid.iterations is not None
         path = os.path.join(directory, f"level{level:02d}.csv")
         with open(path, "w", newline="") as handle:
             writer = csv.writer(handle)
@@ -168,7 +169,7 @@ def _dump_diagnostics(
                     [
                         k,
                         f"{power:.10g}",
-                        int(fit and k > 0),
+                        int(k in robust),
                         f"{acf[k]:.10g}",
                         int(k in peaks),
                     ]

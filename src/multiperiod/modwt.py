@@ -12,12 +12,12 @@ wavelet variance for ranking.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .cache import TABLES
 from .reductions import center, median
 from .series import (
     InvalidInputError,
@@ -195,8 +195,7 @@ def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-# typed, so that True is checked and rejected rather than served the table of 1
-@functools.lru_cache(maxsize=8, typed=True)
+@TABLES
 def level_gains(filters: WaveletFilterPair, m: int, j0: int) -> np.ndarray:
     """The read-only (j0, m//2 + 1) table of level gains at length m.
 

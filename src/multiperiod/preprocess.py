@@ -14,11 +14,11 @@ smoothing.
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
 
+from .cache import TABLES
 from .reductions import median, standardize
 from .series import InvalidInputError, TimeSeries, check_real, finite_array
 
@@ -84,7 +84,7 @@ def _dst1(v: np.ndarray) -> np.ndarray:
     return np.fft.rfft(odd).imag[1 : m + 1]
 
 
-@functools.lru_cache(maxsize=8)
+@TABLES
 def _hp_plan(n: int, hp_lambda: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """What ``_hp_residual`` needs for length n, all read-only.
 

@@ -208,12 +208,13 @@ class TestDetectCommand:
     @pytest.mark.parametrize("robust", [True, False])
     def test_dump_fits_each_level_once(self, three_period_csv, tmp_path, capsys,
                                        monkeypatch, robust):
-        fits = []
+        fits, spectra = [], []
         fit = spectral.huber_periodogram
 
         def counted(*args, **kwargs):
             fits.append(args[2])
-            return fit(*args, **kwargs)
+            spectra.append(fit(*args, **kwargs))
+            return spectra[-1]
 
         # Count the fits through every module that holds the function.
         for name, module in list(sys.modules.items()):
@@ -229,9 +230,11 @@ class TestDetectCommand:
         # one call weights the one spectrum for every examined level
         assert len(fits) == 1 and len(fits[0]) == examined
         assert sorted(os.listdir(diag)) == sorted(f"level{j:02d}.csv" for j in fits[0])
-        # in robust mode every bin but DC is fit
+        # the robust column marks the fitted bins: some in robust mode, none in plain
+        fitted = set(spectra[0].bins.tolist())
+        assert bool(fitted) == robust
         rows = (diag / os.listdir(diag)[0]).read_text().splitlines()[1:]
-        assert [row.split(",")[2] for row in rows] == [str(int(robust and k > 0)) for k in range(1000)]
+        assert [row.split(",")[2] for row in rows] == [str(int(k in fitted)) for k in range(1000)]
 
     @pytest.mark.parametrize(
         "flag, value", [("--lambda", "nan"), ("--lambda", "inf"), ("--zeta", "nan")]

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.linalg import cho_solve_banded, cholesky_banded, solveh_banded
 
+from multiperiod.cache import TABLES
 from multiperiod.preprocess import (
     CLIP_C,
     _hp_plan,
@@ -417,7 +418,7 @@ class TestTrendFactor:
             assert np.max(np.abs(trend - solveh_reference(x, hp_lambda))) <= conditioning_bound(
                 x, hp_lambda
             )
-        _hp_plan.cache_clear()
+        TABLES.clear()
         np.testing.assert_array_equal(hp_trend(TimeSeries(x), hp_lambda).values, trend)
 
     def test_integer_and_float_lambda_give_the_same_trend(self):
@@ -433,9 +434,7 @@ class TestTrendFactor:
                 assert not array.flags.writeable
                 with pytest.raises(ValueError):
                     array.flat[0] = 1.0
-        info = _hp_plan.cache_info()
-        assert info.maxsize is not None
-        assert info.currsize <= info.maxsize
+        assert TABLES.nbytes <= TABLES.budget
 
     def test_trend_inverse_is_the_same_on_every_blas_kernel(self):
         # the 2x2 inverse is an LU in scalars, so no LAPACK kernel sets its

@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from multiperiod import spectral
+from multiperiod.cache import TABLES
 from multiperiod.detector import DetectorConfig, _detect
-from multiperiod.modwt import daubechies_filters, level_gains
+from multiperiod.modwt import MAX_FAMILY_ORDER, daubechies_filters, level_gains, max_level
 from multiperiod.series import InvalidInputError
 from multiperiod.spectral import (
     DEFAULT_ZETA,
@@ -244,9 +245,7 @@ class TestHarmonicTable:
             assert not table.flags.writeable
             with pytest.raises(ValueError):
                 table[0, 0] = 1.0
-        info = spectral._table.cache_info()
-        assert info.maxsize is not None
-        assert info.currsize <= info.maxsize
+        assert TABLES.nbytes <= TABLES.budget
 
 
 class TestAdmmHuberFit:
@@ -505,20 +504,21 @@ class TestAdmmHuberFit:
             assert np.max(np.abs(beta[0] - oracle)) < 1e-6
 
     @pytest.mark.parametrize(
-        "scenario, length",
+        "scenario, length, fitted",
         [
-            pytest.param("mild", 1000, id="mild"),
-            pytest.param("severe", 1000, id="severe"),
-            pytest.param("severe", 10_000, id="severe-10000"),
+            pytest.param("mild", 1000, 360, id="mild"),
+            pytest.param("severe", 1000, 992, id="severe"),
+            pytest.param("severe", 10_000, 9923, id="severe-10000"),
         ],
     )
-    def test_workload_bins_converge_in_few_steps(self, scenario, length, monkeypatch):
-        # every bin of the series' spectrum converges, in at most 2.5 Newton
-        # steps per bin on average over each octave (IRLS took 7 to 8; a least-squares start
-        # took 3); at N = 10 000 the spectrum holds 9999 bins, and a halving
-        # test that lost the change of F to round-off would leave some of
-        # them halving until _MAX_STEPS. At most 0.1% of the bins leave the
-        # radius of their samples and are fit again.
+    def test_workload_bins_converge_in_few_steps(self, scenario, length, fitted, monkeypatch):
+        # every fitted bin of the series' spectrum converges, in at most 2.5
+        # Newton steps per bin on average over each octave (IRLS took 7 to 8;
+        # a least-squares start took 3); at N = 10 000 the spectrum fits 9923
+        # bins, and a halving test that lost the change of F to round-off
+        # would leave some of them halving until _MAX_STEPS. At most 0.1% of
+        # the bins leave the radius of their samples and are fit again.
+        # `mild` (levels 6, 4, 5, 3) fits only the 360 bins its levels see.
         chunk, passed = spectral._newton_huber_chunk, []
 
         def recorded(fit, bins, *args):
@@ -530,10 +530,10 @@ class TestAdmmHuberFit:
         _, hybrid = _detect(series, DetectorConfig())
         assert hybrid.levels
         assert hybrid.converged.all()
-        assert hybrid.iterations.size == length - 1
-        assert sum(passed) <= 1.001 * hybrid.iterations.size
+        assert hybrid.bins.size == hybrid.iterations.size == fitted
+        assert sum(passed) <= 1.001 * fitted
         # in each octave of padded bins (2N/2^(j+1), 2N/2^j]
-        octave = np.log2(2 * length / np.arange(1, length)).astype(int)
+        octave = np.log2(2 * length / hybrid.bins).astype(int)
         for j in np.unique(octave):
             assert hybrid.iterations[octave == j].mean() <= 2.5, j
 
@@ -614,28 +614,63 @@ class TestHuberPeriodogram:
         assert np.argmax(hybrid.power[0]) == 8
 
     def test_rows_are_the_spectrum_times_the_gains(self):
+        # the spectrum is the all-bin fit's on the fitted bins, and plain elsewhere
         rng = np.random.default_rng(17)
         x = zero_pad(rng.standard_t(2, 256))
         levels = [2, 5, 3]
         gains = power_gains(512, levels)
+        fit, plain = unit_spectrum(x).spectrum, unit_spectrum(x, robust=False).spectrum
         for robust in (True, False):
             hybrid = huber_periodogram(x, gains, levels, robust=robust)
             assert hybrid.levels == levels and hybrid.n_padded == 512
             np.testing.assert_array_equal(hybrid.power, gains * hybrid.spectrum)
-            np.testing.assert_array_equal(hybrid.spectrum, unit_spectrum(x, robust).spectrum)
+            expected = plain.copy()
+            expected[hybrid.bins] = fit[hybrid.bins]
+            np.testing.assert_array_equal(hybrid.spectrum, expected)
+            assert (hybrid.bins.size > 0) == robust
 
     def test_robust_bins(self):
-        # bins 1..N-1 are fit; DC is zero and the Nyquist bin plain
+        # with unit gain bins 1..N-1 are fit; DC is zero and the Nyquist bin plain
         rng = np.random.default_rng(8)
         x = zero_pad(rng.normal(size=256))
         hybrid, plain = unit_spectrum(x), unit_spectrum(x, robust=False)
-        assert plain.iterations is None and plain.converged is None
+        assert plain.iterations is None and plain.converged is None and plain.bins.size == 0
+        np.testing.assert_array_equal(hybrid.bins, np.arange(1, 256))
         assert hybrid.iterations.size == hybrid.converged.size == 255
         power, plain = hybrid.spectrum, plain.spectrum
         assert power[0] == plain[0] == 0.0 and power[256] == plain[256]
         np.testing.assert_allclose(plain[1:], vanilla_periodogram(x)[1:257], rtol=1e-12)
         assert np.all(power[1:256] != plain[1:256])
         assert np.all(power >= 0)
+        # with level 6's gain, the bins where it is under 1% of its peak keep
+        # their plain power, and the others are the all-bin fit's
+        gains = power_gains(512, [6])
+        level = huber_periodogram(x, gains, [6])
+        seen = gains[0, 1:256] >= spectral._GAIN_FLOOR * gains.max()
+        np.testing.assert_array_equal(level.bins, np.flatnonzero(seen) + 1)
+        assert 0 < level.bins.size < 255 / 2
+        assert level.iterations.size == level.converged.size == level.bins.size
+        np.testing.assert_array_equal(level.spectrum[level.bins], power[level.bins])
+        unfit = np.setdiff1d(np.arange(257), level.bins)
+        np.testing.assert_array_equal(level.spectrum[unfit], plain[unfit])
+
+    @pytest.mark.parametrize("length", [64, 65, 1000, 1009, 2000, 10_007])
+    def test_the_floor_keeps_every_bin_a_test_reads(self, length):
+        # Fisher's test of level j reads the even padded bins 2k, k in the
+        # octave [N/2^(j+1), N/2^j] below the Nyquist k = N/2; level j's own
+        # gain there is above the floor times the largest gain of all levels
+        # 1..j0, which bounds that of any examined subset, so those bins are
+        # fit whenever level j is examined
+        for order in range(1, MAX_FAMILY_ORDER + 1):
+            pair = daubechies_filters(order)
+            j0 = max_level(length, pair.L1)
+            gains = level_gains(pair, 2 * length, j0)
+            gains = gains.real**2 + gains.imag**2
+            floor = spectral._GAIN_FLOOR * gains.max()
+            for j in range(1, j0 + 1):
+                lo, hi = max(1, -(-length >> (j + 1))), min(length >> j, (length - 1) // 2)
+                read = 2 * np.arange(lo, hi + 1)
+                assert np.all(gains[j - 1, read] >= floor), (order, j)
 
     def test_zero_input(self):
         hybrid = huber_periodogram(np.zeros(128), power_gains(128, [3]), [3])
@@ -827,9 +862,11 @@ class TestConfigValidation:
         ):
             with pytest.raises(InvalidInputError):
                 huber_periodogram(series, rows, levels)
-        # no level: the spectrum alone
+        # no level: the plain spectrum alone, with no bin fit
         hybrid = huber_periodogram(x, gains[:0], [])
         assert hybrid.power.shape == (0, 65) and hybrid.spectrum.shape == (65,)
+        assert hybrid.bins.size == 0 and hybrid.iterations is None and hybrid.converged is None
+        np.testing.assert_array_equal(hybrid.spectrum, unit_spectrum(x, robust=False).spectrum)
         # no bin to fit
         beta, iterations, converged = huber_fit(x, [])
         assert beta.shape == (0, 2) and iterations.shape == converged.shape == (0,)
