@@ -70,12 +70,8 @@ def find_peaks(
     last = min(size // 2, size - 2)
     mid = acf[..., 1 : last + 1]
     is_peak = (mid > acf[..., :last]) & (mid >= acf[..., 2 : last + 2]) & (mid >= height)
-    if acf.ndim == 1:
-        return (is_peak.nonzero()[0] + 1).tolist()
-    rows, lags = is_peak.nonzero()
-    lags = (lags + 1).tolist()
-    ends = np.cumsum(np.bincount(rows, minlength=acf.shape[0])).tolist()
-    return [lags[start:end] for start, end in zip([0] + ends, ends)]
+    lags = [(np.flatnonzero(row) + 1).tolist() for row in np.atleast_2d(is_peak)]
+    return lags[0] if acf.ndim == 1 else lags
 
 
 def period_from_peaks(peaks: list[int], k_star: int, n: int) -> float | None:

@@ -32,10 +32,11 @@ class TableCache:
     """A least-recently-used cache of read-only arrays, bounded by their total bytes.
 
     Decorate a function of hashable positional arguments that returns an
-    array or a tuple of arrays. Arguments of different types are different
-    keys, so ``True`` is checked by the function rather than served the
-    table of 1. Past ``budget`` bytes the least recently used tables are
-    dropped, but never the ``recent`` most recently used.
+    array or a tuple of arrays, which every caller then shares: each array
+    is made read-only before it is first returned. Arguments of different
+    types are different keys, so ``True`` is checked by the function rather
+    than served the table of 1. Past ``budget`` bytes the least recently
+    used tables are dropped, but never the ``recent`` most recently used.
     """
 
     def __init__(self, budget: int, recent: int):
@@ -55,7 +56,10 @@ class TableCache:
                     self._entries.move_to_end(key)
                     return entry[0]
             value = func(*args)
-            size = sum(array.nbytes for array in (value if isinstance(value, tuple) else (value,)))
+            arrays = value if isinstance(value, tuple) else (value,)
+            for array in arrays:
+                array.flags.writeable = False
+            size = sum(array.nbytes for array in arrays)
             with self._lock:
                 if key not in self._entries:
                     self._entries[key] = (value, size)

@@ -143,11 +143,9 @@ def merge_periods(records: list[PeriodRecord]) -> list[PeriodRecord]:
             clusters[-1].append(record)
         else:
             clusters.append([record])
-    merged = [
+    return [
         min(cluster, key=lambda r: (-r.variance_share, r.level)) for cluster in clusters
     ]
-    merged.sort(key=lambda r: r.length)
-    return merged
 
 
 def robust_period(series: TimeSeries, cfg: DetectorConfig | None = None) -> PeriodReport:

@@ -216,7 +216,6 @@ def level_gains(filters: WaveletFilterPair, m: int, j0: int) -> np.ndarray:
         gains[j - 1] = _product(wavelet[at], cascade)
         if j < j0:
             cascade = _product(cascade, scaling[at])
-    gains.flags.writeable = False
     return gains
 
 

@@ -110,8 +110,6 @@ def _hp_plan(n: int, hp_lambda: float) -> tuple[np.ndarray, np.ndarray, np.ndarr
     ru = 1.0 / (d - f * b)
     lower = -f * ru
     inverse = np.array([[(1.0 - lower * b) * ra, -(ru * b) * ra], [lower, ru]])
-    for array in (scale, columns, inverse):
-        array.flags.writeable = False
     return scale, columns, inverse
 
 

@@ -16,15 +16,16 @@ import numpy as np
 def median(values: np.ndarray) -> np.float64:
     """``np.median`` of a nonempty 1-d array, partitioned in place.
 
-    Equal to numpy's value, sign of zero included: numpy returns a zero
-    median as +0.0, hence the ``+ 0.0``. The values are only reordered.
+    Equal to numpy's value, sign of zero included: numpy sums the central
+    values from +0.0 before it halves them, hence the ``+ 0.0``. The values
+    are only reordered.
     """
     half = values.size // 2
     if values.size % 2:
         values.partition(half)
         return values[half] + 0.0
     values.partition((half - 1, half))
-    return (values[half - 1] + values[half]) / 2 + 0.0
+    return (values[half - 1] + values[half] + 0.0) / 2
 
 
 def center(values: np.ndarray, ddof: int):

@@ -222,9 +222,7 @@ def huber_fit(x: np.ndarray, ks, zeta: float = DEFAULT_ZETA):
 def _table(n):
     """Row j holds cos and sin of 2*pi*j/n, read at j = k*t mod n; read-only."""
     angle = (2.0 * np.pi / n) * np.arange(n)
-    table = np.column_stack([np.cos(angle), np.sin(angle)])
-    table.flags.writeable = False
-    return table
+    return np.column_stack([np.cos(angle), np.sin(angle)])
 
 
 def _singular(h):
@@ -305,10 +303,10 @@ def _newton_huber_chunk(fit, bins, stats, b_cur, out):
     pat_acc = _clip_pattern(xt, zeta)
     b_acc, full = np.zeros_like(b_cur), full[bins]  # b_cur is a full Newton step from b_acc
     ended = np.zeros(bins.size, dtype=bool)  # finished, its run still held
-    bounds = np.zeros(bins.size + 1, dtype=np.int64)
-    np.cumsum(width, out=bounds[1:])
 
     for it in range(1, max_steps + 1):
+        bounds = np.zeros(live.size + 1, dtype=np.int64)
+        np.cumsum(width, out=bounds[1:])
         pat = _clip_pattern(_residual(xt, cs, b_cur, width), zeta)
         f = (pat != pat_acc).nonzero()[0]
         edges = np.searchsorted(f, bounds)  # bin b's flips are f[edges[b]:edges[b + 1]]
@@ -394,8 +392,6 @@ def _newton_huber_chunk(fit, bins, stats, b_cur, out):
                 a[keep] for a in (live, width, radius, full, ended)
             )
             stats, b_cur, b_acc = stats[:, keep], b_cur[:, keep], b_acc[:, keep]
-            bounds = np.zeros(live.size + 1, dtype=np.int64)
-            np.cumsum(width, out=bounds[1:])
         else:
             # A held finished bin stays at b_acc, so it flips no sample, and
             # l = b_acc with H = I gives it g = 0, a zero step and no rise.
@@ -501,7 +497,7 @@ def fisher_pvalue(g0: float, m: int) -> float:
         return 0.0
     if log_sum >= 0.0:
         return 1.0
-    return min(1.0, max(0.0, math.exp(log_sum)))
+    return math.exp(log_sum)
 
 
 def fisher_test(spectrum: np.ndarray, level: int, alpha: float) -> FisherOutcome:

@@ -183,15 +183,11 @@ def score(detected: list[float], truth: list[float], tolerance: float) -> Metric
     remaining = list(truth)
     matched: list[tuple[float, float]] = []
     for d in sorted(detected):
-        best = None
-        for candidate in remaining:
-            if abs(d - candidate) <= tolerance * candidate:
-                key = (abs(d - candidate), candidate)
-                if best is None or key < best[0]:
-                    best = (key, candidate)
-        if best is not None:
-            matched.append((d, best[1]))
-            remaining.remove(best[1])
+        near = [t for t in remaining if abs(d - t) <= tolerance * t]
+        if near:
+            best = min(near, key=lambda t: (abs(d - t), t))
+            matched.append((d, best))
+            remaining.remove(best)
     return _metrics(matched, len(detected), len(truth), tolerance)
 
 

@@ -56,6 +56,23 @@ class TestTableCache:
         assert table(1) is not table(True) and table(1.0) is not table(1)
         assert table(np.int64(1)) is table(np.int64(1))
 
+    def test_every_array_it_returns_is_read_only(self):
+        cache = TableCache(budget=1 << 10, recent=2)
+
+        @cache
+        def one(n):
+            return np.ones(n)
+
+        @cache
+        def pair(n):
+            return np.ones(n), np.zeros(n)
+
+        for _ in range(2):  # built, then a hit
+            arrays = (one(3), *pair(3))
+            assert not any(array.flags.writeable for array in arrays)
+        with pytest.raises(ValueError):
+            one(3)[0] = 2.0
+
 
 @pytest.fixture
 def fresh_tables():

@@ -87,8 +87,10 @@ class TestMergePeriods:
         assert merged[0].level == 6
 
     def test_distinct_lengths_unchanged(self):
-        merged = merge_periods([self._rec(50.0, 0.3), self._rec(20.0, 0.3)])
-        assert [r.length for r in merged] == [20.0, 50.0]
+        # they come out by length, whatever the order they came in
+        for lengths in ([50.0, 20.0], [200.0, 100.0, 50.0, 20.0]):
+            merged = merge_periods([self._rec(length, 0.3) for length in lengths])
+            assert [r.length for r in merged] == sorted(lengths)
 
     def test_empty(self):
         assert merge_periods([]) == []

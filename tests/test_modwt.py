@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -202,12 +202,14 @@ class TestPlainReductions:
 
     @settings(max_examples=300, deadline=None)
     @given(values=values)
+    # the central pair halves to -5e-324 / 2, which rounds to -0.0
+    @example(values=np.array([1.0, -5e-324, 0.0, -1.0]))
     def test_partition_median(self, values):
         expected = np.median(values)
         kept = values.copy()
         got = median(values)
         assert got == expected
-        assert np.signbit(got) == np.signbit(expected)  # a zero median is +0.0
+        assert np.signbit(got) == np.signbit(expected)  # sign of zero included
         # the values are only reordered
         np.testing.assert_array_equal(np.sort(values), np.sort(kept))
 

@@ -206,6 +206,12 @@ class TestScore:
         assert m.precision == 0.5
         assert m.recall == 1.0
 
+    def test_a_tie_goes_to_the_smaller_truth(self):
+        # 100 is 2 from both truths: it claims 98, and 102.5 can still take 102
+        for truth in ([98.0, 102.0], [102.0, 98.0]):
+            m = score([100.0, 102.5], truth, 0.05)
+            assert m.matched == ((100.0, 98.0), (102.5, 102.0))
+
     @pytest.mark.parametrize("tolerance", [math.nan, math.inf, -0.01])
     def test_rejects_bad_tolerance(self, tolerance):
         with pytest.raises(InvalidInputError):
