@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import io
 import json
 import math
 import os
@@ -161,19 +162,20 @@ def _dump_diagnostics(
     for row, level in enumerate(hybrid.levels):
         acf, peaks = acfs[row], set(peak_lists[row])
         path = os.path.join(directory, f"level{level:02d}.csv")
-        with open(path, "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["index", "power", "robust", "acf", "acf_peak"])
-            for k, power in enumerate(hybrid.power[row, :-1]):
-                writer.writerow(
-                    [
-                        k,
-                        f"{power:.10g}",
-                        int(k in robust),
-                        f"{acf[k]:.10g}",
-                        int(k in peaks),
-                    ]
-                )
+        text = io.StringIO(newline="")
+        writer = csv.writer(text)
+        writer.writerow(["index", "power", "robust", "acf", "acf_peak"])
+        for k, power in enumerate(hybrid.power[row, :-1]):
+            writer.writerow(
+                [
+                    k,
+                    f"{power:.10g}",
+                    int(k in robust),
+                    f"{acf[k]:.10g}",
+                    int(k in peaks),
+                ]
+            )
+        _atomic_write(path, text.getvalue())
 
 
 def _cmd_detect(args: argparse.Namespace) -> int:
@@ -218,10 +220,6 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 def _cmd_bench(args: argparse.Namespace) -> int:
     if args.scenario:
-        if args.scenario not in SCENARIOS:
-            raise InvalidInputError(
-                f"unknown scenario {args.scenario!r}; choices: {sorted(SCENARIOS)}"
-            )
         spec = SCENARIOS[args.scenario]
         name = args.scenario
     else:
@@ -279,8 +277,8 @@ def build_parser() -> argparse.ArgumentParser:
     synth.set_defaults(func=_cmd_synth)
 
     bench = sub.add_parser("bench", help="run a seeded benchmark")
-    bench.add_argument("--scenario", default=None,
-                       help=f"named preset: {', '.join(sorted(SCENARIOS))}")
+    bench.add_argument("--scenario", default=None, choices=sorted(SCENARIOS),
+                       help="named preset")
     _add_synth_flags(bench)
     bench.add_argument("--runs", type=int, default=100)
     bench.add_argument("--tolerance", type=float, default=0.02)

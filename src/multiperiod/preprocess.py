@@ -32,27 +32,19 @@ CLIP_C = 3.0
 MIN_PIPELINE_LENGTH = 8
 
 
-def hp_trend(series: TimeSeries, hp_lambda: float) -> TimeSeries:
-    """Smooth trend minimizing (1/2)*sum((y-tau)^2) + lambda*sum((d2 tau)^2).
-
-    The unique minimizer solves the pentadiagonal normal equations
-    ``(I + 2*lambda*D'D) tau = y`` with D the second-difference operator.
-    The trend is y less the residual ``D'(DD' + I/(2*lambda))^-1 D y``, and
-    DD' is the square of the tridiagonal L = tridiag(-1, 2, -1) plus one
-    unit at each end of its diagonal; L is diagonalized by the DST-I
-    (Strang, "The Discrete Cosine Transform", SIAM Review 1999), so
-    the inverse costs two real FFTs and a rank-2 correction, O(N log N),
-    with a plan built once per length and lambda and shared by every series
-    of that length. lambda=0 returns the input; as lambda -> inf the trend
-    tends to the least-squares line.
-    """
-    check_real("hp_lambda", hp_lambda, 0, math.inf, "[)")
-    x = series.values
-    return TimeSeries(x - _hp_residual(x, hp_lambda))
-
-
 def _hp_residual(x: np.ndarray, hp_lambda: float) -> np.ndarray:
     """``x`` less its trend, formed without subtracting the trend; zeros for lambda = 0.
+
+    The trend minimizes (1/2)*sum((x-tau)^2) + lambda*sum((d2 tau)^2): it
+    solves the pentadiagonal normal equations ``(I + 2*lambda*D'D) tau = x``
+    with D the second-difference operator. The residual is
+    ``D'(DD' + I/(2*lambda))^-1 D x``, and DD' is the square of the
+    tridiagonal L = tridiag(-1, 2, -1) plus one unit at each end of its
+    diagonal; L is diagonalized by the DST-I (Strang, "The Discrete Cosine
+    Transform", SIAM Review 1999), so the inverse costs two real FFTs and a
+    rank-2 correction, O(N log N), with a plan built once per length and
+    lambda and shared by every series of that length. As lambda -> inf the
+    trend tends to the least-squares line.
 
     With A = L^2 + I/(2*lambda) and U = [e_1, e_m] (m = n - 2),
     DD' + I/(2*lambda) = A + UU', so by Woodbury its inverse applied to D x

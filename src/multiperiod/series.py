@@ -18,10 +18,6 @@ class InvalidInputError(ValueError):
     """An input violates an operation's contract."""
 
 
-class InternalError(RuntimeError):
-    """A computed intermediate violates an internal invariant."""
-
-
 def check_real(name: str, value, lo=-math.inf, hi=math.inf, ends: str = "()") -> None:
     """Reject anything but a real number in the interval from ``lo`` to ``hi``.
 

@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 
+from multiperiod.preprocess import _hp_residual
 from multiperiod.series import InvalidInputError
 from multiperiod.spectral import DEFAULT_ZETA, huber_periodogram
 
@@ -21,6 +22,12 @@ def unit_spectrum(x, robust=True, zeta=DEFAULT_ZETA):
     Its ``power[0]`` is the spectrum itself, bins 0..N.
     """
     return huber_periodogram(x, np.ones((1, np.size(x) // 2 + 1)), [1], zeta, robust)
+
+
+def hp_trend(y, hp_lambda):
+    """The smooth trend of ``y``: ``y`` less the residual the package detrends to."""
+    y = np.asarray(y, dtype=np.float64)
+    return y - _hp_residual(y, hp_lambda)
 
 
 def vanilla_periodogram(x: np.ndarray) -> np.ndarray:

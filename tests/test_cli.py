@@ -293,7 +293,7 @@ class TestBenchCommand:
     def test_unknown_scenario_exits_1(self, capsys):
         code, _, err = run_cli(capsys, "bench", "--scenario", "nope", "--runs", "1")
         assert code == 1
-        assert "unknown scenario" in err
+        assert "invalid choice" in err
 
 
 # Imports the package and its CLI and detects one series each way, then

@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -799,6 +800,34 @@ class TestFisher:
         for g in (0.002, 0.01, 0.05, 0.3):
             p = fisher_pvalue(g, 2000)
             assert 0.0 <= p <= 1.0
+
+    @pytest.mark.parametrize("m", [2, 5, 34, 125, 250])
+    @pytest.mark.parametrize("gm", [1.0, 1.3, 2.0, 3.0, 6.0, 12.0])
+    def test_pvalue_equals_the_exact_sum(self, m, gm):
+        """Within 1e-6 of the series summed in exact rationals, at the float g given."""
+        g = min(1.0, gm / m)
+        exact, k, q = Fraction(0), 1, Fraction(g)
+        while k <= m and k * q < 1:
+            exact += (-1) ** (k - 1) * math.comb(m, k) * (1 - k * q) ** (m - 1)
+            k += 1
+        assert abs(fisher_pvalue(g, m) - float(exact)) <= 1e-6
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(2, 2000), st.floats(1.0, 30.0), st.floats(0.0, 0.5))
+    def test_pvalue_stays_a_probability_and_falls_with_g(self, m, gm, step):
+        """p lies in [0, 1] and does not rise by more than 1e-6 as g grows,
+        where the alternating sum cancels as well as where it does not."""
+        g = min(1.0, gm / m)
+        g2 = min(1.0, (gm + step) / m)
+        p, p2 = fisher_pvalue(g, m), fisher_pvalue(g2, m)
+        assert 0.0 <= p <= 1.0 and 0.0 <= p2 <= 1.0
+        assert p2 <= p + 1e-6
+
+    def test_flat_octave_is_not_significant(self):
+        # the sum's terms reach 1e6 and more here and cancel past double precision
+        for g, m in ((0.0052, 250), (0.008, 125), (0.0065, 200), (0.002, 1000)):
+            assert fisher_pvalue(g, m) == 1.0
+        assert fisher_pvalue(0.0035, 1000) == pytest.approx(1.0, abs=1e-6)
 
     def test_pvalue_domain_errors(self):
         with pytest.raises(InvalidInputError):

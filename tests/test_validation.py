@@ -32,7 +32,7 @@ from multiperiod.modwt import (
     modwt_decompose,
     rank_levels,
 )
-from multiperiod.preprocess import clip_extremes, hp_trend, preprocess
+from multiperiod.preprocess import clip_extremes, preprocess
 from multiperiod.series import InvalidInputError, TimeSeries
 from multiperiod.spectral import (
     fisher_pvalue,
@@ -92,7 +92,6 @@ def slots():
     spec = SyntheticSpec(periods=(16,), length=64)
     return [
         ("TimeSeries.values", arrays(t), TimeSeries),
-        ("hp_trend.hp_lambda", REAL, lambda v: hp_trend(series, v)),
         ("preprocess.hp_lambda", REAL, lambda v: preprocess(series, v)),
         ("clip_extremes.x", arrays(t), lambda v: clip_extremes(v, 3.0, 0.0)),
         ("clip_extremes.bound", REAL, lambda v: clip_extremes(t, v, 0.0)),
