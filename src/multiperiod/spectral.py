@@ -147,15 +147,17 @@ def huber_fit(x: np.ndarray, ks, zeta: float = DEFAULT_ZETA):
     of psi(x) (g at beta = 0) and of the active mask, whose DFT at 2k gives
     H, as cos^2 = (1 + cos 2a)/2. So the first step, to H^-1 g, reads no
     sample; a bin whose H there is singular starts with the IRLS step.
-    Because |phi_t beta| <= ||beta||, sample t can leave its reference
-    state only if its slack ||x_t| - zeta| is at most ||beta||. The
-    samples are sorted by slack once, and a bin whose iterates stay within
-    a radius corrects the reference statistics by the samples of slack up
-    to that radius that changed state. Zero padding has slack zeta, so it
-    is read only once ||beta|| nears zeta. The change of F that decides a
-    halving is summed from these corrections and the new pattern's
-    quadratic between the two iterates, never as the difference of two
-    full sums, whose round-off could stall a bin.
+    Because |phi_t beta| <= ||beta||, sample t can leave its reference state
+    only if its slack ||x_t| - zeta| is at most ||beta||. The samples are
+    sorted by slack once, and a bin whose iterates stay within a radius
+    corrects the reference statistics by the samples of slack up to that
+    radius that changed state. A full step shorter than each of those
+    residuals' distance ||r_t| - zeta| to the threshold changes no state:
+    its iterate is returned with no step to confirm it. Zero padding has
+    slack zeta, so it is read only once ||beta|| nears zeta. The change of F
+    that decides a halving is summed from these corrections and the new
+    pattern's quadratic between the two iterates, never as the difference of
+    two full sums, whose round-off could stall a bin.
 
     Frequencies are independent. Each bin reads the samples of slack up to
     ``_HEADROOM`` times the norm of its first iterate. The bins, sorted by
@@ -288,9 +290,8 @@ def _newton_huber_chunk(fit, bins, stats, b_cur, out):
     flat arrays, one run after another. A first iterate lies inside the
     radius its run covers; a bin whose next iterate leaves it gets a larger
     ``reach`` and keeps ``iterations`` 0. Results go to rows ``bins`` of
-    ``out`` = (beta, iterations, converged). A finished bin holds still at
-    its last accepted iterate, and the runs of finished bins leave the
-    arrays once they make up half of the samples held.
+    ``out`` = (beta, iterations, converged). A bin's run leaves the arrays at
+    the end of the step that finishes it.
     """
     x, xs, ks, table, order, slack, margin, reach, full, zeta, max_steps, tol = fit
     beta, iterations, converged = out
@@ -302,22 +303,24 @@ def _newton_huber_chunk(fit, bins, stats, b_cur, out):
     xt, cs = _runs(xs, order, table, width, ks[bins])
     pat_acc = _clip_pattern(xt, zeta)
     b_acc, full = np.zeros_like(b_cur), full[bins]  # b_cur is a full Newton step from b_acc
-    ended = np.zeros(bins.size, dtype=bool)  # finished, its run still held
 
     for it in range(1, max_steps + 1):
         bounds = np.zeros(live.size + 1, dtype=np.int64)
         np.cumsum(width, out=bounds[1:])
-        pat = _clip_pattern(_residual(xt, cs, b_cur, width), zeta)
+        r = _residual(xt, cs, b_cur, width)
+        pat = _clip_pattern(r, zeta)
         f = (pat != pat_acc).nonzero()[0]
         edges = np.searchsorted(f, bounds)  # bin b's flips are f[edges[b]:edges[b + 1]]
         count = edges[1:] - edges[:-1]
         # a full step that kept the pattern it was computed from was exact
-        done = full & (count == 0) & ~ended
+        done = full & (count == 0)
         if done.any():
             settled = live[done]
             beta[settled], iterations[settled], converged[settled] = b_cur[:, done].T, it, True
-            if (done | ended).all():
+            if done.all():
                 return
+        gap, held = np.full(live.size, np.inf), width > 0
+        gap[held] = np.minimum.reduceat(np.abs(np.abs(r) - zeta), bounds[:-1][held])
         # A pattern's F is c - beta'l + beta'H beta / 2 (plus a constant): l is
         # g at beta = 0. A sample that changes its active flag by da and its
         # clip sign by dp adds (x^2 + zeta^2) da / 2 + zeta x dp to c,
@@ -354,7 +357,7 @@ def _newton_huber_chunk(fit, bins, stats, b_cur, out):
         if f.size:
             taken = np.repeat(accept, count)
             pat_acc[f[taken]] = new[taken]
-        # never a done or finished bin, whose H is not singular
+        # never a done bin, whose H is not singular
         singular = _singular(cur[2:])
         for b in singular.nonzero()[0]:
             c, s = _harmonics(ks[live[b]] * np.arange(n), table, n)
@@ -363,7 +366,8 @@ def _newton_huber_chunk(fit, bins, stats, b_cur, out):
             # elementwise, not a matrix product, so no BLAS kernel sets the rounding
             cur[2:, b] = [np.sum(weights * p) for p in (c * c, c * s, s * s)]
         step = _newton_step(cur[2:], (gc0, gc1))
-        small = (np.hypot(step[0], step[1]) <= tol) & ~done & ~ended
+        length = np.hypot(step[0], step[1])
+        small = (length <= tol) & ~done
         full = ~singular & accept
         if worse.any():  # a step that raised F is halved back
             np.copyto(step, 0.5 * (b_cur - b_acc), where=worse)
@@ -375,31 +379,26 @@ def _newton_huber_chunk(fit, bins, stats, b_cur, out):
         gone = done | small
         # a next iterate outside the radius of its run is fit again later
         norm = np.hypot(b_cur[0], b_cur[1])
-        left = (norm > radius) & ~gone & ~ended & (it < max_steps)
+        left = (norm > radius) & ~gone & (it < max_steps)
         if left.any():
             reach[live[left]] = np.searchsorted(slack, 2 * norm[left] + margin, "right")
             gone |= left
+        # a full step inside the radius and, with margin, shorter than the least
+        # ||r_t| - zeta| of its run flips no sample: the next step would settle it
+        ahead = full & ~gone & (length + margin < gap) & (it < max_steps)
+        settled = live[ahead]
+        beta[settled], iterations[settled], converged[settled] = b_cur[:, ahead].T, it + 1, True
+        gone |= ahead
         if not gone.any():
             continue
-        ended |= gone
-        if 2 * width[ended].sum() >= bounds[-1]:
-            if ended.all():
-                return
-            keep = ~ended
-            at = np.repeat(keep, width).nonzero()[0]
-            xt, cs, pat_acc = xt.take(at), cs.take(at, axis=1), pat_acc.take(at)
-            live, width, radius, full, ended = (
-                a[keep] for a in (live, width, radius, full, ended)
-            )
-            stats, b_cur, b_acc = stats[:, keep], b_cur[:, keep], b_acc[:, keep]
-        else:
-            # A held finished bin stays at b_acc, so it flips no sample, and
-            # l = b_acc with H = I gives it g = 0, a zero step and no rise.
-            np.copyto(b_cur, b_acc, where=gone)
-            stats[:2, gone] = b_acc[:, gone]
-            stats[2:, gone] = [[1.0], [0.0], [1.0]]
-    live = live[~ended]
-    beta[live], iterations[live] = b_acc[:, ~ended].T, max_steps
+        if gone.all():
+            return
+        keep = ~gone
+        at = np.repeat(keep, width).nonzero()[0]
+        xt, cs, pat_acc = xt.take(at), cs.take(at, axis=1), pat_acc.take(at)
+        live, width, radius, full = live[keep], width[keep], radius[keep], full[keep]
+        stats, b_cur, b_acc = stats[:, keep], b_cur[:, keep], b_acc[:, keep]
+    beta[live], iterations[live] = b_acc.T, max_steps
 
 
 def huber_periodogram(

@@ -9,8 +9,8 @@ A change meant to alter output rewrites the fixture with
 
     PYTHONPATH=src python tests/test_golden.py
 
-and ``FIT_LOCK`` by hand, and says so in its description; any other change
-must leave both untouched.
+and ``FIT_LOCK`` with the digest that prints, and says so in its
+description; any other change must leave both untouched.
 No detection output goes through a BLAS product or a LAPACK solve, so the
 fixture holds whichever OpenBLAS kernel numpy runs.
 """
@@ -21,9 +21,8 @@ import pathlib
 import tempfile
 from dataclasses import replace
 
-import pytest
-
 import numpy as np
+import pytest
 
 from multiperiod.cli import main
 from multiperiod.detector import DetectorConfig, robust_period
@@ -145,6 +144,7 @@ def regenerate() -> None:
     FIXTURE.parent.mkdir(exist_ok=True)
     text = json.dumps({"reports": reports, "diagnostics": diagnostics}, indent=1)
     FIXTURE.write_text(text + "\n")
+    print(f"FIT_LOCK = {fit_digest()!r}")
 
 
 if __name__ == "__main__":

@@ -377,17 +377,14 @@ class TestAdmmHuberFit:
         # bins converge at different iterations, so chunks compact unevenly;
         # capped at 2 steps most bins stop at the cap. A budget of 1000
         # bin-sample pairs splits the wider bands into several chunks.
-        # Finished bins stay in a chunk's arrays until their runs make up half
-        # of the samples held: each step's held bins and each chunk's
-        # iterations show that both happen, a finished bin held at a later
-        # step and a drop while other bins still run.
+        # A finished bin's run leaves the chunk's arrays at the end of its
+        # step: each step's held bins show a drop while other bins still run.
         chunk, residual, passed, steps = spectral._newton_huber_chunk, spectral._residual, [], []
 
         def recorded(fit, bins, stats, b_cur, out):
             passed.append(bins.size)
             steps.append([])
             chunk(fit, bins, stats, b_cur, out)
-            steps[-1] = (steps[-1], out[1][bins].copy())
 
         def counted(xt, cs, b, width):
             steps[-1].append(b.shape[1])
@@ -424,15 +421,8 @@ class TestAdmmHuberFit:
                 passed.clear()
                 capped_fit(guard, ks, 0.3, steps=max_steps)
                 assert sum(passed) > ks.size
-        # a bin refit later (iterations 0 here) counts as running
-        running = [
-            [np.sum((iterations >= step) | (iterations == 0)) for step in range(1, len(held) + 1)]
-            for held, iterations in steps
-        ]
-        kept = any(np.any(np.array(held) > now) for (held, _), now in zip(steps, running))
-        dropped = any(np.any(np.diff(held) < 0) for held, _ in steps)
-        # with one bin per band, these fits never hold a finished bin
-        assert (dropped and kept) or size == 1
+        # with one bin per band, a chunk never holds a finished bin to drop
+        assert any(np.any(np.diff(held) < 0) for held in steps) or size == 1
 
     def test_chunk_holds_a_wide_bin_alone_and_bins_of_no_samples(self, monkeypatch):
         # A unit tone at k = 5 under light noise: its first iterate has norm
@@ -537,6 +527,23 @@ class TestAdmmHuberFit:
         octave = np.log2(2 * length / hybrid.bins).astype(int)
         for j in np.unique(octave):
             assert hybrid.iterations[octave == j].mean() <= 2.5, j
+
+    def test_first_step_settles_the_bins_its_gap_certifies(self, monkeypatch):
+        # `severe` seed 0 fits its 992 bins in one chunk. Most first steps are
+        # shorter than every residual's distance to the clip threshold, so
+        # those bins are settled without a second pass over their runs: the
+        # second pass holds a few straggler runs, under a tenth of the
+        # first's pairs (one to two thousand of about 19 000).
+        residual, held = spectral._residual, []
+
+        def counted(xt, cs, b, width):
+            held.append(xt.size)
+            return residual(xt, cs, b, width)
+
+        monkeypatch.setattr(spectral, "_residual", counted)
+        _, hybrid = _detect(generate(replace(SCENARIOS["severe"], seed=0)), DetectorConfig())
+        assert hybrid.converged.all()
+        assert len(held) == 2 and 0 < held[1] < held[0] / 10, held
 
     @settings(max_examples=40, deadline=None)
     @given(
