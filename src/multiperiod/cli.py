@@ -195,8 +195,8 @@ def _parse_periods(text: str) -> tuple[int, ...]:
         raise InvalidInputError(f"invalid period list: {text!r}")
 
 
-def _synth_spec(args: argparse.Namespace) -> SyntheticSpec:
-    return SyntheticSpec(
+def _cmd_synth(args: argparse.Namespace) -> int:
+    spec = SyntheticSpec(
         waveform=args.waveform,
         periods=_parse_periods(args.periods),
         length=args.length,
@@ -206,10 +206,6 @@ def _synth_spec(args: argparse.Namespace) -> SyntheticSpec:
         outlier_amplitude=args.outlier_amplitude,
         seed=args.seed,
     )
-
-
-def _cmd_synth(args: argparse.Namespace) -> int:
-    spec = _synth_spec(args)
     series = generate(spec)
     lines = ["value"] + [f"{v:.17g}" for v in series.values]
     _emit("\n".join(lines) + "\n", args.output)
@@ -219,18 +215,12 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    if args.scenario:
-        spec = SCENARIOS[args.scenario]
-        name = args.scenario
-    else:
-        spec = _synth_spec(args)
-        name = "custom"
     cfg = DetectorConfig(robust_mode=not args.no_robust)
-    result = run_benchmark(spec, args.runs, cfg, args.tolerance)
+    result = run_benchmark(SCENARIOS[args.scenario], args.runs, cfg, args.tolerance)
     payload = {
-        "scenario": name,
-        "runs": result.runs,
-        "tolerance": result.metrics.tolerance,
+        "scenario": args.scenario,
+        "runs": args.runs,
+        "tolerance": args.tolerance,
         "precision": result.metrics.precision,
         "recall": result.metrics.recall,
         "f1": result.metrics.f1,
@@ -238,17 +228,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     }
     _emit(json.dumps(payload, indent=2), args.output)
     return EXIT_OK
-
-
-def _add_synth_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--periods", default="20,50,100", help="comma-separated period lengths")
-    parser.add_argument("--length", type=int, default=1000)
-    parser.add_argument("--waveform", choices=["sin", "square", "triangle"], default="sin")
-    parser.add_argument("--noise-var", type=float, default=0.1)
-    parser.add_argument("--outlier-ratio", type=float, default=0.01)
-    parser.add_argument("--trend-amplitude", type=float, default=10.0)
-    parser.add_argument("--outlier-amplitude", type=float, default=5.0)
-    parser.add_argument("--seed", type=int, default=0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -272,14 +251,19 @@ def build_parser() -> argparse.ArgumentParser:
     detect.set_defaults(func=_cmd_detect)
 
     synth = sub.add_parser("synth", help="generate a synthetic series CSV")
-    _add_synth_flags(synth)
+    synth.add_argument("--periods", default="20,50,100", help="comma-separated period lengths")
+    synth.add_argument("--length", type=int, default=1000)
+    synth.add_argument("--waveform", choices=["sin", "square", "triangle"], default="sin")
+    synth.add_argument("--noise-var", type=float, default=0.1)
+    synth.add_argument("--outlier-ratio", type=float, default=0.01)
+    synth.add_argument("--trend-amplitude", type=float, default=10.0)
+    synth.add_argument("--outlier-amplitude", type=float, default=5.0)
+    synth.add_argument("--seed", type=int, default=0)
     synth.add_argument("--output", default=None)
     synth.set_defaults(func=_cmd_synth)
 
-    bench = sub.add_parser("bench", help="run a seeded benchmark")
-    bench.add_argument("--scenario", default=None, choices=sorted(SCENARIOS),
-                       help="named preset")
-    _add_synth_flags(bench)
+    bench = sub.add_parser("bench", help="score a named scenario over seeds 0..runs-1")
+    bench.add_argument("--scenario", required=True, choices=sorted(SCENARIOS))
     bench.add_argument("--runs", type=int, default=100)
     bench.add_argument("--tolerance", type=float, default=0.02)
     bench.add_argument("--no-robust", action="store_true")

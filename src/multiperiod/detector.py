@@ -100,7 +100,7 @@ def detect_level(
     row: int,
     outcome: FisherOutcome,
     peaks: list[int],
-    variance_share: float = 0.0,
+    variance_share: float,
 ) -> PeriodRecord | None:
     """Validate the dominant period of level ``hybrid.levels[row]``.
 

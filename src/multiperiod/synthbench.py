@@ -148,12 +148,9 @@ class Metrics:
     recall: float
     f1: float
     matched: tuple[tuple[float, float], ...]
-    tolerance: float
 
 
-def _metrics(
-    matched: list[tuple[float, float]], detected: int, truth: int, tolerance: float
-) -> Metrics:
+def _metrics(matched: list[tuple[float, float]], detected: int, truth: int) -> Metrics:
     """Precision, recall and F1 of ``matched`` pairs out of the detected and true counts.
 
     Precision and recall are vacuously 1 when their denominator is zero.
@@ -164,7 +161,7 @@ def _metrics(
         f1 = 0.0
     else:
         f1 = 2.0 * precision * recall / (precision + recall)
-    return Metrics(precision, recall, f1, tuple(matched), tolerance)
+    return Metrics(precision, recall, f1, tuple(matched))
 
 
 def score(detected: list[float], truth: list[float], tolerance: float) -> Metrics:
@@ -188,13 +185,12 @@ def score(detected: list[float], truth: list[float], tolerance: float) -> Metric
             best = min(near, key=lambda t: (abs(d - t), t))
             matched.append((d, best))
             remaining.remove(best)
-    return _metrics(matched, len(detected), len(truth), tolerance)
+    return _metrics(matched, len(detected), len(truth))
 
 
 @dataclass(frozen=True)
 class BenchmarkResult:
     metrics: Metrics
-    runs: int
     mean_seconds_per_series: float
 
 
@@ -225,10 +221,8 @@ def run_benchmark(
         detected = report.period_lengths
         pairs.extend(score(detected, truth, tolerance).matched)
         total_detected += len(detected)
-    metrics = _metrics(pairs, total_detected, runs * len(truth), tolerance)
-    return BenchmarkResult(
-        metrics=metrics, runs=runs, mean_seconds_per_series=elapsed / runs
-    )
+    metrics = _metrics(pairs, total_detected, runs * len(truth))
+    return BenchmarkResult(metrics=metrics, mean_seconds_per_series=elapsed / runs)
 
 
 SCENARIOS: dict[str, SyntheticSpec] = {

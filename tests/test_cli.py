@@ -295,6 +295,23 @@ class TestBenchCommand:
         assert code == 1
         assert "invalid choice" in err
 
+    @pytest.mark.parametrize(
+        "argv, reason",
+        [
+            (["--scenario", "single", "--noise-var", "5"], "unrecognized arguments"),
+            (["--scenario", "single", "--seed", "3"], "unrecognized arguments"),
+            (["--scenario", "single", "--periods", "7"], "unrecognized arguments"),
+            ([], "required"),
+        ],
+    )
+    def test_series_flags_and_missing_scenario_exit_1(self, capsys, argv, reason):
+        # bench scores a named scenario over seeds 0..runs-1 and takes no
+        # series flags: each is a usage error rather than a silent no-op.
+        code, out, err = run_cli(capsys, "bench", *argv, "--runs", "1")
+        assert code == 1
+        assert out == ""
+        assert reason in err
+
 
 # Imports the package and its CLI and detects one series each way, then
 # prints every scipy module the interpreter has loaded.

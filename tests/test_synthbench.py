@@ -237,7 +237,6 @@ class TestRunBenchmark:
         spec = SyntheticSpec(periods=(20,), length=256, noise_variance=0.01,
                              outlier_ratio=0.0, trend_amplitude=0.0)
         result = run_benchmark(spec, runs=3, tolerance=0.02)
-        assert result.runs == 3
         assert result.mean_seconds_per_series > 0.0
         assert 0.0 <= result.metrics.f1 <= 1.0
 

@@ -128,7 +128,7 @@ def slots():
          lambda v: period_from_peaks(v, 32, 512)),
         ("period_from_peaks.k_star", INTEGER, lambda v: period_from_peaks(peaks, v, 512)),
         ("period_from_peaks.n", INTEGER, lambda v: period_from_peaks(peaks, 32, v)),
-        ("detect_level.row", INTEGER, lambda v: detect_level(hybrid, v, outcome, peaks)),
+        ("detect_level.row", INTEGER, lambda v: detect_level(hybrid, v, outcome, peaks, 0.0)),
         ("detect_level.variance_share", REAL,
          lambda v: detect_level(hybrid, 0, outcome, peaks, v)),
         *[
