@@ -15,6 +15,7 @@ import statistics
 
 import numpy as np
 
+from .cache import TABLES
 from .series import InvalidInputError, check_int, check_real, finite_array
 from .spectral import HybridPeriodogram
 
@@ -25,6 +26,12 @@ def full_range_periodogram(hybrid: HybridPeriodogram, row: int) -> np.ndarray:
     """One row's one-sided spectrum, bins 0..N: a view, not a copy."""
     check_int("row", row, 0, len(hybrid.levels) - 1)
     return hybrid.power[row]
+
+
+@TABLES
+def _overlap(n: int) -> np.ndarray:
+    """The overlap N - t of lags t = 0..N-1 of N samples, as floats; read-only."""
+    return np.arange(n, 0, -1, dtype=np.float64)
 
 
 def huber_acf(spectra: np.ndarray) -> np.ndarray:
@@ -47,7 +54,7 @@ def huber_acf(spectra: np.ndarray) -> np.ndarray:
     p = np.fft.irfft(spectra, 2 * n_series, axis=-1)[..., :n_series]
     lag0 = p[..., :1]
     live = lag0 > 0
-    raw = p / ((n_series - np.arange(n_series)) * np.where(live, lag0, 1.0))
+    raw = p / (_overlap(n_series) * np.where(live, lag0, 1.0))
     return np.divide(raw, raw[..., :1], out=np.zeros_like(raw), where=live)
 
 

@@ -1,8 +1,10 @@
 """Read-only tables shared by every series of one length, bounded by their bytes.
 
-The trend filter's plan, the MODWT's and the detector's level gains and the
-Huber fit's harmonic table each depend on a length (and a smoothing, filter
-pair or depth) alone, so a batch of series of one length builds them once.
+The trend filter's plan, the MODWT's gain planes, the detector's power
+gains, the Huber fit's harmonic table, the g-test's log-factorials and the
+autocorrelation's overlap divisor each depend on a length (and a smoothing,
+filter pair or depth) alone, so a batch of series of one length builds
+them once.
 A table grows with its length, so a count of entries bounds nothing: eight
 entries per function held 0.2 GB at lengths near N = 10^5. The cache holds
 the most recently used tables whose bytes together fit one budget, and
@@ -15,17 +17,21 @@ import functools
 import threading
 from collections import OrderedDict
 
-# Bytes held by the cached tables together: the four tables of one length
-# hold 0.22 MB at N = 1000, 3.0 MB at N = 10 000 and 43 MB at N = 100 007, so
-# this holds those of about 70, 5 and 0 lengths besides the recent ones.
+# Bytes held by the cached tables together: the six tables of one length
+# hold 0.18 MB at N = 1000, 2.3 MB at N = 10 000 and 34 MB at N = 100 007, so
+# this holds those of about 90, 7 and 0 lengths besides the recent ones.
 _TABLE_BYTES = 16 << 20
 
-# A detection reads the four tables of its length, which stay however large
-# they are: a series too long for the budget would otherwise rebuild them on
-# every detection (the trend plan alone takes 0.3 s at N = 200 000, whose
-# trend transforms have the prime factor 199 999), and its detection holds
-# arrays of their size anyway.
-_RECENT = 4
+# A detection reads six tables of its length, one per function: the trend
+# plan, the gain planes, the power gains, the fit's harmonic table (robust
+# mode only), the log-factorials that every level's g-test shares and the
+# overlap divisor. They stay however large they are: a series too long for
+# the budget would otherwise rebuild them on every detection (the trend plan
+# alone takes 0.3 s at N = 200 000, whose trend transforms have the prime
+# factor 199 999), and its detection holds arrays of their size anyway. A
+# table per g-tested level would make this count vary with the levels, and
+# any count above a detection's own keeps earlier lengths' tables as well.
+_RECENT = 6
 
 
 class TableCache:
@@ -49,7 +55,7 @@ class TableCache:
     def __call__(self, func):
         @functools.wraps(func)
         def cached(*args):
-            key = (func, *((type(arg), arg) for arg in args))
+            key = (func, args, *map(type, args))
             with self._lock:
                 entry = self._entries.get(key)
                 if entry is not None:

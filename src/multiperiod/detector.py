@@ -27,7 +27,7 @@ from .acf import (
 from .modwt import (
     MAX_FAMILY_ORDER,
     daubechies_filters,
-    level_gains,
+    level_power,
     max_level,
     modwt_decompose,
     rank_levels,
@@ -183,8 +183,7 @@ def _detect(
     found: list[PeriodRecord] = []
     if levels:
         rows = np.subtract(levels, 1)
-        gains = level_gains(filters, 2 * series.length, j0)[rows]
-        gains = gains.real * gains.real + gains.imag * gains.imag
+        gains = level_power(filters, 2 * series.length, j0)[rows]
         padded = zero_pad(cleaned.values)
         hybrid = huber_periodogram(padded, gains, levels, cfg.zeta, robust=cfg.robust_mode)
         outcomes = [fisher_test(hybrid.spectrum, level, cfg.fisher_alpha) for level in levels]

@@ -183,40 +183,79 @@ def _smooth_length(m: int) -> int:
         m += 1
 
 
-def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``a * b`` for complex arrays, in real arithmetic.
+def _product(a: np.ndarray, re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """``a * (re + i im)`` for a complex ``a`` and real planes ``re``, ``im``.
 
-    numpy's SIMD complex product rounds differently on CPUs with and
-    without AVX-512; real products and sums round the same on all.
+    In real arithmetic: numpy's SIMD complex product rounds differently on
+    CPUs with and without AVX-512; real products and sums round the same
+    on all. Each part of ``a`` is read twice, so it is copied out of its
+    strided view first.
     """
-    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=np.complex128)
-    out.real = a.real * b.real - a.imag * b.imag
-    out.imag = a.real * b.imag + a.imag * b.real
+    a_re, a_im = a.real.copy(), a.imag.copy()
+    out = np.empty(np.broadcast_shapes(a.shape, re.shape), dtype=np.complex128)
+    out.real = a_re * re - a_im * im
+    out.imag = a_re * im + a_im * re
     return out
 
 
-@TABLES
-def level_gains(filters: WaveletFilterPair, m: int, j0: int) -> np.ndarray:
-    """The read-only (j0, m//2 + 1) table of level gains at length m.
+def _build_gains(filters: WaveletFilterPair, m: int, j0: int) -> tuple[np.ndarray, np.ndarray]:
+    """The real and imaginary parts of ``level_gains``' table, built afresh.
 
-    Row j - 1 is level j's wavelet gain H(2^(j-1) k) * prod_{l<j-1} G(2^l k)
-    at the m-point Fourier frequencies k = 0..m//2, indices mod m, with H and
-    G the unit filters' m-point FFTs. The MODWT reads it at its transform
-    length, and the detector squares its magnitude at twice the series'
-    length to weight the padded series' spectrum.
+    Each of the cached gain tables is built from these two planes.
     """
     check_int("m", m, 1)
     check_int("j0", j0, 1)
     k = np.arange(m // 2 + 1)
     wavelet, scaling = np.fft.fft(filters.h, m), np.fft.fft(filters.g, m)
-    gains = np.empty((j0, k.size), dtype=np.complex128)
+    re, im = np.empty((j0, k.size)), np.empty((j0, k.size))
     cascade = np.ones(k.size, dtype=np.complex128)
     for j in range(1, j0 + 1):
         at = (k << (j - 1)) % m
-        gains[j - 1] = _product(wavelet[at], cascade)
+        gain = _product(wavelet[at], cascade.real, cascade.imag)
+        re[j - 1], im[j - 1] = gain.real, gain.imag
         if j < j0:
-            cascade = _product(cascade, scaling[at])
+            step = scaling[at]
+            cascade = _product(cascade, step.real, step.imag)
+    return re, im
+
+
+@TABLES
+def level_gains(filters: WaveletFilterPair, m: int, j0: int) -> np.ndarray:
+    """The read-only (j0, m//2 + 1) table of complex level gains at length m.
+
+    Row j - 1 is level j's wavelet gain H(2^(j-1) k) * prod_{l<j-1} G(2^l k)
+    at the m-point Fourier frequencies k = 0..m//2, indices mod m, with H and
+    G the unit filters' m-point FFTs. A detection reads these gains as the
+    MODWT's two planes and as the detector's ``level_power``, and never
+    builds this table.
+    """
+    re, im = _build_gains(filters, m, j0)
+    gains = np.empty(re.shape, dtype=np.complex128)
+    gains.real, gains.imag = re, im
     return gains
+
+
+@TABLES
+def level_power(filters: WaveletFilterPair, m: int, j0: int) -> np.ndarray:
+    """The read-only (j0, m//2 + 1) table of level power gains |H_j|^2 at length m.
+
+    ``re * re + im * im`` of ``level_gains``' entries. The detector reads it
+    at twice the series' length to weight the padded series' spectrum.
+    """
+    re, im = _build_gains(filters, m, j0)
+    re *= re
+    im *= im
+    re += im
+    return re
+
+
+@TABLES
+def _gain_planes(filters: WaveletFilterPair, m: int, j0: int) -> tuple[np.ndarray, np.ndarray]:
+    """``level_gains``' real and imaginary parts as two contiguous, read-only tables.
+
+    The MODWT multiplies the series' spectrum by them at its transform length.
+    """
+    return _build_gains(filters, m, j0)
 
 
 def biweight_midvariance(w: np.ndarray, width: int) -> float:
@@ -265,7 +304,7 @@ def modwt_decompose(
     """Decomposition into j0 wavelet levels.
 
     Every level is one inverse real FFT of the series' spectrum times the
-    cached gains of ``level_gains`` at length m. m is n when n has no prime
+    cached level gains at length m. m is n when n has no prime
     factor above 7, and the product is then the circular convolution
     itself. Otherwise m is the smallest such length that holds the linear
     convolution, n + level_width(j0) - 1 samples, which keeps
@@ -288,7 +327,8 @@ def modwt_decompose(
     m = _smooth_length(n)
     if m != n:
         m = _smooth_length(n + wrap)
-    coeffs = np.fft.irfft(_product(np.fft.rfft(x, m), level_gains(filters, m, j0)), m)
+    re, im = _gain_planes(filters, m, j0)
+    coeffs = np.fft.irfft(_product(np.fft.rfft(x, m), re, im), m)
     if m > n:
         # the linear convolution spans n + wrap < 2n samples: fold its tail
         coeffs[:, :wrap] += coeffs[:, n : n + wrap]

@@ -450,6 +450,17 @@ def huber_periodogram(
 
 
 _FISHER_TERM_CAP = math.log(1e5)
+_FISHER_TERM_FLOOR = math.log(1e-16)
+
+
+@TABLES
+def _log_factorials(size: int) -> np.ndarray:
+    """log i! as ``math.lgamma(i + 1)`` for i < size; read-only.
+
+    Callers ask for the power of two above the largest i they read, so one
+    table serves every m up to it.
+    """
+    return np.array([math.lgamma(i + 1) for i in range(size)])
 
 
 def fisher_pvalue(g0: float, m: int) -> float:
@@ -464,26 +475,30 @@ def fisher_pvalue(g0: float, m: int) -> float:
     """
     check_real("g", g0, 0, 1, "(]")
     check_int("m", m, 2)
+    return _fisher_tail(g0, m, _log_factorials(1 << int(m).bit_length()))
+
+
+def _fisher_tail(g0: float, m: int, log_factorials: np.ndarray) -> float:
+    """``fisher_pvalue(g0, m)`` with log i! read from ``log_factorials``, i = 0..m at least.
+
+    log C(m, k) is log m! - log k! - log (m-k)!, summed in that order.
+    """
+    log_factorials = memoryview(log_factorials)  # indexed as Python floats
     k_max = min(int(math.floor(1.0 / g0)), m)
     log_sum, sign_sum = -math.inf, 1.0
-    log_cm = math.lgamma(m + 1)
+    log_fm = log_factorials[m]
     for k in range(1, k_max + 1):
         arg = 1.0 - k * g0
         if arg <= 0.0:
             break
-        log_term = (
-            log_cm
-            - math.lgamma(k + 1)
-            - math.lgamma(m - k + 1)
-            + (m - 1) * math.log(arg)
-        )
+        log_term = log_fm - log_factorials[k] - log_factorials[m - k] + (m - 1) * math.log(arg)
         if log_term > _FISHER_TERM_CAP:
             return 1.0
         sign_term = 1.0 if k % 2 == 1 else -1.0
         if log_sum == -math.inf:
             log_sum, sign_sum = log_term, sign_term
             continue
-        if log_term < log_sum + math.log(1e-16):
+        if log_term < log_sum + _FISHER_TERM_FLOOR:
             break
         if log_term > log_sum:
             log_sum, log_term, sign_sum, sign_term = log_term, log_sum, sign_term, sign_sum
@@ -524,5 +539,7 @@ def fisher_test(spectrum: np.ndarray, level: int, alpha: float) -> FisherOutcome
     if vals.size < 2 or total <= 0:
         return FisherOutcome(g=0.0, p_value=1.0, significant=False)
     g = float(vals.max() / total)
-    p = fisher_pvalue(g, vals.size)
+    # every octave holds at most (n - 1) // 2 bins, so the levels of one
+    # spectrum share one table
+    p = _fisher_tail(g, vals.size, _log_factorials(1 << ((n - 1) // 2).bit_length()))
     return FisherOutcome(g=g, p_value=p, significant=p < alpha)

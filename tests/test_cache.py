@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from multiperiod import spectral
+from multiperiod import DetectorConfig, TimeSeries, acf, modwt, robust_period, spectral
 from multiperiod.cache import TABLES, TableCache
 from multiperiod.modwt import daubechies_filters, level_gains, max_level
 from multiperiod.preprocess import _hp_plan
@@ -86,15 +86,49 @@ def test_tables_at_large_lengths_stay_within_the_bound():
     # Near N = 10 000 the level-gain tables of the padded series hold 1.6 MB
     # each, so a dozen lengths fill the budget; near N = 100 000 they hold
     # 21 MB and only the recent tables stay. Unbounded, these calls would
-    # hold 0.1 GB.
+    # hold 0.2 GB.
     pair = daubechies_filters(4)
     sizes = []
     for n in [*range(10_000, 10_024, 2), 100_000, 100_002, 100_004]:
         j0 = max_level(n, pair.L1)
         assert level_gains(pair, 2 * n, j0) is level_gains(pair, 2 * n, j0)
         for build, args in ((level_gains, (pair, 2 * n, j0)), (spectral._table, (2 * n,)),
-                            (_hp_plan, (n, 1e6))):
+                            (_hp_plan, (n, 1e6)), (modwt.level_power, (pair, 2 * n, j0)),
+                            (modwt._gain_planes, (pair, n, j0)),
+                            (spectral._log_factorials, (1 << ((n - 1) // 2).bit_length(),)), (acf._overlap, (n,))):
             value = build(*args)
             sizes.append(sum(a.nbytes for a in (value if isinstance(value, tuple) else (value,))))
             assert TABLES.nbytes <= max(TABLES.budget, sum(sizes[-TABLES.recent :]))
-    assert sum(sizes) > 4 * TABLES.budget
+    assert sum(sizes) > 8 * TABLES.budget
+
+
+@pytest.mark.usefixtures("fresh_tables")
+def test_a_detection_past_the_budget_keeps_every_table_it_reads():
+    # At N = 100 003 one plain detection's tables hold more than the budget.
+    # Every table the second detection reads is the one the first built:
+    # none is dropped and rebuilt in between.
+    n = 100_003
+    rng = np.random.default_rng(0)
+    x = np.sin(2 * np.pi * np.arange(n) / 50) + 0.3 * rng.normal(size=n)
+    cfg = DetectorConfig(robust_mode=False)
+    first = robust_period(TimeSeries(x), cfg)
+    assert first.periods and TABLES.nbytes > TABLES.budget
+    built = dict(TABLES._entries)
+    names = {key[0].__name__ for key in built}
+    assert names == {"_hp_plan", "_gain_planes", "level_power", "_log_factorials", "_overlap"}
+    read = []
+    entries = TABLES._entries
+
+    class Recorded(type(entries)):
+        def get(self, key, default=None):
+            read.append(key)
+            return super().get(key, default)
+
+    TABLES._entries = live = Recorded(entries)
+    try:
+        assert robust_period(TimeSeries(x), cfg) == first
+    finally:
+        TABLES._entries = entries
+    assert {key[0].__name__ for key in read} == names
+    assert live.keys() == built.keys()
+    assert all(live[key][0] is built[key][0] for key in read)

@@ -266,11 +266,13 @@ class TestLevelGains:
     def test_transform_length(self, n, m, monkeypatch):
         pair, lengths = daubechies_filters(4), []
 
+        planes = modwt._gain_planes
+
         def recorded(filters, length, j0):
             lengths.append(length)
-            return level_gains(filters, length, j0)
+            return planes(filters, length, j0)
 
-        monkeypatch.setattr(modwt, "level_gains", recorded)
+        monkeypatch.setattr(modwt, "_gain_planes", recorded)
         j0 = max_level(n, pair.L1)
         modwt_decompose(TimeSeries(np.ones(n)), pair, j0)
         assert lengths == [m]
@@ -287,12 +289,32 @@ class TestLevelGains:
             level_gains(pair, n, 1)
         assert TABLES.nbytes <= TABLES.budget
 
+    @pytest.mark.parametrize("order, m", [(1, 64), (4, 1000), (4, 2018), (10, 945)])
+    def test_power_and_planes_are_the_gains_bit_for_bit(self, order, m):
+        # the detector's power table and the MODWT's planes, each built once
+        # per length and shared, against the expressions they replace
+        pair = daubechies_filters(order)
+        j0 = max_level(m, pair.L1)
+        gains = level_gains(pair, m, j0)
+        power, planes = modwt.level_power(pair, m, j0), modwt._gain_planes(pair, m, j0)
+        assert modwt.level_power(pair, m, j0) is power
+        assert modwt._gain_planes(pair, m, j0) is planes
+        squared = gains.real * gains.real + gains.imag * gains.imag
+        assert power.tobytes() == squared.tobytes()
+        assert planes[0].tobytes() == gains.real.tobytes()
+        assert planes[1].tobytes() == gains.imag.tobytes()
+        for table in (power, *planes):
+            assert table.dtype == np.float64 and table.flags.c_contiguous
+            with pytest.raises(ValueError):
+                table[0, 0] = 0.0
+
     def test_a_cached_table_is_not_served_for_a_bool(self):
         pair = daubechies_filters(2)
-        level_gains(pair, 1, 1)
-        for args in ((True, 1), (np.True_, 1), (512, True)):
-            with pytest.raises(InvalidInputError):
-                level_gains(pair, *args)
+        for table in (level_gains, modwt.level_power, modwt._gain_planes):
+            table(pair, 1, 1)
+            for args in ((True, 1), (np.True_, 1), (512, True)):
+                with pytest.raises(InvalidInputError):
+                    table(pair, *args)
 
     def test_complex_product_is_written_in_real_arithmetic(self):
         # the same value as numpy's complex product up to its rounding, and
@@ -300,7 +322,7 @@ class TestLevelGains:
         rng = np.random.default_rng(9)
         a = rng.normal(size=(3, 50)) + 1j * rng.normal(size=(3, 50))
         b = rng.normal(size=50) + 1j * rng.normal(size=50)
-        got = modwt._product(a, b)
+        got = modwt._product(a, b.real, b.imag)
         np.testing.assert_allclose(got, a * b, rtol=1e-15, atol=1e-15)
         np.testing.assert_array_equal(got.real, a.real * b.real - a.imag * b.imag)
         np.testing.assert_array_equal(got.imag, a.real * b.imag + a.imag * b.real)
