@@ -1,8 +1,8 @@
 """Read-only tables shared by every series of one length, bounded by their bytes.
 
 The trend filter's plan, the MODWT's gain planes, the detector's power
-gains, the Huber fit's harmonic table, the g-test's log-factorials and the
-autocorrelation's overlap divisor each depend on a length (and a smoothing,
+gains, the Huber fit's harmonic table, the g-test's rows of log C(m, k) and
+the autocorrelation's overlap divisor each depend on a length (and a smoothing,
 filter pair or depth) alone, so a batch of series of one length builds
 them once.
 A table grows with its length, so a count of entries bounds nothing: eight
@@ -24,13 +24,14 @@ _TABLE_BYTES = 16 << 20
 
 # A detection reads six tables of its length, one per function: the trend
 # plan, the gain planes, the power gains, the fit's harmonic table (robust
-# mode only), the log-factorials that every level's g-test shares and the
-# overlap divisor. They stay however large they are: a series too long for
-# the budget would otherwise rebuild them on every detection (the trend plan
+# mode only), the log C(m, k) rows of every level's g-test and the overlap
+# divisor. They stay however large they are: a series too long for the
+# budget would otherwise rebuild them on every detection (the trend plan
 # alone takes 0.3 s at N = 200 000, whose trend transforms have the prime
-# factor 199 999), and its detection holds arrays of their size anyway. A
-# table per g-tested level would make this count vary with the levels, and
-# any count above a detection's own keeps earlier lengths' tables as well.
+# factor 199 999), and its detection holds arrays of their size anyway. The
+# g-test's rows of all levels are one table so that this count does not
+# grow with the levels tested; a count above a detection's own would keep
+# earlier lengths' tables past the budget as well.
 _RECENT = 6
 
 

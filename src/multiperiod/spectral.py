@@ -453,14 +453,32 @@ _FISHER_TERM_CAP = math.log(1e5)
 _FISHER_TERM_FLOOR = math.log(1e-16)
 
 
-@TABLES
-def _log_factorials(size: int) -> np.ndarray:
-    """log i! as ``math.lgamma(i + 1)`` for i < size; read-only.
+def _octave(n: int, level: int) -> tuple[int, int]:
+    """The first and last k of level ``level``'s octave in ``fisher_test``'s spectrum of n + 1 bins."""
+    return max(1, -(-n >> (level + 1))), min(n >> level, (n - 1) // 2)
 
-    Callers ask for the power of two above the largest i they read, so one
-    table serves every m up to it.
+
+def _binomial_row(m: int) -> np.ndarray:
+    """log C(m, k) for k = 0..m as lgamma(m+1) - lgamma(k+1) - lgamma(m-k+1), in that order."""
+    log_fact = np.array([math.lgamma(i + 1) for i in range(m + 1)])
+    return log_fact[m] - log_fact - log_fact[::-1]
+
+
+@TABLES
+def _log_binomials(m: int) -> np.ndarray:
+    """The read-only row of log C(m, k), k = 0..m, that ``fisher_pvalue`` sums."""
+    return _binomial_row(m)
+
+
+@TABLES
+def _octave_log_binomials(n: int) -> tuple[np.ndarray, ...]:
+    """Row j - 1 is ``_log_binomials`` at level j's octave size in a spectrum of n + 1 bins.
+
+    One read-only table for every level of the length, so a detection
+    reads one g-test table however many levels it tests.
     """
-    return np.array([math.lgamma(i + 1) for i in range(size)])
+    octaves = (_octave(n, j) for j in range(1, n.bit_length()))
+    return tuple(_binomial_row(max(0, hi - lo + 1)) for lo, hi in octaves)
 
 
 def fisher_pvalue(g0: float, m: int) -> float:
@@ -475,23 +493,19 @@ def fisher_pvalue(g0: float, m: int) -> float:
     """
     check_real("g", g0, 0, 1, "(]")
     check_int("m", m, 2)
-    return _fisher_tail(g0, m, _log_factorials(1 << int(m).bit_length()))
+    return _fisher_tail(g0, m, _log_binomials(m))
 
 
-def _fisher_tail(g0: float, m: int, log_factorials: np.ndarray) -> float:
-    """``fisher_pvalue(g0, m)`` with log i! read from ``log_factorials``, i = 0..m at least.
-
-    log C(m, k) is log m! - log k! - log (m-k)!, summed in that order.
-    """
-    log_factorials = memoryview(log_factorials)  # indexed as Python floats
+def _fisher_tail(g0: float, m: int, log_binomials: np.ndarray) -> float:
+    """``fisher_pvalue(g0, m)`` with log C(m, k) read from the row ``log_binomials``."""
+    log_binomials = memoryview(log_binomials)  # indexed as Python floats
     k_max = min(int(math.floor(1.0 / g0)), m)
     log_sum, sign_sum = -math.inf, 1.0
-    log_fm = log_factorials[m]
     for k in range(1, k_max + 1):
         arg = 1.0 - k * g0
         if arg <= 0.0:
             break
-        log_term = log_fm - log_factorials[k] - log_factorials[m - k] + (m - 1) * math.log(arg)
+        log_term = log_binomials[k] + (m - 1) * math.log(arg)
         if log_term > _FISHER_TERM_CAP:
             return 1.0
         sign_term = 1.0 if k % 2 == 1 else -1.0
@@ -532,14 +546,11 @@ def fisher_test(spectrum: np.ndarray, level: int, alpha: float) -> FisherOutcome
     if spectrum.size < 2:
         raise InvalidInputError("Fisher's test needs a spectrum of at least 2 bins")
     n, j = spectrum.size - 1, int(level)
-    lo = max(1, -(-n >> (j + 1)))
-    hi = min(n >> j, (n - 1) // 2)
+    lo, hi = _octave(n, j)
     vals = spectrum[2 * lo : 2 * hi + 1 : 2]
     total = vals.sum()
     if vals.size < 2 or total <= 0:
         return FisherOutcome(g=0.0, p_value=1.0, significant=False)
     g = float(vals.max() / total)
-    # every octave holds at most (n - 1) // 2 bins, so the levels of one
-    # spectrum share one table
-    p = _fisher_tail(g, vals.size, _log_factorials(1 << ((n - 1) // 2).bit_length()))
+    p = _fisher_tail(g, vals.size, _octave_log_binomials(n)[j - 1])
     return FisherOutcome(g=g, p_value=p, significant=p < alpha)

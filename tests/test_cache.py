@@ -95,7 +95,7 @@ def test_tables_at_large_lengths_stay_within_the_bound():
         for build, args in ((level_gains, (pair, 2 * n, j0)), (spectral._table, (2 * n,)),
                             (_hp_plan, (n, 1e6)), (modwt.level_power, (pair, 2 * n, j0)),
                             (modwt._gain_planes, (pair, n, j0)),
-                            (spectral._log_factorials, (1 << ((n - 1) // 2).bit_length(),)), (acf._overlap, (n,))):
+                            (spectral._octave_log_binomials, (n,)), (acf._overlap, (n,))):
             value = build(*args)
             sizes.append(sum(a.nbytes for a in (value if isinstance(value, tuple) else (value,))))
             assert TABLES.nbytes <= max(TABLES.budget, sum(sizes[-TABLES.recent :]))
@@ -103,19 +103,23 @@ def test_tables_at_large_lengths_stay_within_the_bound():
 
 
 @pytest.mark.usefixtures("fresh_tables")
-def test_a_detection_past_the_budget_keeps_every_table_it_reads():
-    # At N = 100 003 one plain detection's tables hold more than the budget.
-    # Every table the second detection reads is the one the first built:
-    # none is dropped and rebuilt in between.
+@pytest.mark.parametrize("robust", [False, True])
+def test_a_detection_past_the_budget_keeps_every_table_it_reads(robust):
+    # At N = 100 003 one detection's tables hold more than the budget. Every
+    # table the second detection reads is the one the first built: none is
+    # dropped and rebuilt in between. A robust detection reads the most
+    # tables, one more than a plain one: the fit's harmonic table.
     n = 100_003
     rng = np.random.default_rng(0)
     x = np.sin(2 * np.pi * np.arange(n) / 50) + 0.3 * rng.normal(size=n)
-    cfg = DetectorConfig(robust_mode=False)
+    cfg = DetectorConfig(robust_mode=robust)
     first = robust_period(TimeSeries(x), cfg)
     assert first.periods and TABLES.nbytes > TABLES.budget
     built = dict(TABLES._entries)
     names = {key[0].__name__ for key in built}
-    assert names == {"_hp_plan", "_gain_planes", "level_power", "_log_factorials", "_overlap"}
+    tables = {"_hp_plan", "_gain_planes", "level_power", "_octave_log_binomials", "_overlap"}
+    assert names == (tables | {"_table"} if robust else tables)
+    assert len(built) == (TABLES.recent if robust else TABLES.recent - 1)
     read = []
     entries = TABLES._entries
 

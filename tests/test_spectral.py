@@ -837,30 +837,36 @@ class TestFisher:
             assert fisher_pvalue(g, m) == 1.0
         assert fisher_pvalue(0.0035, 1000) == pytest.approx(1.0, abs=1e-6)
 
-    def test_log_factorials_are_lgamma_bit_for_bit(self):
-        # log C(m, k) from the table is the lgamma expression it replaces,
-        # summed in the same order
-        for size in (1, 2, 32, 256, 4096):
-            table = spectral._log_factorials(size)
-            assert spectral._log_factorials(size) is table
-            expected = [math.lgamma(i + 1) for i in range(size)]
-            assert table.tobytes() == np.array(expected).tobytes()
+    def test_log_binomial_rows_are_lgamma_bit_for_bit(self):
+        # each shared, read-only row against the lgamma expression it replaces,
+        # evaluated in the same order
+        def replaced(m):
+            log_cm = math.lgamma(m + 1)
+            return [log_cm - math.lgamma(k + 1) - math.lgamma(m - k + 1) for k in range(m + 1)]
+
+        for m in (2, 3, 31, 250, 2999, 25_000):
+            row = spectral._log_binomials(m)
+            assert spectral._log_binomials(m) is row
+            assert row.tobytes() == np.array(replaced(m)).tobytes()
             with pytest.raises(ValueError):
-                table[0] = 1.0
-        logs = spectral._log_factorials(4096).tolist()
-        for m in (2, 31, 250, 2999, 3000):
-            for k in range(1, m + 1):
-                replaced = math.lgamma(m + 1) - math.lgamma(k + 1) - math.lgamma(m - k + 1)
-                assert logs[m] - logs[k] - logs[m - k] == replaced
+                row[0] = 1.0
+        for n in (1, 2, 64, 1000, 1001, 100_000):
+            rows = spectral._octave_log_binomials(n)
+            assert spectral._octave_log_binomials(n) is rows
+            assert len(rows) == max(0, n.bit_length() - 1)
+            for j, row in enumerate(rows, 1):
+                lo, hi = spectral._octave(n, j)
+                assert row.tobytes() == np.array(replaced(max(0, hi - lo + 1))).tobytes()
+                assert not row.flags.writeable
 
     def test_the_test_reads_the_pvalue_of_its_octave(self):
-        # fisher_test reads one table per spectrum length, fisher_pvalue one per m
+        # fisher_test reads one table per spectrum length, fisher_pvalue a row per m
         rng = np.random.default_rng(5)
         for n in (64, 1000, 1001):
             power = rng.exponential(size=n + 1)
             power[2 * (n // 12)] += 40.0
             for level in range(1, 7):
-                lo, hi = max(1, -(-n >> (level + 1))), min(n >> level, (n - 1) // 2)
+                lo, hi = spectral._octave(n, level)
                 if hi - lo + 1 < 2:
                     continue
                 outcome = fisher_test(power, level, alpha=0.5)
@@ -868,16 +874,19 @@ class TestFisher:
 
     def test_pvalue_bits_are_frozen(self):
         # sha256 over float.hex(p) of 300 000 seeded (g, m) pairs, m <= 3000 and
-        # g log-uniform on (1/m, 1]; recorded before the log-factorial table,
-        # when each term called lgamma twice
+        # g log-uniform on (1/m, 1], taken in order of m so that each m's row
+        # is built once; recorded before the rows were cached, when each term
+        # called lgamma twice
         rng = np.random.default_rng(20261022)
         ms = rng.integers(2, 3001, size=300_000)
         gs = np.exp(np.log(ms) * -rng.random(300_000))
+        order = np.argsort(ms, kind="stable")
+        ms, gs = ms[order], gs[order]
         digest = hashlib.sha256()
         for g, m in zip(gs.tolist(), ms.tolist()):
             digest.update(float.hex(fisher_pvalue(g, m)).encode())
         assert digest.hexdigest() == (
-            "96c883512d60750800d4682817094d9a44de336e2cae0d1f0e0e8abe6a6da102"
+            "4f6996b13b96a8fd338bc300358618826f60766dd0c74f526f82c3e471eabeea"
         )
 
     def test_pvalue_domain_errors(self):
