@@ -454,7 +454,7 @@ _FISHER_TERM_FLOOR = math.log(1e-16)
 
 
 def _octave(n: int, level: int) -> tuple[int, int]:
-    """The first and last k of level ``level``'s octave in ``fisher_test``'s spectrum of n + 1 bins."""
+    """First and last k of level ``level``'s octave in ``fisher_test``'s n + 1 bins."""
     return max(1, -(-n >> (level + 1))), min(n >> level, (n - 1) // 2)
 
 
