@@ -15,7 +15,6 @@ import statistics
 
 import numpy as np
 
-from .cache import TABLES
 from .series import InvalidInputError, check_int, check_real, finite_array
 from .spectral import HybridPeriodogram
 
@@ -26,12 +25,6 @@ def full_range_periodogram(hybrid: HybridPeriodogram, row: int) -> np.ndarray:
     """One row's one-sided spectrum, bins 0..N: a view, not a copy."""
     check_int("row", row, 0, len(hybrid.levels) - 1)
     return hybrid.power[row]
-
-
-@TABLES
-def _overlap(n: int) -> np.ndarray:
-    """The overlap N - t of lags t = 0..N-1 of N samples, as floats; read-only."""
-    return np.arange(n, 0, -1, dtype=np.float64)
 
 
 def huber_acf(spectra: np.ndarray) -> np.ndarray:
@@ -54,7 +47,7 @@ def huber_acf(spectra: np.ndarray) -> np.ndarray:
     p = np.fft.irfft(spectra, 2 * n_series, axis=-1)[..., :n_series]
     lag0 = p[..., :1]
     live = lag0 > 0
-    raw = p / (_overlap(n_series) * np.where(live, lag0, 1.0))
+    raw = p / (np.arange(n_series, 0, -1, dtype=np.float64) * np.where(live, lag0, 1.0))
     return np.divide(raw, raw[..., :1], out=np.zeros_like(raw), where=live)
 
 

@@ -1,10 +1,9 @@
 """Read-only tables shared by every series of one length, bounded by their bytes.
 
 The trend filter's plan, the MODWT's gain planes, the detector's power
-gains, the Huber fit's harmonic table, the g-test's rows of log C(m, k) and
-the autocorrelation's overlap divisor each depend on a length (and a smoothing,
-filter pair or depth) alone, so a batch of series of one length builds
-them once.
+gains and the Huber fit's harmonic table each depend on a length (and a
+smoothing, filter pair or depth) alone, so a batch of series of one length
+builds them once.
 A table grows with its length, so a count of entries bounds nothing: eight
 entries per function held 0.2 GB at lengths near N = 10^5. The cache holds
 the most recently used tables whose bytes together fit one budget, and
@@ -17,22 +16,20 @@ import functools
 import threading
 from collections import OrderedDict
 
-# Bytes held by the cached tables together: the six tables of one length
-# hold 0.18 MB at N = 1000, 2.3 MB at N = 10 000 and 34 MB at N = 100 007, so
-# this holds those of about 90, 7 and 0 lengths besides the recent ones.
+# Bytes held by the cached tables together: the four tables of one length
+# hold 0.17 MB at N = 1000, 2.2 MB at N = 10 000 and 32 MB at N = 100 007, so
+# this holds those of about 100, 7 and 0 lengths besides the recent ones.
 _TABLE_BYTES = 16 << 20
 
-# A detection reads six tables of its length, one per function: the trend
-# plan, the gain planes, the power gains, the fit's harmonic table (robust
-# mode only), the log C(m, k) rows of every level's g-test and the overlap
-# divisor. They stay however large they are: a series too long for the
-# budget would otherwise rebuild them on every detection (the trend plan
-# alone takes 0.3 s at N = 200 000, whose trend transforms have the prime
-# factor 199 999), and its detection holds arrays of their size anyway. The
-# g-test's rows of all levels are one table so that this count does not
-# grow with the levels tested; a count above a detection's own would keep
-# earlier lengths' tables past the budget as well.
-_RECENT = 6
+# A robust detection reads four tables of its length, one per function: the
+# trend plan, the gain planes, the power gains and the fit's harmonic table;
+# a plain one reads the first three. They stay however large they are: a
+# series too long for the budget would otherwise rebuild them on every
+# detection (the trend plan alone takes 0.3 s at N = 200 000, whose trend
+# transforms have the prime factor 199 999), and its detection holds arrays
+# of their size anyway. A count above a detection's own would keep earlier
+# lengths' tables past the budget as well.
+_RECENT = 4
 
 
 class TableCache:

@@ -458,29 +458,6 @@ def _octave(n: int, level: int) -> tuple[int, int]:
     return max(1, -(-n >> (level + 1))), min(n >> level, (n - 1) // 2)
 
 
-def _binomial_row(m: int) -> np.ndarray:
-    """log C(m, k) for k = 0..m as lgamma(m+1) - lgamma(k+1) - lgamma(m-k+1), in that order."""
-    log_fact = np.array([math.lgamma(i + 1) for i in range(m + 1)])
-    return log_fact[m] - log_fact - log_fact[::-1]
-
-
-@TABLES
-def _log_binomials(m: int) -> np.ndarray:
-    """The read-only row of log C(m, k), k = 0..m, that ``fisher_pvalue`` sums."""
-    return _binomial_row(m)
-
-
-@TABLES
-def _octave_log_binomials(n: int) -> tuple[np.ndarray, ...]:
-    """Row j - 1 is ``_log_binomials`` at level j's octave size in a spectrum of n + 1 bins.
-
-    One read-only table for every level of the length, so a detection
-    reads one g-test table however many levels it tests.
-    """
-    octaves = (_octave(n, j) for j in range(1, n.bit_length()))
-    return tuple(_binomial_row(max(0, hi - lo + 1)) for lo, hi in octaves)
-
-
 def fisher_pvalue(g0: float, m: int) -> float:
     """Tail probability of the g-statistic under the white-noise null.
 
@@ -493,19 +470,19 @@ def fisher_pvalue(g0: float, m: int) -> float:
     """
     check_real("g", g0, 0, 1, "(]")
     check_int("m", m, 2)
-    return _fisher_tail(g0, m, _log_binomials(m))
+    return _fisher_tail(g0, m)
 
 
-def _fisher_tail(g0: float, m: int, log_binomials: np.ndarray) -> float:
-    """``fisher_pvalue(g0, m)`` with log C(m, k) read from the row ``log_binomials``."""
-    log_binomials = memoryview(log_binomials)  # indexed as Python floats
+def _fisher_tail(g0: float, m: int) -> float:
+    """``fisher_pvalue(g0, m)`` without the argument checks."""
     k_max = min(int(math.floor(1.0 / g0)), m)
     log_sum, sign_sum = -math.inf, 1.0
+    log_cm = math.lgamma(m + 1)
     for k in range(1, k_max + 1):
         arg = 1.0 - k * g0
         if arg <= 0.0:
             break
-        log_term = log_binomials[k] + (m - 1) * math.log(arg)
+        log_term = log_cm - math.lgamma(k + 1) - math.lgamma(m - k + 1) + (m - 1) * math.log(arg)
         if log_term > _FISHER_TERM_CAP:
             return 1.0
         sign_term = 1.0 if k % 2 == 1 else -1.0
@@ -552,5 +529,5 @@ def fisher_test(spectrum: np.ndarray, level: int, alpha: float) -> FisherOutcome
     if vals.size < 2 or total <= 0:
         return FisherOutcome(g=0.0, p_value=1.0, significant=False)
     g = float(vals.max() / total)
-    p = _fisher_tail(g, vals.size, _octave_log_binomials(n)[j - 1])
+    p = _fisher_tail(g, vals.size)
     return FisherOutcome(g=g, p_value=p, significant=p < alpha)

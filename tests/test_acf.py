@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from multiperiod import acf as acf_module
 from multiperiod.acf import (
     find_peaks,
     full_range_periodogram,
@@ -85,14 +84,7 @@ class TestHuberAcf:
             np.testing.assert_allclose(acf, expected, rtol=1e-9, atol=0)
 
     @pytest.mark.parametrize("n", [1, 64, 1000, 1009])
-    def test_overlap_divisor_is_built_once_bit_for_bit(self, n):
-        # the shared divisor against the per-call expression it replaces
-        overlap = acf_module._overlap(n)
-        assert acf_module._overlap(n) is overlap
-        assert overlap.dtype == np.float64
-        assert overlap.tobytes() == (n - np.arange(n)).astype(np.float64).tobytes()
-        with pytest.raises(ValueError):
-            overlap[0] = 1.0
+    def test_overlap_divisor_is_the_per_lag_count_bit_for_bit(self, n):
         spectra = np.abs(np.random.default_rng(n).normal(size=(3, n + 1)))
         p = np.fft.irfft(spectra, 2 * n, axis=-1)[..., :n]
         raw = p / ((n - np.arange(n)) * p[..., :1])

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from multiperiod import DetectorConfig, TimeSeries, acf, modwt, robust_period, spectral
+from multiperiod import DetectorConfig, TimeSeries, modwt, robust_period, spectral
 from multiperiod.cache import TABLES, TableCache
 from multiperiod.modwt import daubechies_filters, level_gains, max_level
 from multiperiod.preprocess import _hp_plan
@@ -94,8 +94,7 @@ def test_tables_at_large_lengths_stay_within_the_bound():
         assert level_gains(pair, 2 * n, j0) is level_gains(pair, 2 * n, j0)
         for build, args in ((level_gains, (pair, 2 * n, j0)), (spectral._table, (2 * n,)),
                             (_hp_plan, (n, 1e6)), (modwt.level_power, (pair, 2 * n, j0)),
-                            (modwt._gain_planes, (pair, n, j0)),
-                            (spectral._octave_log_binomials, (n,)), (acf._overlap, (n,))):
+                            (modwt._gain_planes, (pair, n, j0))):
             value = build(*args)
             sizes.append(sum(a.nbytes for a in (value if isinstance(value, tuple) else (value,))))
             assert TABLES.nbytes <= max(TABLES.budget, sum(sizes[-TABLES.recent :]))
@@ -117,7 +116,7 @@ def test_a_detection_past_the_budget_keeps_every_table_it_reads(robust):
     assert first.periods and TABLES.nbytes > TABLES.budget
     built = dict(TABLES._entries)
     names = {key[0].__name__ for key in built}
-    tables = {"_hp_plan", "_gain_planes", "level_power", "_octave_log_binomials", "_overlap"}
+    tables = {"_hp_plan", "_gain_planes", "level_power"}
     assert names == (tables | {"_table"} if robust else tables)
     assert len(built) == (TABLES.recent if robust else TABLES.recent - 1)
     read = []
@@ -136,3 +135,16 @@ def test_a_detection_past_the_budget_keeps_every_table_it_reads(robust):
     assert {key[0].__name__ for key in read} == names
     assert live.keys() == built.keys()
     assert all(live[key][0] is built[key][0] for key in read)
+
+
+@pytest.mark.usefixtures("fresh_tables")
+def test_the_g_test_caches_nothing():
+    # each term's log C(m, k) comes from lgamma, so no m and no spectrum
+    # length leaves a table behind
+    rng = np.random.default_rng(7)
+    for m in rng.integers(2, 3001, size=300).tolist():
+        spectral.fisher_pvalue(float(rng.uniform(1 / m, 1)), m)
+    power = rng.exponential(size=1235)
+    for level in range(1, 8):
+        spectral.fisher_test(power, level, alpha=0.01)
+    assert not TABLES._entries and TABLES.nbytes == 0
